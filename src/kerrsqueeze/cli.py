@@ -15,8 +15,7 @@ import json
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -24,8 +23,6 @@ import numpy as np
 
 from . import characterize, core, detection, spectrum, steady_state
 from .errors import ModelError, SchemaError
-
-_TABULAR = ("sweep", "spectrum", "locking")
 
 
 # ---------------------------------------------------------------------------
@@ -37,8 +34,6 @@ class RunConfig:
 
     path: Path
     raw: Dict[str, Any]
-    threads: int = 1
-    seed: int = 0
     out_format: Optional[str] = None
 
     @property
@@ -178,13 +173,18 @@ def parse_detection(cfg: RunConfig) -> Tuple[List[float], Optional[detection.Los
             if not 0.0 <= e <= 1.0:
                 raise SchemaError(f"config key 'detection.eta': must be in [0, 1], got {e}")
         return etas, None
+    budget = _parse_budget(cfg, sec, "detection", "'eta', 'budget_path' or 'entries'")
+    return [budget.eta], budget
+
+
+def _parse_budget(cfg: RunConfig, sec: Dict[str, Any], name: str,
+                  need: str) -> detection.LossBudget:
+    """Loss budget from a section's 'budget_path' file or inline 'entries'."""
     if "budget_path" in sec:
-        budget = read_budget_json(cfg.resolve("detection.budget_path", sec["budget_path"]))
-        return [budget.eta], budget
+        return read_budget_json(cfg.resolve(f"{name}.budget_path", sec["budget_path"]))
     if "entries" in sec:
-        budget = _budget_from_obj(sec["entries"], "detection.entries")
-        return [budget.eta], budget
-    raise SchemaError("config key 'detection': need 'eta', 'budget_path' or 'entries'")
+        return _budget_from_obj(sec["entries"], f"{name}.entries")
+    raise SchemaError(f"config key '{name}': need {need}")
 
 
 def _resolve_omega_p(params: core.ResonatorParams, omega_p: Optional[float]) -> float:
@@ -261,6 +261,13 @@ def _flatten(obj: Any, prefix: str = "") -> List[Tuple[str, Any]]:
     return [(prefix, obj)]
 
 
+def _render_table(cfg: RunConfig, columns: Sequence[str], rows: Sequence[Sequence[Any]],
+                  meta: Sequence[Tuple[int, str]] = ()) -> str:
+    if (cfg.out_format or "csv") == "json":
+        return render_json({"columns": columns, "rows": [list(map(_py, r)) for r in rows]})
+    return render_csv(columns, rows, meta)
+
+
 def render_report(obj: Dict[str, Any], out_format: str) -> str:
     if out_format == "json":
         return render_json(obj)
@@ -326,6 +333,20 @@ def _column(path: Path, columns: List[str], rows: List[List[str]],
     return np.array(vals)
 
 
+def _meta_number(path: Path, meta: Dict[str, str], key: str,
+                 default: Optional[float] = None) -> float:
+    """Numeric '# key=value' metadata; a missing or empty value takes the default."""
+    text = meta.get(key)
+    if not text and default is not None:
+        return default
+    if text is None:
+        raise SchemaError(f"{path.name}: missing metadata line '# {key}=...'")
+    try:
+        return float(text)
+    except ValueError as e:
+        raise SchemaError(f"{path.name}: metadata '{key}': not a number: {text!r}") from e
+
+
 def read_transmission_csv(path: Path) -> characterize.TransmissionTrace:
     meta, columns, rows, lines = _read_table(path)
     if not rows:
@@ -333,7 +354,7 @@ def read_transmission_csv(path: Path) -> characterize.TransmissionTrace:
     freq_col = "delta_p_rad_s" if "delta_p_rad_s" in columns else "omega_p_rad_s"
     freq = _column(path, columns, rows, lines, freq_col)
     trans = _column(path, columns, rows, lines, "transmission")
-    p_in = float(meta.get("p_in_w", "0") or 0)
+    p_in = _meta_number(path, meta, "p_in_w", default=0.0)
     direction = meta.get("direction", "down")
     try:
         return characterize.TransmissionTrace(
@@ -361,18 +382,17 @@ def read_zero_span_csv(path: Path) -> characterize.ZeroSpanTrace:
     meta, columns, rows, lines = _read_table(path)
     if not rows:
         raise SchemaError(f"{path.name}: no data rows")
-    for key in ("center_hz", "rbw_hz", "vbw_hz"):
-        if key not in meta:
-            raise SchemaError(f"{path.name}: missing metadata line '# {key}=...'")
+    center_hz, rbw_hz, vbw_hz = (_meta_number(path, meta, key)
+                                 for key in ("center_hz", "rbw_hz", "vbw_hz"))
     t = _column(path, columns, rows, lines, "t_s")
     p = _column(path, columns, rows, lines, "power_dbm")
     try:
         return characterize.ZeroSpanTrace(
             t=t,
             power_dbm=p,
-            center_hz=float(meta["center_hz"]),
-            rbw_hz=float(meta["rbw_hz"]),
-            vbw_hz=float(meta["vbw_hz"]),
+            center_hz=center_hz,
+            rbw_hz=rbw_hz,
+            vbw_hz=vbw_hz,
         )
     except ValueError as e:
         raise SchemaError(f"{path.name}: {e}") from e
@@ -407,6 +427,7 @@ def read_budget_json(path: Path) -> detection.LossBudget:
 # subcommands
 
 def cmd_sweep(cfg: RunConfig) -> str:
+    """branch-continued steady-state sweep over detuning"""
     params = parse_resonator(cfg)
     powers, omega_p_cfg, dirs = parse_pump(cfg)
     omega_p = _resolve_omega_p(params, omega_p_cfg)
@@ -437,113 +458,11 @@ def cmd_sweep(cfg: RunConfig) -> str:
                 if with_circ:
                     row.append(core.HBAR * omega_p * b.n * fsr)
                 rows.append(row)
-
-    if (cfg.out_format or "csv") == "json":
-        return render_json({"columns": columns, "rows": [list(map(_py, r)) for r in rows]})
-    return render_csv(columns, rows, meta)
-
-
-def _locked_extrema(st: float, y: float, c: float) -> Tuple[float, float]:
-    """Closed-form phase extrema of the locked variance at any frequency."""
-    base = 1.0 + 2.0 * c * st * st / (y * y)
-    amp = (c * st / y) * math.sqrt(1.0 + 4.0 * st * st / (y * y))
-    return base - amp, base + amp
-
-
-def _spectrum_rows_locking(cfg: RunConfig, params, powers, omega_p, etas,
-                           omega_grid, phi_grid, optimize_phi, pool_map) -> Tuple[List[str], List[Sequence[Any]]]:
-    p_th = core.threshold_power(params, omega_p, allow_infinite=True)
-
-    tasks = []
-    for eta in etas:
-        for p_in in powers:
-            _, branch = steady_state.injection_locking_point(params, p_in, omega_p)
-            for w in omega_grid:
-                tasks.append((eta, p_in, branch, float(w)))
-
-    if optimize_phi:
-        columns = ["eta", "p_in_w", "omega_rad_s", "v_s_ratio", "v_s_db",
-                   "v_as_ratio", "v_as_db", "phi_opt_rad",
-                   "v_s_locked_ratio", "v_as_locked_ratio"]
-
-        def work(task):
-            eta, p_in, branch, w = task
-            v_min, v_max, phi_min = spectrum.variance_extrema(params, branch, w, eta)
-            loss = core.total_loss(params)
-            st = 0.0 if math.isinf(p_th) else p_in / p_th
-            y = 1.0 + (2.0 * w / loss) ** 2
-            c = 4.0 * eta * params.kappa / loss
-            ls, la = _locked_extrema(st, y, c)
-            return [eta, p_in, w, v_min, core.db_from_linear(v_min),
-                    v_max, core.db_from_linear(v_max), phi_min, ls, la]
-
-        return columns, list(pool_map(work, tasks))
-
-    columns = ["eta", "p_in_w", "omega_rad_s", "phi_lo_rad", "v_ratio", "v_db",
-               "v_locked_ratio"]
-
-    def work(task):
-        eta, p_in, branch, w = task
-        out = []
-        for phi in phi_grid:
-            pt = spectrum.variance_spectrum(params, branch, w, float(phi), eta)
-            locked = spectrum.locked_raw_variance(pt.sigma_tilde, pt.y, pt.c, float(phi))
-            out.append([eta, p_in, w, float(phi), pt.v, core.db_from_linear(pt.v), locked])
-        return out
-
-    rows: List[Sequence[Any]] = []
-    for chunk in pool_map(work, tasks):
-        rows.extend(chunk)
-    return columns, rows
-
-
-def _spectrum_rows_detuning(cfg: RunConfig, params, powers, omega_p, etas, dirs,
-                            delta_p, omega_grid, phi_grid, optimize_phi, pool_map) -> Tuple[List[str], List[Sequence[Any]]]:
-    tasks = []
-    for eta in etas:
-        for p_in in powers:
-            for direction in dirs:
-                pump = core.PumpConfig(p_in=p_in, delta_p=delta_p, omega_p=omega_p,
-                                       direction=direction)
-                trace = steady_state.sweep(params, pump)
-                for i, branch in enumerate(trace.branches):
-                    for w in omega_grid:
-                        tasks.append((eta, p_in, direction, float(trace.delta_p[i]),
-                                      branch, float(w)))
-
-    if optimize_phi:
-        columns = ["eta", "p_in_w", "direction", "delta_p_rad_s", "n_photons",
-                   "omega_rad_s", "v_s_ratio", "v_s_db", "v_as_ratio", "v_as_db",
-                   "phi_opt_rad"]
-
-        def work(task):
-            eta, p_in, direction, dp, branch, w = task
-            v_min, v_max, phi_min = spectrum.variance_extrema(params, branch, w, eta)
-            return [eta, p_in, direction, dp, branch.n, w,
-                    v_min, core.db_from_linear(v_min),
-                    v_max, core.db_from_linear(v_max), phi_min]
-
-        return columns, list(pool_map(work, tasks))
-
-    columns = ["eta", "p_in_w", "direction", "delta_p_rad_s", "n_photons",
-               "omega_rad_s", "phi_lo_rad", "v_ratio", "v_db"]
-
-    def work(task):
-        eta, p_in, direction, dp, branch, w = task
-        out = []
-        for phi in phi_grid:
-            pt = spectrum.variance_spectrum(params, branch, w, float(phi), eta)
-            out.append([eta, p_in, direction, dp, branch.n, w, float(phi),
-                        pt.v, core.db_from_linear(pt.v)])
-        return out
-
-    rows: List[Sequence[Any]] = []
-    for chunk in pool_map(work, tasks):
-        rows.extend(chunk)
-    return columns, rows
+    return _render_table(cfg, columns, rows, meta)
 
 
 def cmd_spectrum(cfg: RunConfig) -> str:
+    """quadrature variance spectra"""
     params = parse_resonator(cfg)
     powers, omega_p_cfg, dirs = parse_pump(cfg)
     omega_p = _resolve_omega_p(params, omega_p_cfg)
@@ -552,41 +471,71 @@ def cmd_spectrum(cfg: RunConfig) -> str:
     mode = sec.get("mode", "locking")
     if mode not in ("locking", "detuning"):
         raise SchemaError(f"config key 'spectrum.mode': expected 'locking' or 'detuning', got {mode!r}")
+    locked = mode == "locking"
     optimize_phi = bool(sec.get("optimize_phi", False))
     grid_sec = cfg.section("grid")
-    omega_grid = _grid(grid_sec, "omega_rad_s", "grid")
-    phi_grid = None if optimize_phi else _grid(grid_sec, "phi_lo_rad", "grid")
+    omega_grid = _grid(grid_sec, "omega_rad_s", "grid").tolist()
+    phi_grid = None if optimize_phi else _grid(grid_sec, "phi_lo_rad", "grid").tolist()
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            pool_map: Callable = lambda fn, items: list(pool.map(fn, items))
-            if mode == "locking":
-                columns, rows = _spectrum_rows_locking(
-                    cfg, params, powers, omega_p, etas, omega_grid, phi_grid,
-                    optimize_phi, pool_map)
-            else:
-                delta_p = _grid(grid_sec, "delta_p_rad_s", "grid")
-                columns, rows = _spectrum_rows_detuning(
-                    cfg, params, powers, omega_p, etas, dirs, delta_p,
-                    omega_grid, phi_grid, optimize_phi, pool_map)
+    # operating points as (leading row cells, eta, branch, p_in / p_th); the
+    # locked closed forms use the last, so detuning mode leaves it unset
+    points: List[Tuple[List[Any], float, steady_state.SteadyStateBranch, Optional[float]]] = []
+    if locked:
+        head = ["eta", "p_in_w"]
+        p_th = core.threshold_power(params, omega_p, allow_infinite=True)
+        for eta in etas:
+            for p_in in powers:
+                _, branch = steady_state.injection_locking_point(params, p_in, omega_p)
+                st = 0.0 if math.isinf(p_th) else p_in / p_th
+                points.append(([eta, p_in], eta, branch, st))
     else:
-        pool_map = lambda fn, items: [fn(x) for x in items]
-        if mode == "locking":
-            columns, rows = _spectrum_rows_locking(
-                cfg, params, powers, omega_p, etas, omega_grid, phi_grid,
-                optimize_phi, pool_map)
-        else:
-            delta_p = _grid(grid_sec, "delta_p_rad_s", "grid")
-            columns, rows = _spectrum_rows_detuning(
-                cfg, params, powers, omega_p, etas, dirs, delta_p,
-                omega_grid, phi_grid, optimize_phi, pool_map)
+        head = ["eta", "p_in_w", "direction", "delta_p_rad_s", "n_photons"]
+        delta_p = _grid(grid_sec, "delta_p_rad_s", "grid")
+        for eta in etas:
+            for p_in in powers:
+                for direction in dirs:
+                    pump = core.PumpConfig(p_in=p_in, delta_p=delta_p, omega_p=omega_p,
+                                           direction=direction)
+                    trace = steady_state.sweep(params, pump)
+                    for i, branch in enumerate(trace.branches):
+                        lead = [eta, p_in, direction, float(trace.delta_p[i]), branch.n]
+                        points.append((lead, eta, branch, None))
 
-    if (cfg.out_format or "csv") == "json":
-        return render_json({"columns": columns, "rows": [list(map(_py, r)) for r in rows]})
-    return render_csv(columns, rows)
+    if optimize_phi:
+        columns = head + ["omega_rad_s", "v_s_ratio", "v_s_db", "v_as_ratio", "v_as_db",
+                          "phi_opt_rad"]
+        if locked:
+            columns += ["v_s_locked_ratio", "v_as_locked_ratio"]
+    else:
+        columns = head + ["omega_rad_s", "phi_lo_rad", "v_ratio", "v_db"]
+        if locked:
+            columns.append("v_locked_ratio")
+
+    loss = core.total_loss(params)
+    rows: List[Sequence[Any]] = []
+    for lead, eta, branch, st in points:
+        for w in omega_grid:
+            if optimize_phi:
+                v_min, v_max, phi_min = spectrum.variance_extrema(params, branch, w, eta)
+                row = lead + [w, v_min, core.db_from_linear(v_min),
+                              v_max, core.db_from_linear(v_max), phi_min]
+                if locked:
+                    y = 1.0 + (2.0 * w / loss) ** 2
+                    c = 4.0 * eta * params.kappa / loss
+                    row.extend(spectrum.locked_extrema(st, y, c))
+                rows.append(row)
+            else:
+                for phi in phi_grid:
+                    pt = spectrum.variance_spectrum(params, branch, w, phi, eta)
+                    row = lead + [w, phi, pt.v, core.db_from_linear(pt.v)]
+                    if locked:
+                        row.append(spectrum.locked_raw_variance(pt.sigma_tilde, pt.y, pt.c, phi))
+                    rows.append(row)
+    return _render_table(cfg, columns, rows)
 
 
 def cmd_locking(cfg: RunConfig) -> str:
+    """injection locking point per pump power"""
     params = parse_resonator(cfg)
     powers, omega_p_cfg, _ = parse_pump(cfg)
     omega_p = _resolve_omega_p(params, omega_p_cfg)
@@ -597,12 +546,11 @@ def cmd_locking(cfg: RunConfig) -> str:
         dpl, branch = steady_state.injection_locking_point(params, p_in, omega_p)
         rows.append([p_in, dpl, branch.n, branch.delta_cl, branch.delta_f,
                      steady_state.transmission(params, branch)])
-    if (cfg.out_format or "csv") == "json":
-        return render_json({"columns": columns, "rows": [list(map(_py, r)) for r in rows]})
-    return render_csv(columns, rows)
+    return _render_table(cfg, columns, rows)
 
 
 def cmd_threshold(cfg: RunConfig) -> str:
+    """parametric threshold power report"""
     params = parse_resonator(cfg)
     sec = cfg.section("pump", required=False)
     omega_p_cfg = _num(sec, "omega_p_rad_s", "pump", required=False) if sec else None
@@ -626,6 +574,7 @@ def cmd_threshold(cfg: RunConfig) -> str:
 
 
 def cmd_report(cfg: RunConfig) -> str:
+    """end-to-end operating point summary"""
     params = parse_resonator(cfg)
     powers, omega_p_cfg, _ = parse_pump(cfg)
     p_in = powers[0]
@@ -700,99 +649,96 @@ def cmd_report(cfg: RunConfig) -> str:
     return render_report(report, cfg.out_format or "json")
 
 
-def cmd_fit(cfg: RunConfig, kind: str) -> str:
-    if kind == "transmission":
-        sec = cfg.section("fit")
-        path = cfg.resolve("fit.input", sec.get("input") or "")
-        regime = sec.get("coupling_regime", "over")
-        if regime not in ("over", "under"):
-            raise SchemaError("config key 'fit.coupling_regime': expected 'over' or 'under'")
-        max_residual = _num(sec, "max_residual", "fit", required=False, default=0.05)
-        trace = read_transmission_csv(path)
-        fit = characterize.fit_linear_resonance(trace, regime, max_residual=max_residual)
-        se = characterize.resonance_fit_stderr(trace, fit)
-        report = {
-            "model": "linear_resonance",
-            "input": str(sec.get("input")),
-            "input_sha256": _sha256(path),
-            "coupling_regime": regime,
-            "parameters": {
-                "center_rad_s": {"value": fit.omega_r, "stderr": se[0]},
-                "kappa_rad_s": {"value": fit.kappa, "stderr": se[1]},
-                "gamma_rad_s": {"value": fit.gamma, "stderr": se[2]},
-            },
-            "residual_rel": fit.residual,
-        }
-        return render_report(report, cfg.out_format or "json")
+def cmd_fit_transmission(cfg: RunConfig) -> str:
+    """fit a linear resonance lineshape"""
+    sec = cfg.section("fit")
+    path = cfg.resolve("fit.input", sec.get("input") or "")
+    regime = sec.get("coupling_regime", "over")
+    if regime not in ("over", "under"):
+        raise SchemaError("config key 'fit.coupling_regime': expected 'over' or 'under'")
+    max_residual = _num(sec, "max_residual", "fit", required=False, default=0.05)
+    trace = read_transmission_csv(path)
+    fit = characterize.fit_linear_resonance(trace, regime, max_residual=max_residual)
+    se = characterize.resonance_fit_stderr(trace, fit)
+    report = {
+        "model": "linear_resonance",
+        "input": str(sec.get("input")),
+        "input_sha256": _sha256(path),
+        "coupling_regime": regime,
+        "parameters": {
+            "center_rad_s": {"value": fit.omega_r, "stderr": se[0]},
+            "kappa_rad_s": {"value": fit.kappa, "stderr": se[1]},
+            "gamma_rad_s": {"value": fit.gamma, "stderr": se[2]},
+        },
+        "residual_rel": fit.residual,
+    }
+    return render_report(report, cfg.out_format or "json")
 
-    if kind == "dispersion":
-        sec = cfg.section("dispersion")
-        path = cfg.resolve("dispersion.input", sec.get("input") or "")
-        resonances = read_resonance_csv(path)
-        fit = characterize.fit_dispersion(resonances)
-        se = characterize.dispersion_fit_stderr(resonances)
-        mus = np.array([m for m, _ in resonances.entries], dtype=float)
-        omegas = np.array([w for _, w in resonances.entries])
-        model = fit.omega_0 + fit.d1 * mus + 0.5 * fit.d2 * mus * mus
-        report = {
-            "model": "quadratic_dispersion",
-            "input": str(sec.get("input")),
-            "input_sha256": _sha256(path),
-            "parameters": {
-                "omega_0_rad_s": {"value": fit.omega_0, "stderr": se[0]},
-                "d1_rad_s": {"value": fit.d1, "stderr": se[1]},
-                "d2_rad_s": {"value": fit.d2, "stderr": se[2]},
-            },
-            "regime": characterize.dispersion_regime(fit.d2),
-            "residual_norm_rad_s": float(np.linalg.norm(omegas - model)),
-            "d_int_rad_s": [float(v) for v in fit.d_int],
-        }
-        return render_report(report, cfg.out_format or "json")
 
-    if kind == "trace":
-        sec = cfg.section("trace")
-        t_path = cfg.resolve("trace.input", sec.get("input") or "")
-        r_path = cfg.resolve("trace.reference", sec.get("reference") or "")
-        low = _num(sec, "low_percentile", "trace", required=False, default=1.0)
-        high = _num(sec, "high_percentile", "trace", required=False, default=99.0)
-        detrend = bool(sec.get("detrend", False))
-        trace = read_zero_span_csv(t_path)
-        reference = read_zero_span_csv(r_path)
-        v_s_db, v_as_db = characterize.reduce_homodyne_trace(
-            trace, reference, low_percentile=low, high_percentile=high, detrend=detrend
-        )
-        report = {
-            "model": "zero_span_reduction",
-            "input": str(sec.get("input")),
-            "input_sha256": _sha256(t_path),
-            "reference": str(sec.get("reference")),
-            "reference_sha256": _sha256(r_path),
-            "metadata": {
-                "center_hz": trace.center_hz,
-                "rbw_hz": trace.rbw_hz,
-                "vbw_hz": trace.vbw_hz,
-            },
-            "percentiles": [low, high],
-            "detrend": detrend,
-            "reference_level_dbm": float(np.mean(reference.power_dbm)),
-            "v_s_db": v_s_db,
-            "v_as_db": v_as_db,
-            "v_s_ratio": core.linear_from_db(v_s_db),
-            "v_as_ratio": core.linear_from_db(v_as_db),
-        }
-        return render_report(report, cfg.out_format or "json")
+def cmd_fit_dispersion(cfg: RunConfig) -> str:
+    """fit mode dispersion coefficients"""
+    sec = cfg.section("dispersion")
+    path = cfg.resolve("dispersion.input", sec.get("input") or "")
+    resonances = read_resonance_csv(path)
+    fit = characterize.fit_dispersion(resonances)
+    se = characterize.dispersion_fit_stderr(resonances)
+    mus = np.array([m for m, _ in resonances.entries], dtype=float)
+    omegas = np.array([w for _, w in resonances.entries])
+    model = fit.omega_0 + fit.d1 * mus + 0.5 * fit.d2 * mus * mus
+    report = {
+        "model": "quadratic_dispersion",
+        "input": str(sec.get("input")),
+        "input_sha256": _sha256(path),
+        "parameters": {
+            "omega_0_rad_s": {"value": fit.omega_0, "stderr": se[0]},
+            "d1_rad_s": {"value": fit.d1, "stderr": se[1]},
+            "d2_rad_s": {"value": fit.d2, "stderr": se[2]},
+        },
+        "regime": characterize.dispersion_regime(fit.d2),
+        "residual_norm_rad_s": float(np.linalg.norm(omegas - model)),
+        "d_int_rad_s": [float(v) for v in fit.d_int],
+    }
+    return render_report(report, cfg.out_format or "json")
 
-    raise SchemaError(f"unknown fit kind {kind!r}")
+
+def cmd_reduce_trace(cfg: RunConfig) -> str:
+    """reduce a zero-span trace to squeezing dB"""
+    sec = cfg.section("trace")
+    t_path = cfg.resolve("trace.input", sec.get("input") or "")
+    r_path = cfg.resolve("trace.reference", sec.get("reference") or "")
+    low = _num(sec, "low_percentile", "trace", required=False, default=1.0)
+    high = _num(sec, "high_percentile", "trace", required=False, default=99.0)
+    detrend = bool(sec.get("detrend", False))
+    trace = read_zero_span_csv(t_path)
+    reference = read_zero_span_csv(r_path)
+    v_s_db, v_as_db = characterize.reduce_homodyne_trace(
+        trace, reference, low_percentile=low, high_percentile=high, detrend=detrend
+    )
+    report = {
+        "model": "zero_span_reduction",
+        "input": str(sec.get("input")),
+        "input_sha256": _sha256(t_path),
+        "reference": str(sec.get("reference")),
+        "reference_sha256": _sha256(r_path),
+        "metadata": {
+            "center_hz": trace.center_hz,
+            "rbw_hz": trace.rbw_hz,
+            "vbw_hz": trace.vbw_hz,
+        },
+        "percentiles": [low, high],
+        "detrend": detrend,
+        "reference_level_dbm": float(np.mean(reference.power_dbm)),
+        "v_s_db": v_s_db,
+        "v_as_db": v_as_db,
+        "v_s_ratio": core.linear_from_db(v_s_db),
+        "v_as_ratio": core.linear_from_db(v_as_db),
+    }
+    return render_report(report, cfg.out_format or "json")
 
 
 def cmd_losses(cfg: RunConfig) -> str:
-    sec = cfg.section("losses")
-    if "budget_path" in sec:
-        budget = read_budget_json(cfg.resolve("losses.budget_path", sec["budget_path"]))
-    elif "entries" in sec:
-        budget = _budget_from_obj(sec["entries"], "losses.entries")
-    else:
-        raise SchemaError("config key 'losses': need 'budget_path' or 'entries'")
+    """evaluate a detection loss budget"""
+    budget = _parse_budget(cfg, cfg.section("losses"), "losses", "'budget_path' or 'entries'")
     report = {
         "entries": [{"label": l, "loss_db": v} for l, v in budget.entries],
         "total_db": budget.total_db,
@@ -804,6 +750,19 @@ def cmd_losses(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 # entry point
 
+_DISPATCH: Dict[str, Callable[[RunConfig], str]] = {
+    "sweep": cmd_sweep,
+    "spectrum": cmd_spectrum,
+    "locking": cmd_locking,
+    "threshold": cmd_threshold,
+    "report": cmd_report,
+    "fit-transmission": cmd_fit_transmission,
+    "fit-dispersion": cmd_fit_dispersion,
+    "reduce-trace": cmd_reduce_trace,
+    "losses": cmd_losses,
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kerrsqueeze",
@@ -813,53 +772,21 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="JSON config file")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid evaluation")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for stochastic options (current subcommands are deterministic)")
     common.add_argument("--format", dest="out_format", choices=("csv", "json"),
                         default=None, help="output format (default: csv for tables, json for reports)")
-    for name, help_text in (
-        ("sweep", "branch-continued steady-state sweep over detuning"),
-        ("spectrum", "quadrature variance spectra"),
-        ("locking", "injection locking point per pump power"),
-        ("threshold", "parametric threshold power report"),
-        ("report", "end-to-end operating point summary"),
-        ("fit-transmission", "fit a linear resonance lineshape"),
-        ("fit-dispersion", "fit mode dispersion coefficients"),
-        ("reduce-trace", "reduce a zero-span trace to squeezing dB"),
-        ("losses", "evaluate a detection loss budget"),
-    ):
-        sub.add_parser(name, parents=[common], help=help_text)
+    for name, cmd in _DISPATCH.items():
+        sub.add_parser(name, parents=[common], help=cmd.__doc__)
     return parser
-
-
-_DISPATCH: Dict[str, Callable[[RunConfig], str]] = {
-    "sweep": cmd_sweep,
-    "spectrum": cmd_spectrum,
-    "locking": cmd_locking,
-    "threshold": cmd_threshold,
-    "report": cmd_report,
-    "fit-transmission": lambda cfg: cmd_fit(cfg, "transmission"),
-    "fit-dispersion": lambda cfg: cmd_fit(cfg, "dispersion"),
-    "reduce-trace": lambda cfg: cmd_fit(cfg, "trace"),
-    "losses": cmd_losses,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        cfg.threads = max(1, args.threads)
-        cfg.seed = args.seed
         cfg.out_format = args.out_format
         text = _DISPATCH[args.command](cfg)
         _write_output(args.out, text)
-    except ModelError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ModelError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

@@ -232,6 +232,15 @@ def optimal_phase(p_in: float, p_th: float) -> float:
     return 0.5 * math.atan(-p_th / (2.0 * p_in))
 
 
+def _check_locked_numbers(sigma_tilde: float, y: float, c: float) -> None:
+    if y < 1.0:
+        raise NonPositive(f"y = 1 + (2w/Gamma)^2 must be >= 1, got {y}")
+    if c < 0.0:
+        raise NonPositive(f"c must be >= 0, got {c}")
+    if sigma_tilde < 0.0:
+        raise NonPositive(f"sigma_tilde must be >= 0, got {sigma_tilde}")
+
+
 def locked_raw_variance(
     sigma_tilde: float, y: float, c: float, phi_lo: float
 ) -> float:
@@ -241,16 +250,24 @@ def locked_raw_variance(
     Evaluated through the complex-exponential form; the result is real by
     construction (the two phase terms are conjugates).
     """
-    if y < 1.0:
-        raise NonPositive(f"y = 1 + (2w/Gamma)^2 must be >= 1, got {y}")
-    if c < 0.0:
-        raise NonPositive(f"c must be >= 0, got {c}")
-    if sigma_tilde < 0.0:
-        raise NonPositive(f"sigma_tilde must be >= 0, got {sigma_tilde}")
+    _check_locked_numbers(sigma_tilde, y, c)
     st = sigma_tilde
     z = (0.5j * st) * (y + 2j * st) * cmath.exp(-2j * phi_lo)
     bracket = 2.0 * z.real + 2.0 * st * st
     return 1.0 + c / (y * y) * bracket
+
+
+def locked_extrema(sigma_tilde: float, y: float, c: float) -> Tuple[float, float]:
+    """(v_min, v_max) of locked_raw_variance over the LO phase, in closed form.
+
+    The phase term is a second harmonic of amplitude (c st / y^2) *
+    sqrt(y^2 + 4 st^2) around 1 + 2 c st^2 / y^2.
+    """
+    _check_locked_numbers(sigma_tilde, y, c)
+    st = sigma_tilde
+    base = 1.0 + 2.0 * c * st * st / (y * y)
+    amp = (c * st / y) * math.sqrt(1.0 + 4.0 * st * st / (y * y))
+    return base - amp, base + amp
 
 
 def fluctuation_flux(

@@ -72,6 +72,27 @@ def test_unknown_subcommand_is_usage_error(sample_dir):
     assert e.value.code == 2
 
 
+def test_removed_options_are_usage_errors(sample_dir):
+    config = str(sample_dir / "config_losses.json")
+    for flag in ("--threads", "--seed"):
+        with pytest.raises(SystemExit) as e:
+            main(["losses", "--config", config, flag, "1"])
+        assert e.value.code == 2, flag
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["--help"])
+    assert e.value.code == 0
+    help_of = {}
+    for line in capsys.readouterr().out.splitlines():
+        name, _, text = line.strip().partition(" ")
+        help_of[name] = text.strip()
+    for name in ("sweep", "spectrum", "locking", "threshold", "report",
+                 "fit-transmission", "fit-dispersion", "reduce-trace", "losses"):
+        assert help_of.get(name), name
+
+
 def test_rerun_is_byte_identical(sample_dir, tmp_path):
     for cmd, config in (("sweep", "config_sweep.json"),
                         ("report", "config_report.json")):
@@ -80,12 +101,31 @@ def test_rerun_is_byte_identical(sample_dir, tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
-def test_threads_do_not_change_output(sample_dir, tmp_path):
-    _, a = run(sample_dir, "spectrum", "config_spectrum_optimized.json", tmp_path,
-               name="t1.csv")
-    _, b = run(sample_dir, "spectrum", "config_spectrum_optimized.json", tmp_path,
-               name="t4.csv", extra=("--threads", "4"))
-    assert a.read_bytes() == b.read_bytes()
+# SHA-256 of each sample config's default output, recorded with Python 3.11.7,
+# numpy 2.4.6 and scipy 1.17.1
+SAMPLE_DIGESTS = {
+    "config_sweep.json": "cd184f7debc98fd1db151ff2e826ff47d15f56f4480df085a7bfc65ce1eeb31b",
+    "config_spectrum_locking.json": "8683b2d7ec8be754256f6d0e7c28e5274275f4830abe2b8f3a8a2e5357a975b1",
+    "config_spectrum_optimized.json": "93e60b7438c33a50a3d2c2aec21ea624ecbc1fb9d3d1d46da416bc0b84546a8d",
+    "config_spectrum_detuning.json": "904252e859fbb789ab4f8027077758f7c8dd33bdc6c3b212b8a113d339e26588",
+    "config_locking.json": "04deeae6ebea6b6616f4188482c8bdab9436a87e7169b277efc90cb31c4b402e",
+    "config_threshold.json": "632a9c5ac4acb69f3456bd5fc5a37d2f107c04d6ab430d72040f3f6aa480553f",
+    "config_report.json": "2ccf6b4306986edb80b9393894f576d50cabe7a065397482d3ec330fbaf8a3f5",
+    "config_fit_transmission.json": "598ce3ec12c0e44abf535eb86c99d059a7672524318180e875a54d58b842bce7",
+    "config_fit_dispersion.json": "cc95b1e80f7ac396c5af66e050dda68bc48fdb96d7e56017814cc92c2023fb8c",
+    "config_reduce_trace.json": "5388d5344dbcb48f82da915aeea9afb8c98ca4f8a5dcade43e65013a4b09d1c6",
+    "config_losses.json": "5ffefbea18593125cf7e3b9df6098f6969494c536465197648cb2fb54903573e",
+}
+
+
+@pytest.mark.parametrize("cmd,config", CONFIGS)
+def test_sample_output_bytes_match_recorded_digest(cmd, config, sample_dir, tmp_path):
+    _, out = run(sample_dir, cmd, config, tmp_path)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SAMPLE_DIGESTS[config], (
+        f"{cmd} {config}: output bytes changed; the recorded digest was taken "
+        "with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1"
+    )
 
 
 def test_json_format_matches_csv_values(sample_dir, tmp_path):
@@ -162,17 +202,23 @@ def test_reduce_trace_matches_library_call(sample_dir, tmp_path):
 
 
 def test_spectrum_locking_grid_matches_closed_forms(sample_dir, tmp_path):
-    _, out = run(sample_dir, "spectrum", "config_spectrum_locking.json", tmp_path)
-    lines = out.read_text().splitlines()
-    header = lines[0].split(",")
-    iv = header.index("v_ratio")
-    il = header.index("v_locked_ratio")
-    worst = 0.0
-    for line in lines[1:]:
-        cells = line.split(",")
-        v, locked = float(cells[iv]), float(cells[il])
-        worst = max(worst, abs(v - locked) / max(locked, 1e-300))
-    assert worst < 1e-9
+    for config, pairs in (
+        ("config_spectrum_locking.json", [("v_ratio", "v_locked_ratio")]),
+        ("config_spectrum_optimized.json", [("v_s_ratio", "v_s_locked_ratio"),
+                                            ("v_as_ratio", "v_as_locked_ratio")]),
+    ):
+        _, out = run(sample_dir, "spectrum", config, tmp_path, name=config + ".csv")
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        for col, locked_col in pairs:
+            iv = header.index(col)
+            il = header.index(locked_col)
+            worst = 0.0
+            for line in lines[1:]:
+                cells = line.split(",")
+                v, locked = float(cells[iv]), float(cells[il])
+                worst = max(worst, abs(v - locked) / max(locked, 1e-300))
+            assert worst < 1e-9, (config, col)
 
 
 def test_module_invocation_smoke(sample_dir, tmp_path):
@@ -195,11 +241,16 @@ def test_missing_input_file_named_in_error(tmp_path, capsys):
 
 
 def test_malformed_csv_cell_reports_line(sample_dir, tmp_path, capsys):
-    bad = tmp_path / "t.csv"
-    bad.write_text("delta_p_rad_s,transmission\n0.0,0.5\n1.0,oops\n")
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"fit": {"input": "t.csv"}}))
-    rc = main(["fit-transmission", "--config", str(cfg)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "line 3" in err and "oops" in err
+    for text, expected in (
+        ("delta_p_rad_s,transmission\n0.0,0.5\n1.0,oops\n", ("line 3", "oops")),
+        ("# p_in_w=abc\ndelta_p_rad_s,transmission\n0.0,0.5\n1.0,0.4\n",
+         ("t.csv", "p_in_w", "abc")),
+    ):
+        (tmp_path / "t.csv").write_text(text)
+        rc = main(["fit-transmission", "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert all(s in err for s in expected), err

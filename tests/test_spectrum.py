@@ -16,6 +16,7 @@ from kerrsqueeze import (
     db_from_linear,
     fluctuation_flux,
     injection_locking_point,
+    locked_extrema,
     locked_raw_variance,
     locked_variances,
     omega_from_wavelength,
@@ -205,6 +206,24 @@ class TestLockedRawVariance:
             locked_raw_variance(-0.1, 1.0, 2.9, 0.0)
         with pytest.raises(NonPositive):
             locked_raw_variance(0.9, 1.0, -0.1, 0.0)
+
+
+class TestLockedExtrema:
+    @pytest.mark.parametrize("st_,y,c", [(0.9, 1.0, 2.9), (1.4, 3.0, 3.5),
+                                         (0.05, 1.2, 0.4), (0.0, 2.0, 2.9)])
+    def test_matches_phase_grid(self, st_, y, c):
+        vals = [locked_raw_variance(st_, y, c, p)
+                for p in np.linspace(-math.pi / 2, math.pi / 2, 20001)]
+        v_min, v_max = locked_extrema(st_, y, c)
+        assert min(vals) >= v_min - 1e-12
+        assert max(vals) <= v_max + 1e-12
+        assert min(vals) == pytest.approx(v_min, rel=1e-7)
+        assert max(vals) == pytest.approx(v_max, rel=1e-7)
+
+    def test_validation(self):
+        for args in ((0.9, 0.5, 2.9), (-0.1, 1.0, 2.9), (0.9, 1.0, -0.1)):
+            with pytest.raises(NonPositive):
+                locked_extrema(*args)
 
 
 class TestUncertaintyProduct:
