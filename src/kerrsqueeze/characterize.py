@@ -21,11 +21,12 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 import numpy as np
 from scipy.optimize import least_squares
 
-from .core import HBAR, PumpConfig, ResonatorParams, omega_from_wavelength
+from .core import HBAR, PumpConfig, ResonatorParams, locked_photon_number, omega_from_wavelength
 from .errors import (
     Degenerate,
     EmptyTrace,
     MetadataMismatch,
+    ModelError,
     NoDip,
     NonPositive,
     PoorFit,
@@ -55,11 +56,13 @@ class TransmissionTrace:
         object.__setattr__(self, "freq", freq)
         object.__setattr__(self, "transmission", trans)
         if freq.ndim != 1 or freq.shape != trans.shape:
-            raise ValueError("freq and transmission must be 1-d and equal length")
+            raise ModelError("freq and transmission must be 1-d and equal length")
+        if not (np.all(np.isfinite(freq)) and np.all(np.isfinite(trans))):
+            raise ModelError("freq and transmission must be finite")
         if freq.size > 1:
             steps = np.diff(freq)
             if not (np.all(steps > 0) or np.all(steps < 0)):
-                raise ValueError("frequency axis must be strictly monotone")
+                raise ModelError("frequency axis must be strictly monotone")
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,7 @@ class ResonanceList:
         object.__setattr__(self, "entries", entries)
         mus = [m for m, _ in entries]
         if len(set(mus)) != len(mus):
-            raise ValueError("mode numbers must be distinct")
+            raise ModelError("mode numbers must be distinct")
 
 
 @dataclass(frozen=True)
@@ -92,9 +95,11 @@ class ZeroSpanTrace:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "power_dbm", p)
         if t.ndim != 1 or t.shape != p.shape:
-            raise ValueError("t and power_dbm must be 1-d and equal length")
+            raise ModelError("t and power_dbm must be 1-d and equal length")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
+            raise ModelError("t and power_dbm must be finite")
         if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise ValueError("time axis must be strictly monotone")
+            raise ModelError("time axis must be strictly monotone")
 
 
 class ResonanceFit(NamedTuple):
@@ -136,11 +141,11 @@ def fit_linear_resonance(
     come out unphysical.
     """
     if coupling_regime not in ("over", "under"):
-        raise ValueError(f"coupling_regime must be 'over' or 'under', got {coupling_regime!r}")
+        raise ModelError(f"coupling_regime must be 'over' or 'under', got {coupling_regime!r}")
     if trace.freq.size == 0:
         raise EmptyTrace("transmission trace has no samples")
     if trace.freq.size < 4:
-        raise ValueError("need at least 4 samples to fit 3 parameters")
+        raise RankDeficient("need at least 4 samples to fit 3 parameters")
     data = trace.transmission
     if float(np.min(data)) > 0.95:
         raise NoDip(f"no resonance dip: min transmission {np.min(data):.4f} > 0.95")
@@ -214,11 +219,10 @@ def fit_shift_coefficient(
     powers are too low for the model to show any measurable shift.
     """
     if len(traces) < 2:
-        raise ValueError("need traces at two or more pump powers")
-    if kappa <= 0 or gamma < 0 or omega_p <= 0:
-        raise NonPositive("kappa and omega_p must be > 0, gamma >= 0")
+        raise ModelError("need traces at two or more pump powers")
+    cold = ResonatorParams(kappa=kappa, gamma=gamma)
     loss = kappa + gamma
-    n_locks = [4.0 * kappa * tr.p_in / (HBAR * omega_p) / loss**2 for tr in traces]
+    n_locks = [locked_photon_number(cold, tr.p_in, omega_p) for tr in traces]
     n_max = max(n_locks)
     if n_max == 0.0:
         raise Degenerate("all traces at zero pump power")
@@ -316,12 +320,10 @@ def dispersion_fit_stderr(
     """Standard errors of (omega_0, d1, d2) from the OLS covariance."""
     if not isinstance(resonances, ResonanceList):
         resonances = ResonanceList(tuple(resonances))
+    fit = fit_dispersion(resonances)  # checks the mode count
     entries = resonances.entries
-    if len(entries) < 3:
-        raise RankDeficient(f"need >= 3 distinct mode numbers, got {len(entries)}")
     mus = np.array([m for m, _ in entries], dtype=float)
     omegas = np.array([w for _, w in entries], dtype=float)
-    fit = fit_dispersion(resonances)
     dof = len(entries) - 3
     if dof <= 0:
         return (0.0, 0.0, 0.0)
@@ -375,7 +377,7 @@ def reduce_homodyne_trace(
             f"trace metadata {meta_a} does not match reference metadata {meta_b}"
         )
     if not 0.0 <= low_percentile < high_percentile <= 100.0:
-        raise ValueError("percentiles must satisfy 0 <= low < high <= 100")
+        raise ModelError("percentiles must satisfy 0 <= low < high <= 100")
 
     if detrend and reference.t.size > 1:
         slope, intercept = np.polyfit(reference.t, reference.power_dbm, 1)

@@ -57,17 +57,42 @@ class RunConfig:
         return p
 
 
+def _read_json(path: Path, where: str) -> Any:
+    """Parsed JSON file; syntax errors and NaN/Infinity literals are SchemaErrors."""
+    def reject(literal: str) -> Any:
+        raise SchemaError(f"{where}: {literal} is not a finite number")
+
+    try:
+        return json.loads(path.read_text(), parse_constant=reject)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"{where}: line {e.lineno}: {e.msg}") from e
+
+
 def load_config(path: str) -> RunConfig:
     p = Path(path)
     if not p.is_file():
         raise SchemaError(f"config file not found: {path}")
-    try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"config {path}: line {e.lineno}: {e.msg}") from e
+    raw = _read_json(p, f"config {path}")
     if not isinstance(raw, dict):
         raise SchemaError(f"config {path}: top level must be an object")
     return RunConfig(path=p, raw=raw)
+
+
+def _number(value: Any, where: str) -> float:
+    """A finite JSON number as a float; ``where`` names it in the error."""
+    # the bound also rejects NaN, infinities and ints too large for a float
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise SchemaError(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _schema(where: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """make(*args, **kwargs), re-raising its ModelError as a SchemaError naming where."""
+    try:
+        return make(*args, **kwargs)
+    except ModelError as e:
+        raise SchemaError(f"{where}: {e}") from e
 
 
 def _num(sec: Dict[str, Any], key: str, path: str, *, required: bool = True,
@@ -76,10 +101,7 @@ def _num(sec: Dict[str, Any], key: str, path: str, *, required: bool = True,
         if required:
             raise SchemaError(f"config key '{path}.{key}': missing")
         return default
-    v = sec[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"config key '{path}.{key}': expected a number, got {v!r}")
-    return float(v)
+    return _number(sec[key], f"config key '{path}.{key}'")
 
 
 def _num_list(sec: Dict[str, Any], key: str, path: str) -> List[float]:
@@ -89,12 +111,7 @@ def _num_list(sec: Dict[str, Any], key: str, path: str) -> List[float]:
     items = v if isinstance(v, list) else [v]
     if not items:
         raise SchemaError(f"config key '{path}.{key}': must not be empty")
-    out = []
-    for x in items:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise SchemaError(f"config key '{path}.{key}': expected numbers, got {x!r}")
-        out.append(float(x))
-    return out
+    return [_number(x, f"config key '{path}.{key}'") for x in items]
 
 
 def _grid(sec: Dict[str, Any], key: str, path: str, *, monotone: bool = True) -> np.ndarray:
@@ -111,7 +128,7 @@ def _grid(sec: Dict[str, Any], key: str, path: str, *, monotone: bool = True) ->
     elif isinstance(v, list):
         if not v:
             raise SchemaError(f"config key '{path}.{key}': must not be empty")
-        grid = np.array([_num({"x": x}, "x", f"{path}.{key}") for x in v])
+        grid = np.array([_number(x, f"config key '{path}.{key}'") for x in v])
     else:
         grid = np.array([_num(sec, key, path)])
     if monotone and grid.size > 1:
@@ -121,30 +138,19 @@ def _grid(sec: Dict[str, Any], key: str, path: str, *, monotone: bool = True) ->
     return grid
 
 
+# optional 'resonator' config keys and the ResonatorParams fields they set
+_RESONATOR_OPTIONAL = {"g_opt_rad_s": "g_opt", "g_th_rad_s": "g_th", "lambda_m": "lambda_r",
+                       "omega_r_rad_s": "omega_r", "radius_m": "radius", "n_eff": "n_eff"}
+
+
 def parse_resonator(cfg: RunConfig) -> core.ResonatorParams:
     sec = cfg.section("resonator")
-    kwargs: Dict[str, Any] = dict(
-        kappa=_num(sec, "kappa_rad_s", "resonator"),
-        gamma=_num(sec, "gamma_rad_s", "resonator"),
-        g_opt=_num(sec, "g_opt_rad_s", "resonator", required=False, default=0.0),
-        g_th=_num(sec, "g_th_rad_s", "resonator", required=False, default=0.0),
-    )
-    lam = _num(sec, "lambda_m", "resonator", required=False)
-    omr = _num(sec, "omega_r_rad_s", "resonator", required=False)
-    if lam is not None:
-        kwargs["lambda_r"] = lam
-    if omr is not None:
-        kwargs["omega_r"] = omr
-    rad = _num(sec, "radius_m", "resonator", required=False)
-    nef = _num(sec, "n_eff", "resonator", required=False)
-    if rad is not None:
-        kwargs["radius"] = rad
-    if nef is not None:
-        kwargs["n_eff"] = nef
-    try:
-        return core.ResonatorParams(**kwargs)
-    except ValueError as e:
-        raise SchemaError(f"config key 'resonator': {e}") from e
+    kwargs = {"kappa": _num(sec, "kappa_rad_s", "resonator"),
+              "gamma": _num(sec, "gamma_rad_s", "resonator")}
+    for key, field in _RESONATOR_OPTIONAL.items():
+        if key in sec:
+            kwargs[field] = _num(sec, key, "resonator")
+    return _schema("config key 'resonator'", core.ResonatorParams, **kwargs)
 
 
 def parse_pump(cfg: RunConfig) -> Tuple[List[float], Optional[float], List[str]]:
@@ -170,8 +176,7 @@ def parse_detection(cfg: RunConfig) -> Tuple[List[float], Optional[detection.Los
     if "eta" in sec:
         etas = _num_list(sec, "eta", "detection")
         for e in etas:
-            if not 0.0 <= e <= 1.0:
-                raise SchemaError(f"config key 'detection.eta': must be in [0, 1], got {e}")
+            _schema("config key 'detection.eta'", core.check_eta, e)
         return etas, None
     budget = _parse_budget(cfg, sec, "detection", "'eta', 'budget_path' or 'entries'")
     return [budget.eta], budget
@@ -192,11 +197,19 @@ def _resolve_omega_p(params: core.ResonatorParams, omega_p: Optional[float]) -> 
         return omega_p
     try:
         return params.resonance_omega
-    except ValueError as e:
+    except ModelError as e:
         raise SchemaError(
             "config: pump.omega_p_rad_s missing and resonator has no "
             "lambda_m / omega_r_rad_s to fall back on"
         ) from e
+
+
+def _quality_factor(params: core.ResonatorParams) -> Optional[float]:
+    """Loaded Q, or None when the config fixes no resonance frequency."""
+    try:
+        return core.quality_factor(params)
+    except ModelError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +325,20 @@ def _read_table(path: Path) -> Tuple[Dict[str, str], List[str], List[List[str]],
             lineno_of_row.append(lineno)
     if not columns:
         raise SchemaError(f"{path.name}: no header row found")
+    if not rows:
+        raise SchemaError(f"{path.name}: no data rows")
     return meta, columns, rows, lineno_of_row
+
+
+def _csv_number(text: str, where: str) -> float:
+    """A finite float from CSV text; ``where`` names it in the error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise SchemaError(f"{where}: not a finite number: {text!r}")
+    return value
 
 
 def _column(path: Path, columns: List[str], rows: List[List[str]],
@@ -324,12 +350,7 @@ def _column(path: Path, columns: List[str], rows: List[List[str]],
     for row, lineno in zip(rows, lineno_of_row):
         if j >= len(row):
             raise SchemaError(f"{path.name}: line {lineno}: row has no column '{name}'")
-        try:
-            vals.append(float(row[j]))
-        except ValueError as e:
-            raise SchemaError(
-                f"{path.name}: line {lineno}: column '{name}': not a number: {row[j]!r}"
-            ) from e
+        vals.append(_csv_number(row[j], f"{path.name}: line {lineno}: column '{name}'"))
     return np.array(vals)
 
 
@@ -341,61 +362,37 @@ def _meta_number(path: Path, meta: Dict[str, str], key: str,
         return default
     if text is None:
         raise SchemaError(f"{path.name}: missing metadata line '# {key}=...'")
-    try:
-        return float(text)
-    except ValueError as e:
-        raise SchemaError(f"{path.name}: metadata '{key}': not a number: {text!r}") from e
+    return _csv_number(text, f"{path.name}: metadata '{key}'")
 
 
 def read_transmission_csv(path: Path) -> characterize.TransmissionTrace:
     meta, columns, rows, lines = _read_table(path)
-    if not rows:
-        raise SchemaError(f"{path.name}: no data rows")
     freq_col = "delta_p_rad_s" if "delta_p_rad_s" in columns else "omega_p_rad_s"
     freq = _column(path, columns, rows, lines, freq_col)
     trans = _column(path, columns, rows, lines, "transmission")
     p_in = _meta_number(path, meta, "p_in_w", default=0.0)
     direction = meta.get("direction", "down")
-    try:
-        return characterize.TransmissionTrace(
-            freq=freq, transmission=trans, p_in=p_in, direction=direction
-        )
-    except ValueError as e:
-        raise SchemaError(f"{path.name}: {e}") from e
+    return _schema(path.name, characterize.TransmissionTrace,
+                   freq=freq, transmission=trans, p_in=p_in, direction=direction)
 
 
 def read_resonance_csv(path: Path) -> characterize.ResonanceList:
     _, columns, rows, lines = _read_table(path)
-    if not rows:
-        raise SchemaError(f"{path.name}: no data rows")
     mu = _column(path, columns, rows, lines, "mu")
     omega = _column(path, columns, rows, lines, "omega_rad_s")
     if not np.all(mu == np.round(mu)):
         raise SchemaError(f"{path.name}: column 'mu': mode numbers must be integers")
-    try:
-        return characterize.ResonanceList(tuple(zip(mu.astype(int), omega)))
-    except ValueError as e:
-        raise SchemaError(f"{path.name}: {e}") from e
+    return _schema(path.name, characterize.ResonanceList, tuple(zip(mu.astype(int), omega)))
 
 
 def read_zero_span_csv(path: Path) -> characterize.ZeroSpanTrace:
     meta, columns, rows, lines = _read_table(path)
-    if not rows:
-        raise SchemaError(f"{path.name}: no data rows")
     center_hz, rbw_hz, vbw_hz = (_meta_number(path, meta, key)
                                  for key in ("center_hz", "rbw_hz", "vbw_hz"))
     t = _column(path, columns, rows, lines, "t_s")
     p = _column(path, columns, rows, lines, "power_dbm")
-    try:
-        return characterize.ZeroSpanTrace(
-            t=t,
-            power_dbm=p,
-            center_hz=center_hz,
-            rbw_hz=rbw_hz,
-            vbw_hz=vbw_hz,
-        )
-    except ValueError as e:
-        raise SchemaError(f"{path.name}: {e}") from e
+    return _schema(path.name, characterize.ZeroSpanTrace, t=t, power_dbm=p,
+                   center_hz=center_hz, rbw_hz=rbw_hz, vbw_hz=vbw_hz)
 
 
 def _budget_from_obj(obj: Any, where: str) -> detection.LossBudget:
@@ -405,22 +402,13 @@ def _budget_from_obj(obj: Any, where: str) -> detection.LossBudget:
     for i, item in enumerate(obj):
         if not isinstance(item, dict) or "label" not in item or "loss_db" not in item:
             raise SchemaError(f"{where}: entry {i}: need 'label' and 'loss_db'")
-        loss = item["loss_db"]
-        if isinstance(loss, bool) or not isinstance(loss, (int, float)):
-            raise SchemaError(f"{where}: entry {i}: 'loss_db' must be a number")
-        entries.append((str(item["label"]), float(loss)))
-    try:
-        return detection.LossBudget(tuple(entries))
-    except ValueError as e:
-        raise SchemaError(f"{where}: {e}") from e
+        loss = _number(item["loss_db"], f"{where}: entry {i}: 'loss_db'")
+        entries.append((str(item["label"]), loss))
+    return _schema(where, detection.LossBudget, tuple(entries))
 
 
 def read_budget_json(path: Path) -> detection.LossBudget:
-    try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path.name}: line {e.lineno}: {e.msg}") from e
-    return _budget_from_obj(obj, path.name)
+    return _budget_from_obj(_read_json(path, path.name), path.name)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +499,6 @@ def cmd_spectrum(cfg: RunConfig) -> str:
         if locked:
             columns.append("v_locked_ratio")
 
-    loss = core.total_loss(params)
     rows: List[Sequence[Any]] = []
     for lead, eta, branch, st in points:
         for w in omega_grid:
@@ -520,8 +507,7 @@ def cmd_spectrum(cfg: RunConfig) -> str:
                 row = lead + [w, v_min, core.db_from_linear(v_min),
                               v_max, core.db_from_linear(v_max), phi_min]
                 if locked:
-                    y = 1.0 + (2.0 * w / loss) ** 2
-                    c = 4.0 * eta * params.kappa / loss
+                    y, c = spectrum.spectral_numbers(params, w, eta)
                     row.extend(spectrum.locked_extrema(st, y, c))
                 rows.append(row)
             else:
@@ -556,10 +542,6 @@ def cmd_threshold(cfg: RunConfig) -> str:
     omega_p_cfg = _num(sec, "omega_p_rad_s", "pump", required=False) if sec else None
     omega_p = _resolve_omega_p(params, omega_p_cfg)
     p_th = core.threshold_power(params, omega_p, allow_infinite=True)
-    try:
-        q = core.quality_factor(params)
-    except ValueError:
-        q = None
     report = {
         "kappa_rad_s": params.kappa,
         "gamma_rad_s": params.gamma,
@@ -567,7 +549,7 @@ def cmd_threshold(cfg: RunConfig) -> str:
         "g_th_rad_s": params.g_th,
         "omega_p_rad_s": omega_p,
         "total_loss_rad_s": core.total_loss(params),
-        "quality_factor": q,
+        "quality_factor": _quality_factor(params),
         "p_th_w": p_th,
     }
     return render_report(report, cfg.out_format or "json")
@@ -600,11 +582,6 @@ def cmd_report(cfg: RunConfig) -> str:
     for w in wlist:
         caught.append(str(w.message))
 
-    try:
-        q = core.quality_factor(params)
-    except ValueError:
-        q = None
-
     def _block(res: Optional[spectrum.SqueezingResult]) -> Optional[Dict[str, float]]:
         if res is None:
             return None
@@ -624,7 +601,7 @@ def cmd_report(cfg: RunConfig) -> str:
         },
         "pump": {"p_in_w": p_in, "omega_p_rad_s": omega_p},
         "total_loss_rad_s": core.total_loss(params),
-        "quality_factor": q,
+        "quality_factor": _quality_factor(params),
         "p_th_model_w": p_th_model,
         "p_th_w": p_th_used,
         "drive": {

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .errors import NonPositive, ZeroGain
+from .errors import InvalidEfficiency, ModelError, NonPositive, ZeroGain
 
 # CODATA values; fixed rather than imported so results are bit-stable.
 HBAR = 1.054571817e-34   # reduced Planck constant [J s]
@@ -68,6 +68,9 @@ class ResonatorParams:
     n_eff: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value is not None and not math.isfinite(value):
+                raise NonPositive(f"{name} must be finite, got {value}")
         if self.kappa <= 0:
             raise NonPositive(f"kappa must be > 0, got {self.kappa}")
         if self.gamma < 0:
@@ -83,7 +86,7 @@ class ResonatorParams:
         if self.lambda_r is not None and self.omega_r is not None:
             expected = omega_from_wavelength(self.lambda_r)
             if abs(self.omega_r - expected) > 1e-12 * expected:
-                raise ValueError(
+                raise ModelError(
                     "lambda_r and omega_r disagree: "
                     f"2*pi*c/lambda_r = {expected!r}, omega_r = {self.omega_r!r}"
                 )
@@ -95,7 +98,7 @@ class ResonatorParams:
             return self.omega_r
         if self.lambda_r is not None:
             return omega_from_wavelength(self.lambda_r)
-        raise ValueError("resonance unspecified: set lambda_r or omega_r")
+        raise ModelError("resonance unspecified: set lambda_r or omega_r")
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,7 @@ class PumpConfig:
         if self.p_in < 0:
             raise NonPositive(f"p_in must be >= 0, got {self.p_in}")
         if self.direction not in ("up", "down"):
-            raise ValueError(f"direction must be 'up' or 'down', got {self.direction!r}")
+            raise ModelError(f"direction must be 'up' or 'down', got {self.direction!r}")
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,24 @@ def total_loss(params: ResonatorParams) -> float:
 def quality_factor(params: ResonatorParams) -> float:
     """Loaded quality factor: resonance frequency over total loss rate."""
     return params.resonance_omega / total_loss(params)
+
+
+def check_eta(eta: float) -> None:
+    """Raise InvalidEfficiency unless 0 <= eta <= 1."""
+    if not 0.0 <= eta <= 1.0:
+        raise InvalidEfficiency(f"eta must be in [0, 1], got {eta}")
+
+
+def locked_photon_number(params: ResonatorParams, p_in: float, omega_p: float) -> float:
+    """Locked-point photon number 4 kappa P_in / (hbar omega_p) / Gamma^2, the largest root."""
+    if not 0.0 <= p_in < math.inf:
+        raise NonPositive(f"p_in must be finite and >= 0, got {p_in}")
+    if not omega_p > 0:
+        raise NonPositive(f"omega_p must be > 0, got {omega_p}")
+    n_lock = 4.0 * params.kappa * p_in / (HBAR * omega_p) / total_loss(params) ** 2
+    if not math.isfinite(n_lock):
+        raise NonPositive(f"locked photon number is not finite at p_in = {p_in}")
+    return n_lock
 
 
 def threshold_power(
@@ -183,10 +204,7 @@ def drive_state(
     """
     if p_in < 0:
         raise NonPositive(f"p_in must be >= 0, got {p_in}")
-    if not 0.0 <= eta <= 1.0:
-        from .errors import InvalidEfficiency
-
-        raise InvalidEfficiency(f"eta must be in [0, 1], got {eta}")
+    check_eta(eta)
     if p_th is None:
         p_th = threshold_power(params, omega_p, allow_infinite=True)
     elif p_th <= 0:

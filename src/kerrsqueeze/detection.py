@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
+from .core import check_eta
 from .errors import InfeasibleMeasurement, InvalidEfficiency, NonPositive, PositiveLossEntry
 
 
@@ -45,8 +46,7 @@ def efficiency_from_budget(budget: LossBudget | Sequence[Tuple[str, float]]) -> 
 
 def propagate_variance(v_chip: float, eta: float) -> float:
     """Variance ratio after the lossy chain: (1 - eta) + eta * v_chip."""
-    if not 0.0 <= eta <= 1.0:
-        raise InvalidEfficiency(f"eta must be in [0, 1], got {eta}")
+    check_eta(eta)
     if v_chip <= 0:
         raise NonPositive(f"v_chip must be > 0, got {v_chip}")
     return (1.0 - eta) + eta * v_chip

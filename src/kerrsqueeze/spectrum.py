@@ -27,9 +27,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Tuple
 
-from .core import ResonatorParams, total_loss
+from .core import ResonatorParams, check_eta, total_loss
 from .errors import (
-    InvalidEfficiency,
     LinearizationWarning,
     NonPositive,
     SingularMatrix,
@@ -66,25 +65,26 @@ class SpectrumPoint:
     sigma_tilde: float  # |sigma| / Gamma
 
 
-def _check_eta(eta: float) -> None:
-    if not 0.0 <= eta <= 1.0:
-        raise InvalidEfficiency(f"eta must be in [0, 1], got {eta}")
-
-
-def _warn_if_near_critical(x: float) -> None:
+def _warn_if_near_critical(x: float, stacklevel: int) -> None:
     if x > _X_GUARD:
         warnings.warn(
             f"distance to critical point x = {x:.4f} > {_X_GUARD}: "
             "linearized fluctuation model is unreliable here",
             LinearizationWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
+
+
+def spectral_numbers(params: ResonatorParams, omega: float, eta: float) -> Tuple[float, float]:
+    """(y, c) = (1 + (2 omega / Gamma)^2, 4 eta kappa / Gamma)."""
+    loss = total_loss(params)
+    return 1.0 + (2.0 * omega / loss) ** 2, 4.0 * eta * params.kappa / loss
 
 
 def _mode_matrix(
     params: ResonatorParams, delta_f: float, sigma_c: complex, w: float
-) -> Tuple[complex, complex, complex, complex]:
-    """Entries of M(w) = I - kappa Q(w)^{-1} for the output doublet."""
+) -> Tuple[complex, complex]:
+    """Entries M11 and M12 of M(w) = I - kappa Q(w)^{-1} for the output doublet."""
     half_loss = total_loss(params) / 2.0
     q11 = half_loss - 1j * (w + delta_f)
     q22 = half_loss - 1j * (w - delta_f)
@@ -101,12 +101,7 @@ def _mode_matrix(
             "point sits at a marginally stable branch fold"
         )
     k = params.kappa
-    return (
-        1.0 - k * q22 / det,
-        k * q12 / det,
-        k * q21 / det,
-        1.0 - k * q11 / det,
-    )
+    return 1.0 - k * q22 / det, k * q12 / det
 
 
 def _output_moments(
@@ -117,11 +112,14 @@ def _output_moments(
     G22 = conj(G11) by the doublet reality conditions, so it is not returned.
     G12 and G21 are real; their difference is exactly 1 (commutator
     preservation), which the reduced forms below inherit from the identities
-    M22(-w) = conj(M11(w)) and M21(w) = conj(M12(-w)).
+    M22(-w) = conj(M11(w)) and M21(w) = conj(M12(-w)). Checks ``eta`` and
+    warns near the critical point on behalf of the public callers.
     """
+    check_eta(eta)
+    _warn_if_near_critical(_critical_distance(params, branch), stacklevel=4)
     sigma_c = 2.0 * params.g_opt * branch.n * cmath.exp(2j * branch.alpha_phase)
-    m11_p, _, _, _ = _mode_matrix(params, branch.delta_f, sigma_c, omega)
-    _, m12_m, _, _ = _mode_matrix(params, branch.delta_f, sigma_c, -omega)
+    m11_p, _ = _mode_matrix(params, branch.delta_f, sigma_c, omega)
+    _, m12_m = _mode_matrix(params, branch.delta_f, sigma_c, -omega)
     loss_ratio = params.gamma / params.kappa
 
     s11 = m12_m * (m11_p + loss_ratio * (m11_p - 1.0))
@@ -151,18 +149,16 @@ def variance_spectrum(
     Valid at any steady-state branch, locked or not. Detection efficiency
     mixes in extra vacuum as (1 - eta) + eta * V.
     """
-    _check_eta(eta)
-    _warn_if_near_critical(_critical_distance(params, branch))
     g11, g12, g21 = _output_moments(params, branch, omega, eta)
     v = 2.0 * (cmath.exp(-2j * phi_lo) * g11).real + g12 + g21
-    loss = total_loss(params)
+    y, c = spectral_numbers(params, omega, eta)
     return SpectrumPoint(
         omega=omega,
         phi_lo=phi_lo,
         v=v,
-        y=1.0 + (2.0 * omega / loss) ** 2,
-        c=4.0 * eta * params.kappa / loss,
-        sigma_tilde=2.0 * params.g_opt * branch.n / loss,
+        y=y,
+        c=c,
+        sigma_tilde=2.0 * params.g_opt * branch.n / total_loss(params),
     )
 
 
@@ -178,8 +174,6 @@ def variance_extrema(
     directly from the moments: v = base +/- 2|G11|, with the minimum at
     phi = (arg G11 - pi) / 2 wrapped into (-pi/2, pi/2].
     """
-    _check_eta(eta)
-    _warn_if_near_critical(_critical_distance(params, branch))
     g11, g12, g21 = _output_moments(params, branch, omega, eta)
     base = g12 + g21
     amp = 2.0 * abs(g11)
@@ -204,20 +198,20 @@ def locked_variances(
     power grows; the anti-squeezed ratio diverges. The squeezing term is
     evaluated in a cancellation-free form so the large-drive limit is exact.
     """
-    _check_eta(eta)
+    check_eta(eta)
     if p_th <= 0 or kappa <= 0 or gamma < 0:
         raise NonPositive("p_th and kappa must be > 0, gamma >= 0")
     if p_in < 0:
         raise NonPositive(f"p_in must be >= 0, got {p_in}")
     st = p_in / p_th
-    _warn_if_near_critical(st / math.sqrt(1.0 + st * st))
+    _warn_if_near_critical(st / math.sqrt(1.0 + st * st), stacklevel=3)
     loss = kappa + gamma
     c = 4.0 * eta * kappa / loss
     root = math.sqrt(st * st + 0.25)
     # st*root - st^2 == st/(4*(root + st)), exact also for st >> 1
     v_s = 1.0 - 2.0 * c * st * 0.25 / (root + st) if st > 0 else 1.0
     v_as = 1.0 + 2.0 * c * (st * root + st * st)
-    phi = 0.5 * math.atan(-p_th / (2.0 * p_in)) if p_in > 0 else 0.0
+    phi = optimal_phase(p_in, p_th) if p_in > 0 else 0.0
     return SqueezingResult(v_s=v_s, v_as=v_as, phi_opt=phi, sigma=loss * st, eta=eta)
 
 
@@ -280,7 +274,7 @@ def fluctuation_flux(
     sigma_tilde^2. Note the quadratic drive dependence; the first-power form
     reported by drive_state is kept separate on purpose.
     """
-    _check_eta(eta)
+    check_eta(eta)
     loss = total_loss(params)
     sigma = 2.0 * params.g_opt * branch.n
     den = 4.0 * branch.delta_f**2 + loss * loss - sigma * sigma

@@ -26,8 +26,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import HBAR, PumpConfig, ResonatorParams, total_loss
-from .errors import NonPositive
+from .core import PumpConfig, ResonatorParams, locked_photon_number, total_loss
+from .errors import ModelError
 
 # Below this nonlinearity ratio the cubic terms are under 1e-8 of the linear
 # ones for every u in (0, 1]; the closed form would lose the root to
@@ -79,40 +79,37 @@ def _solve_scaled(g: float, delta: np.ndarray) -> np.ndarray:
     lin_c = 0.25 + delta * delta
     cand = np.full((delta.size, 3), np.nan)
 
-    if g == 0.0:
-        cand[:, 0] = 0.25 / lin_c
-    else:
-        rho = (g * g + 2.0 * abs(g) * np.abs(delta)) / lin_c
-        lin_mask = rho < _LINEAR_RATIO
-        cand[lin_mask, 0] = 0.25 / lin_c[lin_mask]
+    rho = (g * g + 2.0 * abs(g) * np.abs(delta)) / lin_c
+    lin_mask = rho < _LINEAR_RATIO
+    cand[lin_mask, 0] = 0.25 / lin_c[lin_mask]
 
-        cub = ~lin_mask
-        if np.any(cub):
-            d = delta[cub]
-            # depressed cubic t^3 + p t + q after u = t - 2 d / (3 g)
-            p = (0.25 - d * d / 3.0) / (g * g)
-            q = -((2.0 / 27.0) * d**3 + d / 6.0) / g**3 - 0.25 / (g * g)
-            shift = 2.0 * d / (3.0 * g)
-            disc = -4.0 * p**3 - 27.0 * q * q
+    cub = ~lin_mask
+    if np.any(cub):
+        d = delta[cub]
+        # depressed cubic t^3 + p t + q after u = t - 2 d / (3 g)
+        p = (0.25 - d * d / 3.0) / (g * g)
+        q = -((2.0 / 27.0) * d**3 + d / 6.0) / g**3 - 0.25 / (g * g)
+        shift = 2.0 * d / (3.0 * g)
+        disc = -4.0 * p**3 - 27.0 * q * q
 
-            roots = np.full((d.size, 3), np.nan)
-            three = disc > 0.0  # implies p < 0
-            if np.any(three):
-                pt, qt = p[three], q[three]
-                m = 2.0 * np.sqrt(-pt / 3.0)
-                cosarg = np.clip(3.0 * qt / (2.0 * pt) * np.sqrt(-3.0 / pt), -1.0, 1.0)
-                theta = np.arccos(cosarg)
-                for k in range(3):
-                    roots[three, k] = m * np.cos(theta / 3.0 - 2.0 * math.pi * k / 3.0)
-            one = ~three
-            if np.any(one):
-                po, qo = p[one], q[one]
-                s = np.sqrt(np.maximum(qo * qo / 4.0 + po**3 / 27.0, 0.0))
-                w = -qo / 2.0 - np.sign(qo) * s
-                alpha = np.cbrt(w)
-                t = np.where(alpha != 0.0, alpha - po / (3.0 * np.where(alpha != 0.0, alpha, 1.0)), 0.0)
-                roots[one, 0] = t
-            cand[cub] = roots - shift[:, None]
+        roots = np.full((d.size, 3), np.nan)
+        three = disc > 0.0  # implies p < 0
+        if np.any(three):
+            pt, qt = p[three], q[three]
+            m = 2.0 * np.sqrt(-pt / 3.0)
+            cosarg = np.clip(3.0 * qt / (2.0 * pt) * np.sqrt(-3.0 / pt), -1.0, 1.0)
+            theta = np.arccos(cosarg)
+            for k in range(3):
+                roots[three, k] = m * np.cos(theta / 3.0 - 2.0 * math.pi * k / 3.0)
+        one = ~three
+        if np.any(one):
+            po, qo = p[one], q[one]
+            s = np.sqrt(np.maximum(qo * qo / 4.0 + po**3 / 27.0, 0.0))
+            w = -qo / 2.0 - np.sign(qo) * s
+            alpha = np.cbrt(w)
+            t = np.where(alpha != 0.0, alpha - po / (3.0 * np.where(alpha != 0.0, alpha, 1.0)), 0.0)
+            roots[one, 0] = t
+        cand[cub] = roots - shift[:, None]
 
     # Newton polish on the well-conditioned original form; NaNs pass through.
     dd = delta[:, None]
@@ -146,20 +143,15 @@ def _grid_roots(
 
     Returns (u_roots, stable, n_lock) where u_roots is (K, 3) NaN-padded.
     """
-    if p_in < 0:
-        raise NonPositive(f"p_in must be >= 0, got {p_in}")
-    if omega_p <= 0:
-        raise NonPositive(f"omega_p must be > 0, got {omega_p}")
-    loss = total_loss(params)
-    drive = params.kappa * p_in / (HBAR * omega_p)
-    n_lock = 4.0 * drive / loss**2
-    if drive == 0.0:
+    n_lock = locked_photon_number(params, p_in, omega_p)
+    if n_lock == 0.0:
         u = np.full((delta_p.size, 3), np.nan)
         u[:, 0] = 0.0
         stable = np.zeros_like(u, dtype=bool)
         stable[:, 0] = True
         return u, stable, 0.0
 
+    loss = total_loss(params)
     g = (params.g_opt + params.g_th) * n_lock / loss
     d = delta_p / loss
     u = _solve_scaled(g, d)
@@ -226,11 +218,11 @@ def sweep(params: ResonatorParams, pump: PumpConfig) -> SweepTrace:
     """
     grid = np.asarray(pump.delta_p, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("sweep needs a non-empty 1-d delta_p grid")
+        raise ModelError("sweep needs a non-empty 1-d delta_p grid")
     if grid.size > 1:
         steps = np.diff(grid)
         if not (np.all(steps > 0) or np.all(steps < 0)):
-            raise ValueError("delta_p grid must be strictly monotone")
+            raise ModelError("delta_p grid must be strictly monotone")
 
     omega_p = pump.omega_p if pump.omega_p is not None else params.resonance_omega
     u, stable, n_lock = _grid_roots(params, grid, pump.p_in, omega_p)
@@ -284,12 +276,7 @@ def injection_locking_point(
     """
     if omega_p is None:
         omega_p = params.resonance_omega
-    if p_in < 0:
-        raise NonPositive(f"p_in must be >= 0, got {p_in}")
-    if omega_p <= 0:
-        raise NonPositive(f"omega_p must be > 0, got {omega_p}")
-    loss = total_loss(params)
-    n_lock = 4.0 * params.kappa * p_in / (HBAR * omega_p) / loss**2
+    n_lock = locked_photon_number(params, p_in, omega_p)
     delta_p_lock = -(params.g_opt + params.g_th) * n_lock
     branch = _branch(params, delta_p_lock, n_lock, stable=True)
     return delta_p_lock, branch

@@ -7,6 +7,7 @@ from kerrsqueeze import (
     Degenerate,
     EmptyTrace,
     MetadataMismatch,
+    ModelError,
     NoDip,
     PoorFit,
     RankDeficient,
@@ -47,6 +48,11 @@ class TestTraceContainers:
             TransmissionTrace(
                 freq=np.array([0.0, 1.0, 0.5]), transmission=np.ones(3)
             )
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ModelError):
+                TransmissionTrace(freq=np.arange(4.0), transmission=np.array([0.9, bad, 0.4, 0.9]))
+            with pytest.raises(ModelError):
+                TransmissionTrace(freq=np.array([0.0, bad, 2.0]), transmission=np.ones(3))
 
     def test_zero_span_validation(self):
         with pytest.raises(ValueError):
@@ -54,6 +60,12 @@ class TestTraceContainers:
                 t=np.array([0.0, 0.0]), power_dbm=np.zeros(2),
                 center_hz=1e8, rbw_hz=3e5, vbw_hz=3e2,
             )
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ModelError):
+                ZeroSpanTrace(
+                    t=np.arange(3.0), power_dbm=np.array([-80.0, bad, -80.0]),
+                    center_hz=1e8, rbw_hz=3e5, vbw_hz=3e2,
+                )
 
     def test_resonance_list_distinct_modes(self):
         with pytest.raises(ValueError):

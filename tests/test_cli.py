@@ -241,16 +241,60 @@ def test_missing_input_file_named_in_error(tmp_path, capsys):
 
 
 def test_malformed_csv_cell_reports_line(sample_dir, tmp_path, capsys):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"fit": {"input": "t.csv"}}))
-    for text, expected in (
-        ("delta_p_rad_s,transmission\n0.0,0.5\n1.0,oops\n", ("line 3", "oops")),
-        ("# p_in_w=abc\ndelta_p_rad_s,transmission\n0.0,0.5\n1.0,0.4\n",
+    fit = {"fit": {"input": "t.csv"}}
+    trace = {"trace": {"input": str(sample_dir / "zero_span_trace.csv"),
+                       "reference": str(sample_dir / "zero_span_reference.csv"),
+                       "low_percentile": 50, "high_percentile": 50}}
+    spectrum = {"resonator": {"kappa_rad_s": 515e6, "gamma_rad_s": 192e6, "lambda_m": 1.55e-6},
+                "pump": {"p_in_w": 1e-3}, "grid": {"omega_rad_s": [0.0, "x"], "phi_lo_rad": 0.0}}
+    for cmd, config, text, expected in (
+        ("fit-transmission", fit, "delta_p_rad_s,transmission\n0.0,0.5\n1.0,oops\n",
+         ("line 3", "oops")),
+        ("fit-transmission", fit,
+         "# p_in_w=abc\ndelta_p_rad_s,transmission\n0.0,0.5\n1.0,0.4\n",
          ("t.csv", "p_in_w", "abc")),
+        ("fit-transmission", fit, "delta_p_rad_s,transmission\n0.0,0.5\n1.0,nan\n",
+         ("line 3", "'transmission'", "nan")),
+        ("fit-transmission", fit, "delta_p_rad_s,transmission\n-inf,0.5\n1.0,0.4\n",
+         ("line 2", "'delta_p_rad_s'", "-inf")),
+        ("fit-transmission", fit, "delta_p_rad_s,transmission\n0.0,0.5\n1.0,0.4\n2.0,0.6\n",
+         ("at least 4 samples",)),
+        ("reduce-trace", trace, "", ("percentiles",)),
+        ("spectrum", spectrum, "", ("'grid.omega_rad_s'", "'x'")),
     ):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
         (tmp_path / "t.csv").write_text(text)
-        rc = main(["fit-transmission", "--config", str(cfg)])
+        rc = main([cmd, "--config", str(cfg)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert all(s in err for s in expected), err
+
+
+_RESONATOR_JSON = ('"resonator": {"kappa_rad_s": %s, "gamma_rad_s": 192e6, '
+                   '"g_opt_rad_s": 1.4, "lambda_m": 1.55e-6}')
+
+
+@pytest.mark.parametrize("cmd,kappa,p_in,expected", [
+    ("report", "NaN", "1e-3", "NaN is not a finite number"),
+    ("sweep", "515e6", "Infinity", "Infinity is not a finite number"),
+    ("sweep", "515e6", "1e300", "locked photon number is not finite"),
+    ("locking", "515e6", "Infinity", "Infinity is not a finite number"),
+    ("locking", "515e6", "1e300", "locked photon number is not finite"),
+])
+def test_non_finite_config_values_are_one_line_errors(cmd, kappa, p_in, expected, tmp_path,
+                                                      capsys):
+    # json.loads accepts NaN/Infinity literals, and 1e300 W overflows the
+    # locked photon number; each must fail as a typed error, not emit NaN/inf
+    cfg = tmp_path / "c.json"
+    cfg.write_text("{" + _RESONATOR_JSON % kappa + ', "pump": {"p_in_w": ' + p_in + "}, "
+                   '"grid": {"delta_p_rad_s": [-1e9, 0, 1e9]}}')
+    out = tmp_path / "out.txt"
+    rc = main([cmd, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert expected in err, err
+    assert not out.exists()

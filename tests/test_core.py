@@ -56,6 +56,10 @@ class TestResonatorParams:
             ResonatorParams(kappa=1e8, gamma=1e6, g_opt=-0.1)
         with pytest.raises(NonPositive):
             ResonatorParams(kappa=1e8, gamma=1e6, g_th=-0.1)
+        for field in ("kappa", "gamma", "g_opt", "g_th", "lambda_r", "omega_r", "radius", "n_eff"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(NonPositive, match=field):
+                    ResonatorParams(**{"kappa": 1e8, "gamma": 1e6, field: bad})
 
     def test_zero_gamma_allowed(self):
         p = ResonatorParams(kappa=1e8, gamma=0.0, g_opt=1.0)

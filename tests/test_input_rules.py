@@ -1,0 +1,92 @@
+"""Each input rule lives in one function; these tests reach it through every
+public entry point that relies on it."""
+
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from kerrsqueeze import (
+    InvalidEfficiency,
+    NonPositive,
+    PumpConfig,
+    ResonatorParams,
+    TransmissionTrace,
+    drive_state,
+    fit_shift_coefficient,
+    fluctuation_flux,
+    infer_chip_variance,
+    injection_locking_point,
+    locked_variances,
+    propagate_variance,
+    steady_roots,
+    sweep,
+    variance_extrema,
+    variance_spectrum,
+)
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kerrsqueeze"
+PARAMS = ResonatorParams(kappa=515e6, gamma=192e6, g_opt=1.4, lambda_r=1550e-9)
+OMEGA_P = PARAMS.resonance_omega
+
+
+def _fit_shift(p_in, omega_p):
+    freq = np.linspace(-6e9, 2e9, 8)
+    traces = [TransmissionTrace(freq=freq, transmission=np.full(8, 0.5), p_in=p)
+              for p in (1e-4, p_in)]
+    return fit_shift_coefficient(traces, PARAMS.kappa, PARAMS.gamma, omega_p)
+
+
+PUMP_ENTRY_POINTS = {
+    "steady_roots": lambda p_in, omega_p: steady_roots(PARAMS, 0.0, p_in, omega_p),
+    "sweep": lambda p_in, omega_p: sweep(
+        PARAMS, PumpConfig(p_in=p_in, delta_p=[-1e9, 0.0, 1e9], omega_p=omega_p)),
+    "injection_locking_point": lambda p_in, omega_p: injection_locking_point(
+        PARAMS, p_in, omega_p),
+    "fit_shift_coefficient": _fit_shift,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PUMP_ENTRY_POINTS))
+@pytest.mark.parametrize("p_in,omega_p", [
+    (-1.0, OMEGA_P), (math.nan, OMEGA_P), (math.inf, OMEGA_P), (1e-3, 0.0),
+], ids=["negative-power", "nan-power", "inf-power", "zero-omega_p"])
+def test_pump_rule_rejects_bad_power_and_frequency(entry, p_in, omega_p):
+    with pytest.raises(NonPositive):
+        PUMP_ENTRY_POINTS[entry](p_in, omega_p)
+
+
+def _locked_branch():
+    return injection_locking_point(PARAMS, 1e-3, OMEGA_P)[1]
+
+
+ETA_ENTRY_POINTS = {
+    "drive_state": lambda eta: drive_state(PARAMS, 1e-3, OMEGA_P, eta=eta),
+    "variance_spectrum": lambda eta: variance_spectrum(PARAMS, _locked_branch(), 1e8, 0.0, eta),
+    "variance_extrema": lambda eta: variance_extrema(PARAMS, _locked_branch(), 1e8, eta),
+    "locked_variances": lambda eta: locked_variances(1e-3, 8e-3, PARAMS.kappa, PARAMS.gamma, eta),
+    "fluctuation_flux": lambda eta: fluctuation_flux(PARAMS, _locked_branch(), eta),
+    "propagate_variance": lambda eta: propagate_variance(0.5, eta),
+    "infer_chip_variance": lambda eta: infer_chip_variance(0.9, eta),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ETA_ENTRY_POINTS))
+@pytest.mark.parametrize("eta", [1.5, math.nan])
+def test_eta_rule_rejects_outside_unit_interval(entry, eta):
+    with pytest.raises(InvalidEfficiency):
+        ETA_ENTRY_POINTS[entry](eta)
+
+
+def test_package_raises_no_plain_value_error():
+    # every deliberate failure must subclass ModelError so the CLI reports it
+    # as a one-line error instead of a traceback
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.search(r"raise ValueError\(", line)
+    ]
+    assert not offenders, offenders
