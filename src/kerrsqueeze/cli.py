@@ -17,7 +17,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class RunConfig:
 
     path: Path
     raw: Dict[str, Any]
-    out_format: Optional[str] = None
 
     @property
     def base_dir(self) -> Path:
@@ -50,7 +49,9 @@ class RunConfig:
             raise SchemaError(f"config key '{name}': expected an object")
         return sec
 
-    def resolve(self, name: str, rel: str) -> Path:
+    def resolve(self, name: str, rel: Any) -> Path:
+        if not isinstance(rel, str):
+            raise SchemaError(f"config key '{name}': expected a file path string, got {rel!r}")
         p = (self.base_dir / rel).resolve() if not Path(rel).is_absolute() else Path(rel)
         if not p.is_file():
             raise SchemaError(f"config key '{name}': file not found: {rel}")
@@ -114,7 +115,11 @@ def _num_list(sec: Dict[str, Any], key: str, path: str) -> List[float]:
     return [_number(x, f"config key '{path}.{key}'") for x in items]
 
 
-def _grid(sec: Dict[str, Any], key: str, path: str, *, monotone: bool = True) -> np.ndarray:
+# most points a {"start", "stop", "points"} axis may ask np.linspace for
+_MAX_GRID_POINTS = 10_000_000
+
+
+def _grid(sec: Dict[str, Any], key: str, path: str) -> np.ndarray:
     v = sec.get(key)
     if v is None:
         raise SchemaError(f"config key '{path}.{key}': missing")
@@ -122,8 +127,10 @@ def _grid(sec: Dict[str, Any], key: str, path: str, *, monotone: bool = True) ->
         start = _num(v, "start", f"{path}.{key}")
         stop = _num(v, "stop", f"{path}.{key}")
         points = v.get("points")
-        if not isinstance(points, int) or isinstance(points, bool) or points < 1:
-            raise SchemaError(f"config key '{path}.{key}.points': expected a positive integer")
+        if (not isinstance(points, int) or isinstance(points, bool)
+                or not 1 <= points <= _MAX_GRID_POINTS):
+            raise SchemaError(f"config key '{path}.{key}.points': expected an integer "
+                              f"from 1 to {_MAX_GRID_POINTS}, got {points!r}")
         grid = np.linspace(start, stop, points)
     elif isinstance(v, list):
         if not v:
@@ -131,7 +138,7 @@ def _grid(sec: Dict[str, Any], key: str, path: str, *, monotone: bool = True) ->
         grid = np.array([_number(x, f"config key '{path}.{key}'") for x in v])
     else:
         grid = np.array([_num(sec, key, path)])
-    if monotone and grid.size > 1:
+    if grid.size > 1:
         steps = np.diff(grid)
         if not (np.all(steps > 0) or np.all(steps < 0)):
             raise SchemaError(f"config key '{path}.{key}': grid must be strictly monotone")
@@ -153,7 +160,9 @@ def parse_resonator(cfg: RunConfig) -> core.ResonatorParams:
     return _schema("config key 'resonator'", core.ResonatorParams, **kwargs)
 
 
-def parse_pump(cfg: RunConfig) -> Tuple[List[float], Optional[float], List[str]]:
+def parse_pump(cfg: RunConfig,
+               params: core.ResonatorParams) -> Tuple[List[float], float, List[str]]:
+    """Pump powers, the resolved pump frequency and the sweep directions."""
     sec = cfg.section("pump")
     powers = _num_list(sec, "p_in_w", "pump")
     for p in powers:
@@ -165,7 +174,7 @@ def parse_pump(cfg: RunConfig) -> Tuple[List[float], Optional[float], List[str]]
     for d in dirs:
         if d not in ("up", "down"):
             raise SchemaError(f"config key 'pump.direction': expected 'up' or 'down', got {d!r}")
-    return powers, omega_p, list(dirs)
+    return powers, _resolve_omega_p(params, omega_p), list(dirs)
 
 
 def parse_detection(cfg: RunConfig) -> Tuple[List[float], Optional[detection.LossBudget]]:
@@ -274,25 +283,21 @@ def _flatten(obj: Any, prefix: str = "") -> List[Tuple[str, Any]]:
     return [(prefix, obj)]
 
 
-def _render_table(cfg: RunConfig, columns: Sequence[str], rows: Sequence[Sequence[Any]],
-                  meta: Sequence[Tuple[int, str]] = ()) -> str:
-    if (cfg.out_format or "csv") == "json":
+# what a subcommand returns: a report dict or a (columns, rows, meta) table
+Table = Tuple[Sequence[str], Sequence[Sequence[Any]], Sequence[Tuple[int, str]]]
+Result = Union[Dict[str, Any], Table]
+
+
+def _render(result: Result, out_format: Optional[str]) -> str:
+    """Reports default to JSON (flattened key,value CSV on request), tables to CSV."""
+    if isinstance(result, dict):
+        if out_format == "csv":
+            return render_csv(("key", "value"), _flatten(_py(result)))
+        return render_json(result)
+    columns, rows, meta = result
+    if out_format == "json":
         return render_json({"columns": columns, "rows": [list(map(_py, r)) for r in rows]})
     return render_csv(columns, rows, meta)
-
-
-def render_report(obj: Dict[str, Any], out_format: str) -> str:
-    if out_format == "json":
-        return render_json(obj)
-    pairs = _flatten(_py(obj))
-    return render_csv(("key", "value"), [(k, v) for k, v in pairs])
-
-
-def _write_output(out: Optional[str], text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
 
 
 def _sha256(path: Path) -> str:
@@ -414,13 +419,19 @@ def read_budget_json(path: Path) -> detection.LossBudget:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_sweep(cfg: RunConfig) -> str:
+def _sweeps(params: core.ResonatorParams, powers: List[float], omega_p: float, dirs: List[str],
+            delta_p: np.ndarray) -> List[Tuple[float, str, steady_state.SweepTrace]]:
+    """(p_in, direction, trace) for each pump power and then each direction."""
+    return [(p_in, direction, steady_state.sweep(params, core.PumpConfig(
+                p_in=p_in, delta_p=delta_p, omega_p=omega_p, direction=direction)))
+            for p_in in powers for direction in dirs]
+
+
+def cmd_sweep(cfg: RunConfig) -> Table:
     """branch-continued steady-state sweep over detuning"""
     params = parse_resonator(cfg)
-    powers, omega_p_cfg, dirs = parse_pump(cfg)
-    omega_p = _resolve_omega_p(params, omega_p_cfg)
-    grid_sec = cfg.section("grid")
-    delta_p = _grid(grid_sec, "delta_p_rad_s", "grid")
+    powers, omega_p, dirs = parse_pump(cfg, params)
+    delta_p = _grid(cfg.section("grid"), "delta_p_rad_s", "grid")
 
     with_circ = params.radius is not None and params.n_eff is not None
     columns = ["delta_p_rad_s", "n_photons", "energy_j", "delta_cl_rad_s",
@@ -432,28 +443,24 @@ def cmd_sweep(cfg: RunConfig) -> str:
 
     rows: List[Sequence[Any]] = []
     meta: List[Tuple[int, str]] = []
-    for p_in in powers:
-        meta.append((len(rows), f"p_in_w={_fmt(p_in)}"))
-        for direction in dirs:
-            pump = core.PumpConfig(p_in=p_in, delta_p=delta_p, omega_p=omega_p,
-                                   direction=direction)
-            trace = steady_state.sweep(params, pump)
-            for i, b in enumerate(trace.branches):
-                row: List[Any] = [
-                    float(trace.delta_p[i]), b.n, core.HBAR * omega_p * b.n,
-                    b.delta_cl, float(trace.transmission[i]), b.stable, direction,
-                ]
-                if with_circ:
-                    row.append(core.HBAR * omega_p * b.n * fsr)
-                rows.append(row)
-    return _render_table(cfg, columns, rows, meta)
+    for k, (p_in, direction, trace) in enumerate(_sweeps(params, powers, omega_p, dirs, delta_p)):
+        if k % len(dirs) == 0:
+            meta.append((len(rows), f"p_in_w={_fmt(p_in)}"))
+        for i, b in enumerate(trace.branches):
+            row: List[Any] = [
+                float(trace.delta_p[i]), b.n, core.HBAR * omega_p * b.n,
+                b.delta_cl, float(trace.transmission[i]), b.stable, direction,
+            ]
+            if with_circ:
+                row.append(core.HBAR * omega_p * b.n * fsr)
+            rows.append(row)
+    return columns, rows, meta
 
 
-def cmd_spectrum(cfg: RunConfig) -> str:
+def cmd_spectrum(cfg: RunConfig) -> Table:
     """quadrature variance spectra"""
     params = parse_resonator(cfg)
-    powers, omega_p_cfg, dirs = parse_pump(cfg)
-    omega_p = _resolve_omega_p(params, omega_p_cfg)
+    powers, omega_p, dirs = parse_pump(cfg, params)
     etas, _ = parse_detection(cfg)
     sec = cfg.section("spectrum", required=False)
     mode = sec.get("mode", "locking")
@@ -478,16 +485,12 @@ def cmd_spectrum(cfg: RunConfig) -> str:
                 points.append(([eta, p_in], eta, branch, st))
     else:
         head = ["eta", "p_in_w", "direction", "delta_p_rad_s", "n_photons"]
-        delta_p = _grid(grid_sec, "delta_p_rad_s", "grid")
+        swept = _sweeps(params, powers, omega_p, dirs, _grid(grid_sec, "delta_p_rad_s", "grid"))
         for eta in etas:
-            for p_in in powers:
-                for direction in dirs:
-                    pump = core.PumpConfig(p_in=p_in, delta_p=delta_p, omega_p=omega_p,
-                                           direction=direction)
-                    trace = steady_state.sweep(params, pump)
-                    for i, branch in enumerate(trace.branches):
-                        lead = [eta, p_in, direction, float(trace.delta_p[i]), branch.n]
-                        points.append((lead, eta, branch, None))
+            for p_in, direction, trace in swept:
+                for i, branch in enumerate(trace.branches):
+                    lead = [eta, p_in, direction, float(trace.delta_p[i]), branch.n]
+                    points.append((lead, eta, branch, None))
 
     if optimize_phi:
         columns = head + ["omega_rad_s", "v_s_ratio", "v_s_db", "v_as_ratio", "v_as_db",
@@ -517,14 +520,13 @@ def cmd_spectrum(cfg: RunConfig) -> str:
                     if locked:
                         row.append(spectrum.locked_raw_variance(pt.sigma_tilde, pt.y, pt.c, phi))
                     rows.append(row)
-    return _render_table(cfg, columns, rows)
+    return columns, rows, ()
 
 
-def cmd_locking(cfg: RunConfig) -> str:
+def cmd_locking(cfg: RunConfig) -> Table:
     """injection locking point per pump power"""
     params = parse_resonator(cfg)
-    powers, omega_p_cfg, _ = parse_pump(cfg)
-    omega_p = _resolve_omega_p(params, omega_p_cfg)
+    powers, omega_p, _ = parse_pump(cfg, params)
     columns = ["p_in_w", "delta_p_lock_rad_s", "n_lock_photons", "delta_cl_rad_s",
                "delta_f_rad_s", "transmission"]
     rows = []
@@ -532,17 +534,17 @@ def cmd_locking(cfg: RunConfig) -> str:
         dpl, branch = steady_state.injection_locking_point(params, p_in, omega_p)
         rows.append([p_in, dpl, branch.n, branch.delta_cl, branch.delta_f,
                      steady_state.transmission(params, branch)])
-    return _render_table(cfg, columns, rows)
+    return columns, rows, ()
 
 
-def cmd_threshold(cfg: RunConfig) -> str:
+def cmd_threshold(cfg: RunConfig) -> Dict[str, Any]:
     """parametric threshold power report"""
     params = parse_resonator(cfg)
     sec = cfg.section("pump", required=False)
     omega_p_cfg = _num(sec, "omega_p_rad_s", "pump", required=False) if sec else None
     omega_p = _resolve_omega_p(params, omega_p_cfg)
     p_th = core.threshold_power(params, omega_p, allow_infinite=True)
-    report = {
+    return {
         "kappa_rad_s": params.kappa,
         "gamma_rad_s": params.gamma,
         "g_opt_rad_s": params.g_opt,
@@ -552,15 +554,13 @@ def cmd_threshold(cfg: RunConfig) -> str:
         "quality_factor": _quality_factor(params),
         "p_th_w": p_th,
     }
-    return render_report(report, cfg.out_format or "json")
 
 
-def cmd_report(cfg: RunConfig) -> str:
+def cmd_report(cfg: RunConfig) -> Dict[str, Any]:
     """end-to-end operating point summary"""
     params = parse_resonator(cfg)
-    powers, omega_p_cfg, _ = parse_pump(cfg)
+    powers, omega_p, _ = parse_pump(cfg, params)
     p_in = powers[0]
-    omega_p = _resolve_omega_p(params, omega_p_cfg)
     etas, budget = parse_detection(cfg)
     eta = etas[0]
     rep_sec = cfg.section("report", required=False)
@@ -592,7 +592,7 @@ def cmd_report(cfg: RunConfig) -> str:
             "v_as_db": core.db_from_linear(res.v_as),
         }
 
-    report = {
+    return {
         "resonator": {
             "kappa_rad_s": params.kappa,
             "gamma_rad_s": params.gamma,
@@ -623,13 +623,12 @@ def cmd_report(cfg: RunConfig) -> str:
         "measured": _block(measured),
         "warnings": caught,
     }
-    return render_report(report, cfg.out_format or "json")
 
 
-def cmd_fit_transmission(cfg: RunConfig) -> str:
+def cmd_fit_transmission(cfg: RunConfig) -> Dict[str, Any]:
     """fit a linear resonance lineshape"""
     sec = cfg.section("fit")
-    path = cfg.resolve("fit.input", sec.get("input") or "")
+    path = cfg.resolve("fit.input", sec.get("input"))
     regime = sec.get("coupling_regime", "over")
     if regime not in ("over", "under"):
         raise SchemaError("config key 'fit.coupling_regime': expected 'over' or 'under'")
@@ -637,7 +636,7 @@ def cmd_fit_transmission(cfg: RunConfig) -> str:
     trace = read_transmission_csv(path)
     fit = characterize.fit_linear_resonance(trace, regime, max_residual=max_residual)
     se = characterize.resonance_fit_stderr(trace, fit)
-    report = {
+    return {
         "model": "linear_resonance",
         "input": str(sec.get("input")),
         "input_sha256": _sha256(path),
@@ -649,20 +648,19 @@ def cmd_fit_transmission(cfg: RunConfig) -> str:
         },
         "residual_rel": fit.residual,
     }
-    return render_report(report, cfg.out_format or "json")
 
 
-def cmd_fit_dispersion(cfg: RunConfig) -> str:
+def cmd_fit_dispersion(cfg: RunConfig) -> Dict[str, Any]:
     """fit mode dispersion coefficients"""
     sec = cfg.section("dispersion")
-    path = cfg.resolve("dispersion.input", sec.get("input") or "")
+    path = cfg.resolve("dispersion.input", sec.get("input"))
     resonances = read_resonance_csv(path)
     fit = characterize.fit_dispersion(resonances)
     se = characterize.dispersion_fit_stderr(resonances)
     mus = np.array([m for m, _ in resonances.entries], dtype=float)
     omegas = np.array([w for _, w in resonances.entries])
     model = fit.omega_0 + fit.d1 * mus + 0.5 * fit.d2 * mus * mus
-    report = {
+    return {
         "model": "quadratic_dispersion",
         "input": str(sec.get("input")),
         "input_sha256": _sha256(path),
@@ -675,14 +673,13 @@ def cmd_fit_dispersion(cfg: RunConfig) -> str:
         "residual_norm_rad_s": float(np.linalg.norm(omegas - model)),
         "d_int_rad_s": [float(v) for v in fit.d_int],
     }
-    return render_report(report, cfg.out_format or "json")
 
 
-def cmd_reduce_trace(cfg: RunConfig) -> str:
+def cmd_reduce_trace(cfg: RunConfig) -> Dict[str, Any]:
     """reduce a zero-span trace to squeezing dB"""
     sec = cfg.section("trace")
-    t_path = cfg.resolve("trace.input", sec.get("input") or "")
-    r_path = cfg.resolve("trace.reference", sec.get("reference") or "")
+    t_path = cfg.resolve("trace.input", sec.get("input"))
+    r_path = cfg.resolve("trace.reference", sec.get("reference"))
     low = _num(sec, "low_percentile", "trace", required=False, default=1.0)
     high = _num(sec, "high_percentile", "trace", required=False, default=99.0)
     detrend = bool(sec.get("detrend", False))
@@ -691,7 +688,7 @@ def cmd_reduce_trace(cfg: RunConfig) -> str:
     v_s_db, v_as_db = characterize.reduce_homodyne_trace(
         trace, reference, low_percentile=low, high_percentile=high, detrend=detrend
     )
-    report = {
+    return {
         "model": "zero_span_reduction",
         "input": str(sec.get("input")),
         "input_sha256": _sha256(t_path),
@@ -710,24 +707,22 @@ def cmd_reduce_trace(cfg: RunConfig) -> str:
         "v_s_ratio": core.linear_from_db(v_s_db),
         "v_as_ratio": core.linear_from_db(v_as_db),
     }
-    return render_report(report, cfg.out_format or "json")
 
 
-def cmd_losses(cfg: RunConfig) -> str:
+def cmd_losses(cfg: RunConfig) -> Dict[str, Any]:
     """evaluate a detection loss budget"""
     budget = _parse_budget(cfg, cfg.section("losses"), "losses", "'budget_path' or 'entries'")
-    report = {
+    return {
         "entries": [{"label": l, "loss_db": v} for l, v in budget.entries],
         "total_db": budget.total_db,
         "eta": budget.eta,
     }
-    return render_report(report, cfg.out_format or "json")
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
-_DISPATCH: Dict[str, Callable[[RunConfig], str]] = {
+_DISPATCH: Dict[str, Callable[[RunConfig], Result]] = {
     "sweep": cmd_sweep,
     "spectrum": cmd_spectrum,
     "locking": cmd_locking,
@@ -759,10 +754,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        cfg.out_format = args.out_format
-        text = _DISPATCH[args.command](cfg)
-        _write_output(args.out, text)
+        result = _DISPATCH[args.command](load_config(args.config))
+        text = _render(result, args.out_format)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            Path(args.out).write_text(text)
     except (ModelError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -210,6 +210,8 @@ def drive_state(
     elif p_th <= 0:
         raise NonPositive(f"p_th must be > 0, got {p_th}")
     sigma_tilde = 0.0 if math.isinf(p_th) else p_in / p_th
+    if not math.isfinite(sigma_tilde * sigma_tilde):
+        raise NonPositive(f"p_in / p_th = {sigma_tilde!r}: its square is not finite")
     x = sigma_tilde / math.sqrt(1.0 + sigma_tilde * sigma_tilde)
     n_fluct = 4.0 * eta * params.kappa / total_loss(params) * sigma_tilde
     return DriveState(

@@ -204,6 +204,8 @@ def locked_variances(
     if p_in < 0:
         raise NonPositive(f"p_in must be >= 0, got {p_in}")
     st = p_in / p_th
+    if not math.isfinite(st * st):
+        raise NonPositive(f"p_in / p_th = {st!r}: its square is not finite")
     _warn_if_near_critical(st / math.sqrt(1.0 + st * st), stacklevel=3)
     loss = kappa + gamma
     c = 4.0 * eta * kappa / loss

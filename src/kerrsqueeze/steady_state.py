@@ -142,6 +142,7 @@ def _grid_roots(
     """Scaled roots and stability flags for a whole detuning grid.
 
     Returns (u_roots, stable, n_lock) where u_roots is (K, 3) NaN-padded.
+    Raises ModelError when some grid point has no finite root.
     """
     n_lock = locked_photon_number(params, p_in, omega_p)
     if n_lock == 0.0:
@@ -154,7 +155,15 @@ def _grid_roots(
     loss = total_loss(params)
     g = (params.g_opt + params.g_th) * n_lock / loss
     d = delta_p / loss
-    u = _solve_scaled(g, d)
+    # out of the float range the roots come out NaN and are reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            u = _solve_scaled(g, d)
+        except OverflowError:  # g**3 on a Python float
+            u = np.full((d.size, 3), np.nan)
+    empty = np.isnan(u[:, 0])
+    if empty.any():
+        raise ModelError(f"no finite steady state at delta_p = {float(delta_p[empty][0])!r} rad/s")
     shifted = d[:, None] + g * u
     with np.errstate(invalid="ignore"):
         fprime = 0.25 + shifted * shifted + 2.0 * g * u * shifted
@@ -211,10 +220,11 @@ def sweep(params: ResonatorParams, pump: PumpConfig) -> SweepTrace:
     """Branch-continued steady states along the pump's detuning grid.
 
     Traversal order follows ``pump.direction`` ("down" = decreasing pump
-    frequency); output arrays stay in the grid's stored order. At each step
-    the root closest in n to the previous selection is kept; if that root is
-    unstable the previous branch has folded away and the nearest stable root
-    is taken instead, which is what produces hysteresis between directions.
+    frequency); output arrays stay in the grid's stored order. Each step keeps
+    the stable root nearest in n to the previous pick (the first point is
+    measured from n = 0), or the nearest root when none is stable. A branch is
+    therefore followed until it folds away, which is what produces hysteresis
+    between directions.
     """
     grid = np.asarray(pump.delta_p, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -231,31 +241,19 @@ def sweep(params: ResonatorParams, pump: PumpConfig) -> SweepTrace:
     forward = ascending == (pump.direction == "up")
     order = range(grid.size) if forward else range(grid.size - 1, -1, -1)
 
-    chosen = np.empty(grid.size, dtype=int)
-    prev = None
+    deltas, u_rows, stable_rows = grid.tolist(), u.tolist(), stable.tolist()
+    branches: List[Optional[SteadyStateBranch]] = [None] * grid.size
+    prev = 0.0
     for i in order:
-        finite = np.flatnonzero(~np.isnan(u[i]))
-        if prev is None:
-            stable_j = finite[stable[i, finite]]
-            pick = stable_j[0] if stable_j.size else finite[0]
-        else:
-            gaps = np.abs(u[i, finite] - prev)
-            pick = finite[np.argmin(gaps)]
-            if not stable[i, pick]:
-                stable_j = finite[stable[i, finite]]
-                if stable_j.size:
-                    pick = stable_j[np.argmin(np.abs(u[i, stable_j] - prev))]
-        chosen[i] = pick
-        prev = u[i, pick]
+        roots = [(x, s) for x, s in zip(u_rows[i], stable_rows[i]) if not math.isnan(x)]
+        pool = [r for r in roots if r[1]] or roots
+        prev, is_stable = min(pool, key=lambda r: abs(r[0] - prev))
+        branches[i] = _branch(params, deltas[i], prev * n_lock, is_stable)
 
-    branches = tuple(
-        _branch(params, grid[i], u[i, chosen[i]] * n_lock, bool(stable[i, chosen[i]]))
-        for i in range(grid.size)
-    )
     trans = np.array([transmission(params, b) for b in branches])
     return SweepTrace(
         delta_p=grid.copy(),
-        branches=branches,
+        branches=tuple(branches),
         transmission=trans,
         direction=pump.direction,
         p_in=pump.p_in,

@@ -69,6 +69,31 @@ def scaled_discriminant(g, delta):
     )
 
 
+def two_step_branch_pick(u, stable, order):
+    """Root index a sweep keeps at each grid point, by the two-step rule.
+
+    The first point visited takes its lowest stable root (else its lowest
+    root). Each later point takes the root closest to the previous pick and,
+    when that root is unstable, the nearest stable root instead. ``u`` is the
+    (K, 3) NaN-padded ascending root table, ``stable`` its flags and
+    ``order`` the traversal order.
+    """
+    chosen = np.empty(len(u), dtype=int)
+    prev = None
+    for i in order:
+        finite = np.flatnonzero(~np.isnan(u[i]))
+        stable_j = finite[stable[i, finite]]
+        if prev is None:
+            pick = stable_j[0] if stable_j.size else finite[0]
+        else:
+            pick = finite[np.argmin(np.abs(u[i, finite] - prev))]
+            if not stable[i, pick] and stable_j.size:
+                pick = stable_j[np.argmin(np.abs(u[i, stable_j] - prev))]
+        chosen[i] = pick
+        prev = u[i, pick]
+    return chosen
+
+
 def golden_min(f, a: float, b: float, tol: float = 1e-12):
     """Golden-section minimum of a unimodal f on [a, b]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

@@ -2,10 +2,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kerrsqueeze import steady_state
 from kerrsqueeze.cli import main
 
 CONFIGS = [
@@ -282,11 +284,15 @@ _RESONATOR_JSON = ('"resonator": {"kappa_rad_s": %s, "gamma_rad_s": 192e6, '
     ("sweep", "515e6", "1e300", "locked photon number is not finite"),
     ("locking", "515e6", "Infinity", "Infinity is not a finite number"),
     ("locking", "515e6", "1e300", "locked photon number is not finite"),
+    ("sweep", "515e6", "1e200", "no finite steady state at delta_p = -1000000000.0"),
+    ("report", "515e6", "1e160", "its square is not finite"),
+    ("report", "515e6", "1e300", "its square is not finite"),
 ])
 def test_non_finite_config_values_are_one_line_errors(cmd, kappa, p_in, expected, tmp_path,
                                                       capsys):
-    # json.loads accepts NaN/Infinity literals, and 1e300 W overflows the
-    # locked photon number; each must fail as a typed error, not emit NaN/inf
+    # json.loads accepts NaN/Infinity literals, 1e300 W overflows the locked
+    # photon number, 1e200 W the cubic's g**3 and 1e160 W the square of
+    # p_in / p_th; each must fail as a typed error, not emit NaN/inf
     cfg = tmp_path / "c.json"
     cfg.write_text("{" + _RESONATOR_JSON % kappa + ', "pump": {"p_in_w": ' + p_in + "}, "
                    '"grid": {"delta_p_rad_s": [-1e9, 0, 1e9]}}')
@@ -298,3 +304,80 @@ def test_non_finite_config_values_are_one_line_errors(cmd, kappa, p_in, expected
     assert "Traceback" not in err
     assert expected in err, err
     assert not out.exists()
+
+
+_RESONATOR = {"kappa_rad_s": 515e6, "gamma_rad_s": 192e6, "g_opt_rad_s": 1.4,
+              "lambda_m": 1.55e-6}
+
+
+def _sweep_config(grid, **resonator):
+    return {"resonator": {**_RESONATOR, **resonator}, "pump": {"p_in_w": 1e-3},
+            "grid": {"delta_p_rad_s": grid}}
+
+
+_ZERO_SPAN = str(Path(__file__).resolve().parent.parent / "sample_data" / "zero_span_trace.csv")
+_NO_ROOT = "no finite steady state at delta_p = "
+_PATH = "expected a file path string, got "
+_POINTS = "expected an integer from 1 to 10000000, got "
+
+
+@pytest.mark.parametrize("cmd,config,expected", [
+    ("sweep", _sweep_config({"start": -1e300, "stop": 1e300, "points": 5}), _NO_ROOT + "-1e+300"),
+    ("sweep", _sweep_config([-1e9, 0.0, 1e9], g_opt_rad_s=1e300), _NO_ROOT + "-1000000000.0"),
+    ("spectrum", {"resonator": _RESONATOR, "pump": {"p_in_w": 1e-3, "direction": "up"},
+                  "spectrum": {"mode": "detuning"},
+                  "grid": {"delta_p_rad_s": {"start": 0.0, "stop": 1e300, "points": 3},
+                           "omega_rad_s": 1e8, "phi_lo_rad": 0.0}}, _NO_ROOT + "5e+299"),
+    ("fit-transmission", {"fit": {"input": True}}, "'fit.input': " + _PATH + "True"),
+    ("fit-dispersion", {"dispersion": {"input": 0}}, "'dispersion.input': " + _PATH + "0"),
+    ("reduce-trace", {"trace": {"input": -1, "reference": _ZERO_SPAN}},
+     "'trace.input': " + _PATH + "-1"),
+    ("reduce-trace", {"trace": {"input": _ZERO_SPAN, "reference": ["a.csv"]}},
+     "'trace.reference': " + _PATH + "['a.csv']"),
+    ("report", {"resonator": _RESONATOR, "pump": {"p_in_w": 1e-3},
+                "detection": {"budget_path": 0}}, "'detection.budget_path': " + _PATH + "0"),
+    ("losses", {"losses": {"budget_path": {}}}, "'losses.budget_path': " + _PATH + "{}"),
+    ("sweep", _sweep_config({"start": 0.0, "stop": 1.0, "points": 10_000_001}),
+     _POINTS + "10000001"),
+    ("sweep", _sweep_config({"start": 0.0, "stop": 1.0, "points": 10**400}), _POINTS + "1000"),
+], ids=["grid-1e300", "g_opt-1e300", "spectrum-grid-1e300", "fit.input", "dispersion.input",
+        "trace.input", "trace.reference", "detection.budget_path", "losses.budget_path",
+        "points-10_000_001", "points-10**400"])
+def test_out_of_range_configs_are_one_line_errors(cmd, config, expected, tmp_path, capsys):
+    # inputs whose steady state, path or grid size the program cannot use end
+    # in one typed error, not a traceback, an empty list or a huge allocation
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.txt"
+    rc = main([cmd, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert expected in err, err
+    assert not out.exists()
+
+
+def test_detuning_spectrum_sweeps_once_per_power_and_direction(tmp_path, monkeypatch):
+    calls = []
+    real_sweep = steady_state.sweep
+
+    def counting_sweep(params, pump):
+        calls.append((pump.p_in, pump.direction))
+        return real_sweep(params, pump)
+
+    monkeypatch.setattr(steady_state, "sweep", counting_sweep)
+    config = {"resonator": _RESONATOR,
+              "pump": {"p_in_w": [1e-3, 2e-3], "direction": ["up", "down"]},
+              "detection": {"eta": [1.0, 0.5]}, "spectrum": {"mode": "detuning"},
+              "grid": {"delta_p_rad_s": [-2e9, 0.0, 1e9], "omega_rad_s": 1e8,
+                       "phi_lo_rad": 0.0}}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    assert calls == [(1e-3, "up"), (1e-3, "down"), (2e-3, "up"), (2e-3, "down")]
+    # rows stay eta-major: every trace once per efficiency
+    lead = [line.split(",")[:3] for line in out.read_text().splitlines()[1:]]
+    assert [row[0] for row in lead] == ["1.0"] * 12 + ["0.5"] * 12
+    assert lead[:12] == [["1.0"] + row[1:] for row in lead[12:]]

@@ -10,6 +10,7 @@ import pytest
 
 from kerrsqueeze import (
     InvalidEfficiency,
+    ModelError,
     NonPositive,
     PumpConfig,
     ResonatorParams,
@@ -56,6 +57,28 @@ PUMP_ENTRY_POINTS = {
 def test_pump_rule_rejects_bad_power_and_frequency(entry, p_in, omega_p):
     with pytest.raises(NonPositive):
         PUMP_ENTRY_POINTS[entry](p_in, omega_p)
+
+
+OUT_OF_RANGE = {
+    # no finite root: the detuning or the pull overflows the scaled cubic
+    "steady_roots-delta_p": lambda: steady_roots(PARAMS, 1e300, 1e-3, OMEGA_P),
+    "steady_roots-g_opt": lambda: steady_roots(
+        ResonatorParams(kappa=515e6, gamma=192e6, g_opt=1e300), 0.0, 1e-3, OMEGA_P),
+    "sweep-delta_p": lambda: sweep(
+        PARAMS, PumpConfig(p_in=1e-3, delta_p=[-1e300, 0.0, 1e300], omega_p=OMEGA_P)),
+    # g**3 on a Python float raises OverflowError
+    "sweep-p_in": lambda: sweep(
+        PARAMS, PumpConfig(p_in=1e200, delta_p=[-1e9, 0.0, 1e9], omega_p=OMEGA_P)),
+    # (p_in / p_th)**2 overflows
+    "drive_state": lambda: drive_state(PARAMS, 1e160, OMEGA_P),
+    "locked_variances": lambda: locked_variances(1e300, 8e-3, PARAMS.kappa, PARAMS.gamma),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(OUT_OF_RANGE))
+def test_out_of_range_inputs_raise_model_error(entry):
+    with pytest.raises(ModelError):
+        OUT_OF_RANGE[entry]()
 
 
 def _locked_branch():

@@ -17,7 +17,8 @@ from kerrsqueeze import (
     transmission,
 )
 
-from oracles import scaled_discriminant, scaled_roots_brute
+from kerrsqueeze.steady_state import _branch, _grid_roots
+from oracles import scaled_discriminant, scaled_roots_brute, two_step_branch_pick
 
 OM = omega_from_wavelength(1550e-9)
 
@@ -242,3 +243,40 @@ def test_root_count_and_residual_property(g, delta):
         assert abs(resid(params, p_in, delta * loss, b.n)) < 1e-9 * scale
     ns = [b.n for b in roots]
     assert ns == sorted(ns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tenth_g=st.integers(min_value=0, max_value=600),
+    th_frac=st.floats(min_value=0.0, max_value=1.0),
+    zero_power=st.sampled_from([False, False, False, True]),
+    lo=st.integers(min_value=-120, max_value=10),
+    width=st.integers(min_value=1, max_value=150),
+    points=st.integers(min_value=1, max_value=400),
+    descending=st.booleans(),
+    direction=st.sampled_from(["up", "down"]),
+)
+def test_sweep_matches_two_step_rule(tenth_g, th_frac, zero_power, lo, width, points,
+                                     descending, direction):
+    # "nearest stable root, else nearest root, from n = 0" must pick exactly
+    # what the two-step rule picks: same n, stability and transmission bits.
+    # The grid spans lo..lo+width hundredths of (g + 1) linewidths, so it
+    # often cuts the three-root window that lies between about -g and -1.
+    g = tenth_g / 10.0
+    params, p_in, _ = params_for_scaled(g, th_frac=th_frac)
+    p_in = 0.0 if zero_power else p_in
+    span = (g + 1.0) * total_loss(params) / 100.0
+    grid = np.linspace(lo * span, (lo + width) * span, points)
+    if descending:
+        grid = grid[::-1]
+    tr = sweep(params, PumpConfig(p_in=p_in, delta_p=grid, direction=direction))
+
+    u, stable, n_lock = _grid_roots(params, grid, p_in, OM)
+    forward = (points == 1 or grid[1] > grid[0]) == (direction == "up")
+    order = range(points) if forward else range(points - 1, -1, -1)
+    chosen = two_step_branch_pick(u, stable, order)
+    ref = [_branch(params, grid[i], u[i, j] * n_lock, bool(stable[i, j]))
+           for i, j in enumerate(chosen)]
+    assert tr.n.tobytes() == np.array([b.n for b in ref]).tobytes()
+    assert [b.stable for b in tr.branches] == [b.stable for b in ref]
+    assert tr.transmission.tobytes() == np.array([transmission(params, b) for b in ref]).tobytes()
