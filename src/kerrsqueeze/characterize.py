@@ -32,7 +32,7 @@ from .errors import (
     PoorFit,
     RankDeficient,
 )
-from .steady_state import sweep
+from .steady_state import lineshape, sweep
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,7 @@ class ResonanceFit(NamedTuple):
     kappa: float
     gamma: float
     residual: float
+    stderr: Tuple[float, float, float]  # of (omega_r, kappa, gamma)
 
 
 class DispersionFit(NamedTuple):
@@ -114,13 +115,8 @@ class DispersionFit(NamedTuple):
     d1: float
     d2: float
     d_int: np.ndarray
-
-
-def _lineshape(freq: np.ndarray, center: float, kappa: float, gamma: float) -> np.ndarray:
-    d = freq - center
-    num = (kappa - gamma) ** 2 / 4.0 + d * d
-    den = (kappa + gamma) ** 2 / 4.0 + d * d
-    return num / den
+    stderr: Tuple[float, float, float]  # of (omega_0, d1, d2)
+    residual_norm: float  # 2-norm of the misfit [rad/s]
 
 
 def fit_linear_resonance(
@@ -134,7 +130,8 @@ def fit_linear_resonance(
     The lineshape only determines |kappa - gamma| and kappa + gamma; the
     caller's ``coupling_regime`` ("over": kappa > gamma, "under": kappa <
     gamma) picks the physical assignment. ``residual`` is the 2-norm of the
-    misfit relative to the 2-norm of the data.
+    misfit relative to the 2-norm of the data; ``stderr`` comes from the
+    local Jacobian of the lineshape at the fitted parameters.
 
     Raises NoDip when the trace never dips below 0.95 and PoorFit when the
     converged relative residual exceeds ``max_residual`` or the parameters
@@ -155,17 +152,17 @@ def fit_linear_resonance(
     depth = 1.0 - float(data[i0])
     below = np.flatnonzero(data < float(data[i0]) + 0.5 * depth)
     width = abs(float(trace.freq[below[-1]] - trace.freq[below[0]]))
-    grid_step = float(np.min(np.abs(np.diff(trace.freq)))) if trace.freq.size > 1 else 1.0
+    grid_step = float(np.min(np.abs(np.diff(trace.freq))))
     loss0 = max(width, grid_step)  # FWHM of the dip equals kappa + gamma
     split0 = loss0 * math.sqrt(max(float(data[i0]), 0.0))
     kappa0 = (loss0 + split0) / 2.0
     gamma0 = (loss0 - split0) / 2.0
 
-    def resid(theta: np.ndarray) -> np.ndarray:
-        return _lineshape(trace.freq, theta[0], theta[1], theta[2]) - data
+    def model(theta: np.ndarray) -> np.ndarray:
+        return lineshape(trace.freq - theta[0], theta[1], theta[2])
 
     sol = least_squares(
-        resid,
+        lambda th: model(th) - data,
         x0=[center0, kappa0, gamma0],
         method="lm",
         x_scale=[loss0, loss0, loss0],
@@ -180,29 +177,25 @@ def fit_linear_resonance(
     lo = (loss_fit - split_fit) / 2.0
     kappa, gamma = (hi, lo) if coupling_regime == "over" else (lo, hi)
 
-    rel = float(np.linalg.norm(resid(sol.x)) / np.linalg.norm(data))
+    rel = float(np.linalg.norm(model(sol.x) - data) / np.linalg.norm(data))
     if rel > max_residual:
         raise PoorFit(f"relative residual {rel:.3g} exceeds {max_residual:.3g}")
-    return ResonanceFit(float(center), float(kappa), float(gamma), rel)
 
-
-def resonance_fit_stderr(trace: TransmissionTrace, fit: ResonanceFit) -> Tuple[float, float, float]:
-    """Standard errors of (omega_r, kappa, gamma) from the local Jacobian."""
-    theta = np.array([fit.omega_r, fit.kappa, fit.gamma])
-    r0 = _lineshape(trace.freq, *theta) - trace.transmission
-    m, n = trace.freq.size, 3
-    if m <= n:
-        return (math.inf, math.inf, math.inf)
+    # standard errors from the local Jacobian at the reported parameters
+    theta = np.array([float(center), float(kappa), float(gamma)])
+    r0 = model(theta) - data
+    m, n = data.size, 3
     jac = np.empty((m, n))
     for j in range(n):
         h = 1e-6 * max(abs(theta[j]), 1e-30)
         tp = theta.copy()
         tp[j] += h
-        jac[:, j] = (_lineshape(trace.freq, *tp) - _lineshape(trace.freq, *theta)) / h
+        jac[:, j] = (model(tp) - model(theta)) / h
     s2 = float(r0 @ r0) / (m - n)
     cov = s2 * np.linalg.inv(jac.T @ jac)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    return (float(se[0]), float(se[1]), float(se[2]))
+    return ResonanceFit(float(center), float(kappa), float(gamma), rel,
+                        (float(se[0]), float(se[1]), float(se[2])))
 
 
 def fit_shift_coefficient(
@@ -277,23 +270,17 @@ def g_opt_from_threshold(p_th: float, kappa: float, gamma: float, lambda_p: floa
     return (kappa + gamma) ** 3 * HBAR * omega_p / (8.0 * kappa * p_th)
 
 
-def _dispersion_design(mus: np.ndarray) -> Tuple[np.ndarray, float, float]:
-    """Centered and scaled quadratic design matrix for conditioning."""
-    k = float(np.mean(mus))
-    s = float(np.max(np.abs(mus - k))) or 1.0
-    t = (mus - k) / s
-    return np.column_stack([np.ones_like(t), t, t * t]), k, s
-
-
 def fit_dispersion(
     resonances: Union[ResonanceList, Sequence[Tuple[int, float]]],
 ) -> DispersionFit:
     """Ordinary least squares of resonance frequencies against mode number.
 
     Fits omega_mu = omega_0 + d1 * mu + d2 * mu^2 / 2 and reports the
-    per-mode integrated dispersion d_int = omega_mu - omega_0 - d1 * mu.
-    The design matrix is centered and scaled, so exact quadratic data is
-    recovered at rounding level.
+    per-mode integrated dispersion d_int = omega_mu - omega_0 - d1 * mu,
+    the standard errors of (omega_0, d1, d2) from the OLS covariance (zero
+    for three modes) and the 2-norm of the misfit. The design matrix is
+    centered and scaled, so exact quadratic data is recovered at rounding
+    level.
     """
     if not isinstance(resonances, ResonanceList):
         resonances = ResonanceList(tuple(resonances))
@@ -303,7 +290,11 @@ def fit_dispersion(
     mus = np.array([m for m, _ in entries], dtype=float)
     omegas = np.array([w for _, w in entries], dtype=float)
 
-    design, k, s = _dispersion_design(mus)
+    # centered and scaled quadratic design matrix for conditioning
+    k = float(np.mean(mus))
+    s = float(np.max(np.abs(mus - k))) or 1.0
+    t = (mus - k) / s
+    design = np.column_stack([np.ones_like(t), t, t * t])
     w_mean = float(np.mean(omegas))
     coef, *_ = np.linalg.lstsq(design, omegas - w_mean, rcond=None)
     a, b, c = (float(v) for v in coef)
@@ -311,24 +302,12 @@ def fit_dispersion(
     d1 = b / s - 2.0 * c * k / (s * s)
     omega_0 = w_mean + a - b * k / s + c * k * k / (s * s)
     d_int = omegas - (omega_0 + d1 * mus)
-    return DispersionFit(omega_0, d1, d2, d_int)
 
-
-def dispersion_fit_stderr(
-    resonances: Union[ResonanceList, Sequence[Tuple[int, float]]],
-) -> Tuple[float, float, float]:
-    """Standard errors of (omega_0, d1, d2) from the OLS covariance."""
-    if not isinstance(resonances, ResonanceList):
-        resonances = ResonanceList(tuple(resonances))
-    fit = fit_dispersion(resonances)  # checks the mode count
-    entries = resonances.entries
-    mus = np.array([m for m, _ in entries], dtype=float)
-    omegas = np.array([w for _, w in entries], dtype=float)
+    resid = omegas - (omega_0 + d1 * mus + 0.5 * d2 * mus * mus)
+    residual_norm = float(np.linalg.norm(resid))
     dof = len(entries) - 3
-    if dof <= 0:
-        return (0.0, 0.0, 0.0)
-    design, k, s = _dispersion_design(mus)
-    resid = omegas - (fit.omega_0 + fit.d1 * mus + 0.5 * fit.d2 * mus * mus)
+    if dof == 0:
+        return DispersionFit(omega_0, d1, d2, d_int, (0.0, 0.0, 0.0), residual_norm)
     s2 = float(resid @ resid) / dof
     cov_scaled = s2 * np.linalg.inv(design.T @ design)
     # map scaled-basis coefficients (a, b, c) to (omega_0, d1, d2)
@@ -341,7 +320,8 @@ def dispersion_fit_stderr(
     )
     cov = lmap @ cov_scaled @ lmap.T
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    return (float(se[0]), float(se[1]), float(se[2]))
+    return DispersionFit(omega_0, d1, d2, d_int, (float(se[0]), float(se[1]), float(se[2])),
+                         residual_norm)
 
 
 def dispersion_regime(d2: float) -> str:

@@ -420,10 +420,10 @@ def read_budget_json(path: Path) -> detection.LossBudget:
 # subcommands
 
 def _sweeps(params: core.ResonatorParams, powers: List[float], omega_p: float, dirs: List[str],
-            delta_p: np.ndarray) -> List[Tuple[float, str, steady_state.SweepTrace]]:
-    """(p_in, direction, trace) for each pump power and then each direction."""
-    return [(p_in, direction, steady_state.sweep(params, core.PumpConfig(
-                p_in=p_in, delta_p=delta_p, omega_p=omega_p, direction=direction)))
+            delta_p: np.ndarray) -> List[steady_state.SweepTrace]:
+    """One sweep for each pump power and then each direction."""
+    return [steady_state.sweep(params, core.PumpConfig(
+                p_in=p_in, delta_p=delta_p, omega_p=omega_p, direction=direction))
             for p_in in powers for direction in dirs]
 
 
@@ -443,13 +443,13 @@ def cmd_sweep(cfg: RunConfig) -> Table:
 
     rows: List[Sequence[Any]] = []
     meta: List[Tuple[int, str]] = []
-    for k, (p_in, direction, trace) in enumerate(_sweeps(params, powers, omega_p, dirs, delta_p)):
+    for k, trace in enumerate(_sweeps(params, powers, omega_p, dirs, delta_p)):
         if k % len(dirs) == 0:
-            meta.append((len(rows), f"p_in_w={_fmt(p_in)}"))
+            meta.append((len(rows), f"p_in_w={_fmt(trace.p_in)}"))
         for i, b in enumerate(trace.branches):
             row: List[Any] = [
                 float(trace.delta_p[i]), b.n, core.HBAR * omega_p * b.n,
-                b.delta_cl, float(trace.transmission[i]), b.stable, direction,
+                b.delta_cl, float(trace.transmission[i]), b.stable, trace.direction,
             ]
             if with_circ:
                 row.append(core.HBAR * omega_p * b.n * fsr)
@@ -487,9 +487,9 @@ def cmd_spectrum(cfg: RunConfig) -> Table:
         head = ["eta", "p_in_w", "direction", "delta_p_rad_s", "n_photons"]
         swept = _sweeps(params, powers, omega_p, dirs, _grid(grid_sec, "delta_p_rad_s", "grid"))
         for eta in etas:
-            for p_in, direction, trace in swept:
+            for trace in swept:
                 for i, branch in enumerate(trace.branches):
-                    lead = [eta, p_in, direction, float(trace.delta_p[i]), branch.n]
+                    lead = [eta, trace.p_in, trace.direction, float(trace.delta_p[i]), branch.n]
                     points.append((lead, eta, branch, None))
 
     if optimize_phi:
@@ -635,16 +635,15 @@ def cmd_fit_transmission(cfg: RunConfig) -> Dict[str, Any]:
     max_residual = _num(sec, "max_residual", "fit", required=False, default=0.05)
     trace = read_transmission_csv(path)
     fit = characterize.fit_linear_resonance(trace, regime, max_residual=max_residual)
-    se = characterize.resonance_fit_stderr(trace, fit)
     return {
         "model": "linear_resonance",
         "input": str(sec.get("input")),
         "input_sha256": _sha256(path),
         "coupling_regime": regime,
         "parameters": {
-            "center_rad_s": {"value": fit.omega_r, "stderr": se[0]},
-            "kappa_rad_s": {"value": fit.kappa, "stderr": se[1]},
-            "gamma_rad_s": {"value": fit.gamma, "stderr": se[2]},
+            "center_rad_s": {"value": fit.omega_r, "stderr": fit.stderr[0]},
+            "kappa_rad_s": {"value": fit.kappa, "stderr": fit.stderr[1]},
+            "gamma_rad_s": {"value": fit.gamma, "stderr": fit.stderr[2]},
         },
         "residual_rel": fit.residual,
     }
@@ -656,21 +655,17 @@ def cmd_fit_dispersion(cfg: RunConfig) -> Dict[str, Any]:
     path = cfg.resolve("dispersion.input", sec.get("input"))
     resonances = read_resonance_csv(path)
     fit = characterize.fit_dispersion(resonances)
-    se = characterize.dispersion_fit_stderr(resonances)
-    mus = np.array([m for m, _ in resonances.entries], dtype=float)
-    omegas = np.array([w for _, w in resonances.entries])
-    model = fit.omega_0 + fit.d1 * mus + 0.5 * fit.d2 * mus * mus
     return {
         "model": "quadratic_dispersion",
         "input": str(sec.get("input")),
         "input_sha256": _sha256(path),
         "parameters": {
-            "omega_0_rad_s": {"value": fit.omega_0, "stderr": se[0]},
-            "d1_rad_s": {"value": fit.d1, "stderr": se[1]},
-            "d2_rad_s": {"value": fit.d2, "stderr": se[2]},
+            "omega_0_rad_s": {"value": fit.omega_0, "stderr": fit.stderr[0]},
+            "d1_rad_s": {"value": fit.d1, "stderr": fit.stderr[1]},
+            "d2_rad_s": {"value": fit.d2, "stderr": fit.stderr[2]},
         },
         "regime": characterize.dispersion_regime(fit.d2),
-        "residual_norm_rad_s": float(np.linalg.norm(omegas - model)),
+        "residual_norm_rad_s": fit.residual_norm,
         "d_int_rad_s": [float(v) for v in fit.d_int],
     }
 

@@ -154,7 +154,10 @@ def locked_photon_number(params: ResonatorParams, p_in: float, omega_p: float) -
         raise NonPositive(f"p_in must be finite and >= 0, got {p_in}")
     if not omega_p > 0:
         raise NonPositive(f"omega_p must be > 0, got {omega_p}")
-    n_lock = 4.0 * params.kappa * p_in / (HBAR * omega_p) / total_loss(params) ** 2
+    try:
+        n_lock = 4.0 * params.kappa * p_in / (HBAR * omega_p) / total_loss(params) ** 2
+    except (OverflowError, ZeroDivisionError):  # Python floats raise out of range
+        n_lock = math.inf
     if not math.isfinite(n_lock):
         raise NonPositive(f"locked photon number is not finite at p_in = {p_in}")
     return n_lock
@@ -185,7 +188,13 @@ def threshold_power(
             return math.inf
         raise ZeroGain("g_opt = 0: no parametric threshold")
     loss = total_loss(params)
-    return loss**3 * HBAR * omega_p / (8.0 * params.g_opt * params.kappa)
+    try:
+        p_th = loss**3 * HBAR * omega_p / (8.0 * params.g_opt * params.kappa)
+    except (OverflowError, ZeroDivisionError):
+        p_th = math.inf
+    if not 0.0 < p_th < math.inf:
+        raise NonPositive(f"threshold power out of float range: {p_th!r} W")
+    return p_th
 
 
 def drive_state(

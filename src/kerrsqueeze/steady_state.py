@@ -145,13 +145,6 @@ def _grid_roots(
     Raises ModelError when some grid point has no finite root.
     """
     n_lock = locked_photon_number(params, p_in, omega_p)
-    if n_lock == 0.0:
-        u = np.full((delta_p.size, 3), np.nan)
-        u[:, 0] = 0.0
-        stable = np.zeros_like(u, dtype=bool)
-        stable[:, 0] = True
-        return u, stable, 0.0
-
     loss = total_loss(params)
     g = (params.g_opt + params.g_th) * n_lock / loss
     d = delta_p / loss
@@ -209,11 +202,18 @@ def steady_roots(
     return out
 
 
+def lineshape(delta: float | np.ndarray, kappa: float, gamma: float) -> float | np.ndarray:
+    """Linear-cavity transmission at detuning ``delta`` (a float or an array) from the line."""
+    num = (kappa - gamma) ** 2 / 4.0 + delta * delta
+    return num / ((kappa + gamma) ** 2 / 4.0 + delta * delta)
+
+
 def transmission(params: ResonatorParams, branch: SteadyStateBranch) -> float:
     """Power transmission past the ring at the branch's operating point."""
-    half_loss = total_loss(params) / 2.0
-    num = (params.kappa - params.gamma) ** 2 / 4.0 + branch.delta_cl**2
-    return num / (half_loss**2 + branch.delta_cl**2)
+    t = lineshape(branch.delta_cl, params.kappa, params.gamma)
+    if not math.isfinite(t):
+        raise ModelError(f"transmission not finite at delta_cl = {branch.delta_cl!r} rad/s")
+    return t
 
 
 def sweep(params: ResonatorParams, pump: PumpConfig) -> SweepTrace:
@@ -250,7 +250,12 @@ def sweep(params: ResonatorParams, pump: PumpConfig) -> SweepTrace:
         prev, is_stable = min(pool, key=lambda r: abs(r[0] - prev))
         branches[i] = _branch(params, deltas[i], prev * n_lock, is_stable)
 
-    trans = np.array([transmission(params, b) for b in branches])
+    delta_cl = np.array([b.delta_cl for b in branches])
+    with np.errstate(over="ignore", invalid="ignore"):
+        trans = lineshape(delta_cl, params.kappa, params.gamma)
+    bad = ~np.isfinite(trans)
+    if bad.any():
+        raise ModelError(f"transmission not finite at delta_p = {float(grid[bad][0])!r} rad/s")
     return SweepTrace(
         delta_p=grid.copy(),
         branches=tuple(branches),
@@ -276,5 +281,7 @@ def injection_locking_point(
         omega_p = params.resonance_omega
     n_lock = locked_photon_number(params, p_in, omega_p)
     delta_p_lock = -(params.g_opt + params.g_th) * n_lock
+    if not math.isfinite(delta_p_lock):
+        raise ModelError(f"locking detuning is not finite at p_in = {p_in}")
     branch = _branch(params, delta_p_lock, n_lock, stable=True)
     return delta_p_lock, branch

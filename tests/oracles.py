@@ -165,3 +165,75 @@ def shifted_trace(g_sum, kappa, gamma, p_in, omega_p, freq):
         out.append((((kappa - gamma) ** 2) / 4.0 + dcl * dcl)
                    / (loss * loss / 4.0 + dcl * dcl))
     return np.array(out)
+
+
+def pow_lineshape(delta: float, kappa: float, gamma: float) -> float:
+    """Linear-cavity transmission with every square taken by Python ``**`` (libm pow)."""
+    num = (kappa - gamma) ** 2 / 4.0 + delta**2
+    return num / (((kappa + gamma) / 2.0) ** 2 + delta**2)
+
+
+def _lineshape(freq, center, kappa, gamma):
+    d = freq - center
+    num = (kappa - gamma) ** 2 / 4.0 + d * d
+    den = (kappa + gamma) ** 2 / 4.0 + d * d
+    return num / den
+
+
+def resonance_fit_stderr(freq, transmission, fit):
+    """Standard errors of (omega_r, kappa, gamma) from a forward-difference Jacobian.
+
+    The stand-alone helper the package used before fits carried their own
+    error bars, kept operation for operation so results compare with ``==``.
+    """
+    theta = np.array([fit.omega_r, fit.kappa, fit.gamma])
+    r0 = _lineshape(freq, *theta) - transmission
+    m, n = freq.size, 3
+    jac = np.empty((m, n))
+    for j in range(n):
+        h = 1e-6 * max(abs(theta[j]), 1e-30)
+        tp = theta.copy()
+        tp[j] += h
+        jac[:, j] = (_lineshape(freq, *tp) - _lineshape(freq, *theta)) / h
+    s2 = float(r0 @ r0) / (m - n)
+    cov = s2 * np.linalg.inv(jac.T @ jac)
+    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    return (float(se[0]), float(se[1]), float(se[2]))
+
+
+def dispersion_fit_stderr(entries, fit):
+    """Standard errors of (omega_0, d1, d2) from the OLS covariance of the fit.
+
+    Same provenance and operation order as :func:`resonance_fit_stderr`;
+    three modes leave no degrees of freedom and give zeros.
+    """
+    mus = np.array([m for m, _ in entries], dtype=float)
+    omegas = np.array([w for _, w in entries], dtype=float)
+    dof = len(entries) - 3
+    if dof <= 0:
+        return (0.0, 0.0, 0.0)
+    k = float(np.mean(mus))
+    s = float(np.max(np.abs(mus - k))) or 1.0
+    t = (mus - k) / s
+    design = np.column_stack([np.ones_like(t), t, t * t])
+    resid = omegas - (fit.omega_0 + fit.d1 * mus + 0.5 * fit.d2 * mus * mus)
+    s2 = float(resid @ resid) / dof
+    cov_scaled = s2 * np.linalg.inv(design.T @ design)
+    lmap = np.array(
+        [
+            [1.0, -k / s, k * k / (s * s)],
+            [0.0, 1.0 / s, -2.0 * k / (s * s)],
+            [0.0, 0.0, 2.0 / (s * s)],
+        ]
+    )
+    cov = lmap @ cov_scaled @ lmap.T
+    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    return (float(se[0]), float(se[1]), float(se[2]))
+
+
+def dispersion_residual_norm(entries, fit):
+    """2-norm of the quadratic misfit, as the CLI computed it before fits carried it."""
+    mus = np.array([m for m, _ in entries], dtype=float)
+    omegas = np.array([w for _, w in entries])
+    model = fit.omega_0 + fit.d1 * mus + 0.5 * fit.d2 * mus * mus
+    return float(np.linalg.norm(omegas - model))

@@ -14,7 +14,6 @@ from kerrsqueeze import (
     ResonanceList,
     TransmissionTrace,
     ZeroSpanTrace,
-    dispersion_fit_stderr,
     dispersion_regime,
     fit_dispersion,
     fit_linear_resonance,
@@ -24,10 +23,11 @@ from kerrsqueeze import (
     locked_variances,
     omega_from_wavelength,
     reduce_homodyne_trace,
-    resonance_fit_stderr,
     threshold_power,
 )
 
+import oracles
+from kerrsqueeze.cli import read_resonance_csv, read_transmission_csv
 from oracles import shifted_trace, synth_lineshape
 
 OM = omega_from_wavelength(1550e-9)
@@ -99,7 +99,7 @@ class TestLinearResonanceFit:
     def test_stderr_scales_with_noise(self):
         tr = make_trace(noise=0.01, seed=5)
         fit = fit_linear_resonance(tr, "over")
-        se = resonance_fit_stderr(tr, fit)
+        se = fit.stderr
         assert all(s > 0 for s in se)
         # one-sigma intervals should be sane: within a few percent of rate
         assert se[1] < 0.05 * fit.kappa
@@ -213,16 +213,49 @@ class TestDispersionFit:
         with pytest.raises(RankDeficient):
             fit_dispersion(self.entries((0, 1)))
         with pytest.raises(RankDeficient):
-            dispersion_fit_stderr(self.entries((0, 4)))
+            fit_dispersion(self.entries((0, 4)))
 
     def test_stderr_near_zero_when_exact(self):
-        se = dispersion_fit_stderr(self.entries(range(-40, 41, 4)))
+        se = fit_dispersion(self.entries(range(-40, 41, 4))).stderr
         assert all(abs(s) < 1e-3 for s in se)
 
     def test_unsorted_modes_accepted(self):
         mus = [8, -12, 0, 4, -4, 12, -8]
         fit = fit_dispersion(self.entries(mus))
         assert fit.d2 == pytest.approx(self.D2, rel=1e-9)
+
+
+class TestFitErrorBars:
+    """Fits carry exactly the error bars the stand-alone reference helpers give."""
+
+    @pytest.mark.parametrize("regime", ["over", "under"])
+    @pytest.mark.parametrize("noise", [0.0, 1e-3, 1e-2])
+    def test_resonance_stderr_matches_reference(self, regime, noise):
+        tr = make_trace(noise=noise, seed=7)
+        fit = fit_linear_resonance(tr, regime)
+        assert fit.stderr == oracles.resonance_fit_stderr(tr.freq, tr.transmission, fit)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e3, 1e6])
+    @pytest.mark.parametrize("mus", [range(-40, 41, 4), [8, -12, 0, 4, -4, 12, -8], range(4),
+                                     [-1, 0, 2]],
+                             ids=["ladder-21", "unsorted-7", "ladder-4", "ladder-3"])
+    def test_dispersion_stderr_and_residual_match_reference(self, mus, noise):
+        rng = np.random.default_rng(11)
+        entries = [(mu, OM + 0.68e12 * mu + 0.5 * 7.76e6 * mu * mu + noise * rng.standard_normal())
+                   for mu in mus]
+        fit = fit_dispersion(entries)
+        # three modes leave no degrees of freedom: the reference gives zeros
+        assert fit.stderr == oracles.dispersion_fit_stderr(entries, fit)
+        assert fit.residual_norm == oracles.dispersion_residual_norm(entries, fit)
+
+    def test_sample_inputs_match_reference(self, sample_dir):
+        tr = read_transmission_csv(sample_dir / "transmission_trace.csv")
+        fit = fit_linear_resonance(tr, "over")
+        assert fit.stderr == oracles.resonance_fit_stderr(tr.freq, tr.transmission, fit)
+        entries = read_resonance_csv(sample_dir / "resonances.csv").entries
+        dfit = fit_dispersion(entries)
+        assert dfit.stderr == oracles.dispersion_fit_stderr(entries, dfit)
+        assert dfit.residual_norm == oracles.dispersion_residual_norm(entries, dfit)
 
 
 class TestHomodyneReduction:

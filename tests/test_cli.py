@@ -315,10 +315,52 @@ def _sweep_config(grid, **resonator):
             "grid": {"delta_p_rad_s": grid}}
 
 
-_ZERO_SPAN = str(Path(__file__).resolve().parent.parent / "sample_data" / "zero_span_trace.csv")
+_SAMPLES = Path(__file__).resolve().parent.parent / "sample_data"
+_ZERO_SPAN = str(_SAMPLES / "zero_span_trace.csv")
 _NO_ROOT = "no finite steady state at delta_p = "
 _PATH = "expected a file path string, got "
 _POINTS = "expected an integer from 1 to 10000000, got "
+
+
+def _sample_with(name, section, key, value):
+    """Sample config ``config_<name>.json`` with one key set; its budget path made absolute."""
+    cfg = json.loads((_SAMPLES / f"config_{name}.json").read_text())
+    cfg.setdefault(section, {})[key] = value
+    detection = cfg.get("detection", {})
+    if "budget_path" in detection:
+        detection["budget_path"] = str(_SAMPLES / detection["budget_path"])
+    return cfg
+
+
+# sample configs whose locked photon number, threshold or locking detuning
+# leaves the float range: Python's float ** and / raise OverflowError or
+# ZeroDivisionError there, and a product can reach inf or underflow to 0
+_LOCKED = "locked photon number is not finite at p_in = "
+_P_TH = "threshold power out of float range: "
+_LOCK_DETUNING = "locking detuning is not finite at p_in = "
+_PUMPED = [("sweep", "sweep"), ("locking", "locking"), ("spectrum", "spectrum_detuning"),
+           ("spectrum", "spectrum_locking"), ("spectrum", "spectrum_optimized")]
+_USES_P_TH = {"threshold", "report", "spectrum_locking", "spectrum_optimized"}
+_RANGE = (
+    [(cmd, name, "resonator", key, 1e300, _P_TH if name in _USES_P_TH else _LOCKED)
+     for key in ("kappa_rad_s", "gamma_rad_s")
+     for cmd, name in _PUMPED + [("threshold", "threshold"), ("report", "report")]]
+    + [(cmd, name, section, key, value, _LOCKED)
+       for section, key, value in [("resonator", "lambda_m", 1e300),
+                                   ("pump", "omega_p_rad_s", 1e-300)]
+       for cmd, name in _PUMPED]
+    + [(cmd, name, "resonator", "g_opt_rad_s", 1e300, _P_TH)
+       for cmd, name in [("threshold", "threshold"), ("spectrum", "spectrum_locking"),
+                         ("spectrum", "spectrum_optimized")]]
+    + [(cmd, name, "resonator", key, 1e300, _LOCK_DETUNING)
+       for key, cmd, name in [("g_opt_rad_s", "locking", "locking"),
+                              ("g_th_rad_s", "locking", "locking"),
+                              ("g_th_rad_s", "spectrum", "spectrum_locking"),
+                              ("g_th_rad_s", "spectrum", "spectrum_optimized")]]
+)
+_RANGE_CASES = [(cmd, _sample_with(name, section, key, value), expected)
+                for cmd, name, section, key, value, expected in _RANGE]
+_RANGE_IDS = [f"{name}-{key}-{value!r}" for _, name, _, key, value, _ in _RANGE]
 
 
 @pytest.mark.parametrize("cmd,config,expected", [
@@ -340,12 +382,17 @@ _POINTS = "expected an integer from 1 to 10000000, got "
     ("sweep", _sweep_config({"start": 0.0, "stop": 1.0, "points": 10_000_001}),
      _POINTS + "10000001"),
     ("sweep", _sweep_config({"start": 0.0, "stop": 1.0, "points": 10**400}), _POINTS + "1000"),
-], ids=["grid-1e300", "g_opt-1e300", "spectrum-grid-1e300", "fit.input", "dispersion.input",
-        "trace.input", "trace.reference", "detection.budget_path", "losses.budget_path",
-        "points-10_000_001", "points-10**400"])
+    # finite roots, but delta_cl * delta_cl overflows in the transmission
+    ("sweep", _sweep_config([-1e155, 0.0, 1e155]),
+     "transmission not finite at delta_p = -1e+155 rad/s"),
+] + _RANGE_CASES, ids=["grid-1e300", "g_opt-1e300", "spectrum-grid-1e300", "fit.input",
+                       "dispersion.input", "trace.input", "trace.reference",
+                       "detection.budget_path", "losses.budget_path", "points-10_000_001",
+                       "points-10**400", "grid-1e155"] + _RANGE_IDS)
 def test_out_of_range_configs_are_one_line_errors(cmd, config, expected, tmp_path, capsys):
-    # inputs whose steady state, path or grid size the program cannot use end
-    # in one typed error, not a traceback, an empty list or a huge allocation
+    # inputs whose steady state, transmission, locked point, threshold, path
+    # or grid size the program cannot use end in one typed error, not a
+    # traceback, non-finite output, an empty list or a huge allocation
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out.txt"

@@ -24,6 +24,8 @@ from kerrsqueeze import (
     propagate_variance,
     steady_roots,
     sweep,
+    threshold_power,
+    transmission,
     variance_extrema,
     variance_spectrum,
 )
@@ -72,6 +74,18 @@ OUT_OF_RANGE = {
     # (p_in / p_th)**2 overflows
     "drive_state": lambda: drive_state(PARAMS, 1e160, OMEGA_P),
     "locked_variances": lambda: locked_variances(1e300, 8e-3, PARAMS.kappa, PARAMS.gamma),
+    # finite roots, but delta_cl * delta_cl overflows in the transmission
+    "sweep-transmission": lambda: sweep(
+        PARAMS, PumpConfig(p_in=1e-3, delta_p=[-1e155, 0.0, 1e155], omega_p=OMEGA_P)),
+    "transmission": lambda: transmission(PARAMS, steady_roots(PARAMS, 1e155, 1e-3, OMEGA_P)[0]),
+    # P_th underflows to 0 with a huge gain; Gamma**3 overflows with a huge loss
+    "threshold_power-g_opt": lambda: threshold_power(
+        ResonatorParams(kappa=515e6, gamma=192e6, g_opt=1e300), OMEGA_P),
+    "threshold_power-kappa": lambda: threshold_power(
+        ResonatorParams(kappa=1e300, gamma=192e6, g_opt=1.4), OMEGA_P),
+    # the locking detuning -(g_opt + g_th) * n_lock overflows
+    "injection_locking_point": lambda: injection_locking_point(
+        ResonatorParams(kappa=515e6, gamma=192e6, g_th=1e300), 1.0, OMEGA_P),
 }
 
 

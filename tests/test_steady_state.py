@@ -18,7 +18,12 @@ from kerrsqueeze import (
 )
 
 from kerrsqueeze.steady_state import _branch, _grid_roots
-from oracles import scaled_discriminant, scaled_roots_brute, two_step_branch_pick
+from oracles import (
+    pow_lineshape,
+    scaled_discriminant,
+    scaled_roots_brute,
+    two_step_branch_pick,
+)
 
 OM = omega_from_wavelength(1550e-9)
 
@@ -280,3 +285,34 @@ def test_sweep_matches_two_step_rule(tenth_g, th_frac, zero_power, lo, width, po
     assert tr.n.tobytes() == np.array([b.n for b in ref]).tobytes()
     assert [b.stable for b in tr.branches] == [b.stable for b in ref]
     assert tr.transmission.tobytes() == np.array([transmission(params, b) for b in ref]).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kappa=st.floats(min_value=1e6, max_value=1e11),
+    gamma=st.floats(min_value=0.0, max_value=1e11),
+    tenth_g=st.integers(min_value=0, max_value=300),
+    zero_power=st.sampled_from([False, False, False, True]),
+    lo=st.integers(min_value=-120, max_value=10),
+    width=st.integers(min_value=1, max_value=150),
+    decades=st.integers(min_value=0, max_value=8),
+    points=st.integers(min_value=1, max_value=200),
+    direction=st.sampled_from(["up", "down"]),
+)
+def test_sweep_transmission_is_the_scalar_lineshape(kappa, gamma, tenth_g, zero_power, lo, width,
+                                                    decades, points, direction):
+    # the sweep's array lineshape and the scalar transmission() share one
+    # kernel, so they agree bit for bit; squaring with d*d instead of libm
+    # pow moves a value by at most a few ulp
+    g = tenth_g / 10.0
+    params, p_in, _ = params_for_scaled(g, kappa=kappa, gamma=gamma)
+    p_in = 0.0 if zero_power else p_in
+    span = (g + 1.0) * total_loss(params) / 100.0 * 10.0**decades
+    grid = np.linspace(lo * span, (lo + width) * span, points)
+    tr = sweep(params, PumpConfig(p_in=p_in, delta_p=grid, direction=direction))
+
+    scalar = np.array([transmission(params, b) for b in tr.branches])
+    assert tr.transmission.tobytes() == scalar.tobytes()
+    ref = np.array([pow_lineshape(b.delta_cl, kappa, gamma) for b in tr.branches])
+    ulps = np.abs(tr.transmission.view(np.int64) - ref.view(np.int64))
+    assert ulps.max() <= 4, (ulps.max(), tr.transmission[ulps.argmax()])
