@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .core import HBAR, PumpConfig, ResonatorParams, locked_photon_number, omega_from_wavelength
 from .errors import (
@@ -161,6 +160,8 @@ def fit_linear_resonance(
     def model(theta: np.ndarray) -> np.ndarray:
         return lineshape(trace.freq - theta[0], theta[1], theta[2])
 
+    from scipy.optimize import least_squares  # only the fits pay for importing scipy
+
     sol = least_squares(
         lambda th: model(th) - data,
         x0=[center0, kappa0, gamma0],
@@ -240,6 +241,8 @@ def fit_shift_coefficient(
         g0 = g_probe * 1e-3
 
     data = np.concatenate([tr.transmission for tr in traces])
+    from scipy.optimize import least_squares
+
     sol = least_squares(
         lambda th: model(th[0]) - data,
         x0=[g0],

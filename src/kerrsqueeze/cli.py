@@ -251,20 +251,28 @@ def _py(obj: Any) -> Any:
     return obj
 
 
-def render_csv(columns: Sequence[str], rows: Sequence[Sequence[Any]],
+def _cells(column: Sequence[Any]) -> List[str]:
+    """One column's CSV cells: float arrays by repr, bool arrays as true/false,
+    string arrays as they are, anything else by _fmt."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return list(map(repr, column.tolist()))
+        if column.dtype.kind == "b":
+            return ["true" if v else "false" for v in column.tolist()]
+        if column.dtype.kind == "U":
+            return column.tolist()
+    return list(map(_fmt, column))
+
+
+def render_csv(names: Sequence[str], columns: Sequence[Sequence[Any]],
                meta: Sequence[Tuple[int, str]] = ()) -> str:
-    """CSV text with '#' metadata lines inserted before the given row indices."""
-    meta_at: Dict[int, List[str]] = {}
-    for idx, line in meta:
-        meta_at.setdefault(idx, []).append(line)
-    lines: List[str] = []
-    for line in meta_at.get(-1, []):
-        lines.append(f"# {line}")
-    lines.append(",".join(columns))
-    for i, row in enumerate(rows):
-        for line in meta_at.get(i, []):
-            lines.append(f"# {line}")
-        lines.append(",".join(_fmt(v) for v in row))
+    """CSV text from equal-length columns, with '#' metadata lines inserted
+    before the given row indices (-1: before the header)."""
+    lines = [",".join(names), *map(",".join, zip(*map(_cells, columns)))]
+    # from the last index back, so the earlier ones still point at their rows;
+    # lines that share an index keep their order
+    for idx, line in reversed(sorted(meta, key=lambda m: m[0])):
+        lines.insert(idx + 1, f"# {line}")
     return "\n".join(lines) + "\n"
 
 
@@ -283,7 +291,7 @@ def _flatten(obj: Any, prefix: str = "") -> List[Tuple[str, Any]]:
     return [(prefix, obj)]
 
 
-# what a subcommand returns: a report dict or a (columns, rows, meta) table
+# what a subcommand returns: a report dict or a (names, columns, meta) table
 Table = Tuple[Sequence[str], Sequence[Sequence[Any]], Sequence[Tuple[int, str]]]
 Result = Union[Dict[str, Any], Table]
 
@@ -292,12 +300,12 @@ def _render(result: Result, out_format: Optional[str]) -> str:
     """Reports default to JSON (flattened key,value CSV on request), tables to CSV."""
     if isinstance(result, dict):
         if out_format == "csv":
-            return render_csv(("key", "value"), _flatten(_py(result)))
+            return render_csv(("key", "value"), list(zip(*_flatten(_py(result)))))
         return render_json(result)
-    columns, rows, meta = result
+    names, columns, meta = result
     if out_format == "json":
-        return render_json({"columns": columns, "rows": [list(map(_py, r)) for r in rows]})
-    return render_csv(columns, rows, meta)
+        return render_json({"columns": names, "rows": list(zip(*map(_py, columns)))})
+    return render_csv(names, columns, meta)
 
 
 def _sha256(path: Path) -> str:
@@ -433,28 +441,32 @@ def cmd_sweep(cfg: RunConfig) -> Table:
     powers, omega_p, dirs = parse_pump(cfg, params)
     delta_p = _grid(cfg.section("grid"), "delta_p_rad_s", "grid")
 
-    with_circ = params.radius is not None and params.n_eff is not None
-    columns = ["delta_p_rad_s", "n_photons", "energy_j", "delta_cl_rad_s",
-               "transmission", "stable", "direction"]
-    if with_circ:
-        # free spectral range converts stored energy to circulating power
-        fsr = core.C_VACUUM / (params.n_eff * 2.0 * math.pi * params.radius)
-        columns.append("circulating_power_w")
-
-    rows: List[Sequence[Any]] = []
-    meta: List[Tuple[int, str]] = []
-    for k, trace in enumerate(_sweeps(params, powers, omega_p, dirs, delta_p)):
-        if k % len(dirs) == 0:
-            meta.append((len(rows), f"p_in_w={_fmt(trace.p_in)}"))
-        for i, b in enumerate(trace.branches):
-            row: List[Any] = [
-                float(trace.delta_p[i]), b.n, core.HBAR * omega_p * b.n,
-                b.delta_cl, float(trace.transmission[i]), b.stable, trace.direction,
-            ]
-            if with_circ:
-                row.append(core.HBAR * omega_p * b.n * fsr)
-            rows.append(row)
-    return columns, rows, meta
+    traces = _sweeps(params, powers, omega_p, dirs, delta_p)
+    n = np.concatenate([t.n for t in traces])
+    # out-of-range resonator keys overflow here; the finite check below reports them
+    with np.errstate(over="ignore", invalid="ignore"):
+        table: Dict[str, np.ndarray] = {
+            "delta_p_rad_s": np.concatenate([t.delta_p for t in traces]),
+            "n_photons": n,
+            "energy_j": core.HBAR * omega_p * n,
+            "delta_cl_rad_s": np.concatenate([t.delta_cl for t in traces]),
+            "transmission": np.concatenate([t.transmission for t in traces]),
+            "stable": np.concatenate([t.stable for t in traces]),
+            "direction": np.repeat([t.direction for t in traces], delta_p.size),
+        }
+        if params.radius is not None and params.n_eff is not None:
+            # free spectral range converts stored energy to circulating power
+            fsr = core.C_VACUUM / (params.n_eff * 2.0 * math.pi * params.radius)
+            table["circulating_power_w"] = core.HBAR * omega_p * n * fsr
+    for name, column in table.items():
+        if column.dtype.kind == "f":
+            bad = np.flatnonzero(~np.isfinite(column))
+            if bad.size:
+                at = float(table["delta_p_rad_s"][bad[0]])
+                raise ModelError(f"{name} not finite at delta_p = {at!r} rad/s")
+    meta = [(k * delta_p.size, f"p_in_w={_fmt(t.p_in)}")
+            for k, t in enumerate(traces) if k % len(dirs) == 0]
+    return list(table), list(table.values()), meta
 
 
 def cmd_spectrum(cfg: RunConfig) -> Table:
@@ -520,7 +532,7 @@ def cmd_spectrum(cfg: RunConfig) -> Table:
                     if locked:
                         row.append(spectrum.locked_raw_variance(pt.sigma_tilde, pt.y, pt.c, phi))
                     rows.append(row)
-    return columns, rows, ()
+    return columns, list(zip(*rows)), ()
 
 
 def cmd_locking(cfg: RunConfig) -> Table:
@@ -534,7 +546,7 @@ def cmd_locking(cfg: RunConfig) -> Table:
         dpl, branch = steady_state.injection_locking_point(params, p_in, omega_p)
         rows.append([p_in, dpl, branch.n, branch.delta_cl, branch.delta_f,
                      steady_state.transmission(params, branch)])
-    return columns, rows, ()
+    return columns, list(zip(*rows)), ()
 
 
 def cmd_threshold(cfg: RunConfig) -> Dict[str, Any]:

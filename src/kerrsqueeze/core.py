@@ -159,6 +159,10 @@ def locked_photon_number(params: ResonatorParams, p_in: float, omega_p: float) -
     except (OverflowError, ZeroDivisionError):  # Python floats raise out of range
         n_lock = math.inf
     if not math.isfinite(n_lock):
+        loss = total_loss(params)
+        if not math.isfinite(loss * loss):
+            raise NonPositive("locked photon number is not finite: (kappa + gamma)**2 "
+                              f"overflows at kappa + gamma = {loss!r} rad/s")
         raise NonPositive(f"locked photon number is not finite at p_in = {p_in}")
     return n_lock
 

@@ -112,14 +112,16 @@ def _output_moments(
     G22 = conj(G11) by the doublet reality conditions, so it is not returned.
     G12 and G21 are real; their difference is exactly 1 (commutator
     preservation), which the reduced forms below inherit from the identities
-    M22(-w) = conj(M11(w)) and M21(w) = conj(M12(-w)). Checks ``eta`` and
-    warns near the critical point on behalf of the public callers.
+    M22(-w) = conj(M11(w)) and M21(w) = conj(M12(-w)). Checks ``eta``, warns
+    near the critical point and rejects an unstable branch on behalf of the
+    public callers; a singular system matrix is reported first.
     """
     check_eta(eta)
     _warn_if_near_critical(_critical_distance(params, branch), stacklevel=4)
     sigma_c = 2.0 * params.g_opt * branch.n * cmath.exp(2j * branch.alpha_phase)
     m11_p, _ = _mode_matrix(params, branch.delta_f, sigma_c, omega)
     _, m12_m = _mode_matrix(params, branch.delta_f, sigma_c, -omega)
+    _check_stable(branch)
     loss_ratio = params.gamma / params.kappa
 
     s11 = m12_m * (m11_p + loss_ratio * (m11_p - 1.0))
@@ -130,6 +132,11 @@ def _output_moments(
     g12 = eta * s12 + (1.0 - eta)
     g21 = eta * s21
     return g11, g12, g21
+
+
+def _check_stable(branch: SteadyStateBranch) -> None:
+    if not branch.stable:
+        raise UnstablePoint("the steady-state branch is unstable; its fluctuations do not settle")
 
 
 def _critical_distance(params: ResonatorParams, branch: SteadyStateBranch) -> float:
@@ -277,6 +284,7 @@ def fluctuation_flux(
     reported by drive_state is kept separate on purpose.
     """
     check_eta(eta)
+    _check_stable(branch)
     loss = total_loss(params)
     sigma = 2.0 * params.g_opt * branch.n
     den = 4.0 * branch.delta_f**2 + loss * loss - sigma * sigma

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -54,19 +55,30 @@ class SteadyStateBranch:
 
 @dataclass(frozen=True)
 class SweepTrace:
-    """Branch-continued solution along a detuning grid, plus transmission."""
+    """Branch-continued solution along a detuning grid, one array per column.
+
+    Entry i of every array belongs to grid point ``delta_p[i]``; the columns
+    mean what the same-named :class:`SteadyStateBranch` fields mean, plus the
+    power ``transmission`` past the ring.
+    """
 
     delta_p: np.ndarray
-    branches: Tuple[SteadyStateBranch, ...]
+    n: np.ndarray
+    delta_cl: np.ndarray
+    delta_f: np.ndarray
+    stable: np.ndarray
+    alpha_phase: np.ndarray
     transmission: np.ndarray
     direction: str
     p_in: float
     omega_p: float
 
     @property
-    def n(self) -> np.ndarray:
-        """Selected intracavity photon number per grid point."""
-        return np.array([b.n for b in self.branches])
+    def branches(self) -> Tuple[SteadyStateBranch, ...]:
+        """The columns as one read-only :class:`SteadyStateBranch` per grid point."""
+        return tuple(map(SteadyStateBranch, self.n.tolist(), self.delta_cl.tolist(),
+                         self.delta_f.tolist(), self.stable.tolist(),
+                         self.alpha_phase.tolist()))
 
 
 def _solve_scaled(g: float, delta: np.ndarray) -> np.ndarray:
@@ -216,6 +228,33 @@ def transmission(params: ResonatorParams, branch: SteadyStateBranch) -> float:
     return t
 
 
+def _pick_roots(u: np.ndarray, stable: np.ndarray) -> np.ndarray:
+    """Root index a sweep keeps at each row of ``u``, rows in sweep order.
+
+    The rule: the stable root nearest in u to the previous pick (the first
+    row measures from 0), else the nearest root; the lowest index wins ties.
+    ``nxt[i - 1, j]`` is the pick at row i after root j at row i - 1, for all
+    rows at once. Where it maps every root that row i - 1 could have picked to
+    itself the pick cannot change, so Python walks only the other rows (folds
+    and root-count changes) and numpy fills the runs between them.
+    """
+    live = ~np.isnan(u)
+    pool = stable | (live & ~stable.any(axis=1, keepdims=True))
+    dist = np.where(pool[1:, None, :], np.abs(u[1:, None, :] - u[:-1, :, None]), np.inf)
+    nxt = dist.argmin(axis=2)
+    moves = (pool[:-1] & (nxt != np.arange(3))).any(axis=1)
+
+    pick = np.empty(len(u), dtype=np.intp)
+    j = int(np.where(pool[0], u[0], np.inf).argmin())  # u > 0 is its distance from 0
+    start = 0
+    for i in (np.flatnonzero(moves) + 1).tolist():
+        pick[start:i] = j
+        j = int(nxt[i - 1, j])
+        start = i
+    pick[start:] = j
+    return pick
+
+
 def sweep(params: ResonatorParams, pump: PumpConfig) -> SweepTrace:
     """Branch-continued steady states along the pump's detuning grid.
 
@@ -239,26 +278,29 @@ def sweep(params: ResonatorParams, pump: PumpConfig) -> SweepTrace:
 
     ascending = grid.size == 1 or grid[1] > grid[0]
     forward = ascending == (pump.direction == "up")
-    order = range(grid.size) if forward else range(grid.size - 1, -1, -1)
+    order = slice(None) if forward else slice(None, None, -1)
+    pick = _pick_roots(u[order], stable[order])[order]
 
-    deltas, u_rows, stable_rows = grid.tolist(), u.tolist(), stable.tolist()
-    branches: List[Optional[SteadyStateBranch]] = [None] * grid.size
-    prev = 0.0
-    for i in order:
-        roots = [(x, s) for x, s in zip(u_rows[i], stable_rows[i]) if not math.isnan(x)]
-        pool = [r for r in roots if r[1]] or roots
-        prev, is_stable = min(pool, key=lambda r: abs(r[0] - prev))
-        branches[i] = _branch(params, deltas[i], prev * n_lock, is_stable)
-
-    delta_cl = np.array([b.delta_cl for b in branches])
+    rows = np.arange(grid.size)
+    n = u[rows, pick] * n_lock
     with np.errstate(over="ignore", invalid="ignore"):
+        delta_cl = grid + (params.g_opt + params.g_th) * n
+        delta_f = delta_cl + params.g_opt * n
         trans = lineshape(delta_cl, params.kappa, params.gamma)
     bad = ~np.isfinite(trans)
     if bad.any():
         raise ModelError(f"transmission not finite at delta_p = {float(grid[bad][0])!r} rad/s")
+    # math.atan2, not np.arctan2: the two differ in the last bit on some inputs
+    half_loss = total_loss(params) / 2.0
+    alpha_phase = np.fromiter(map(math.atan2, delta_cl.tolist(), repeat(half_loss)),
+                              float, count=grid.size)
     return SweepTrace(
         delta_p=grid.copy(),
-        branches=tuple(branches),
+        n=n,
+        delta_cl=delta_cl,
+        delta_f=delta_f,
+        stable=stable[rows, pick],
+        alpha_phase=alpha_phase,
         transmission=trans,
         direction=pump.direction,
         p_in=pump.p_in,

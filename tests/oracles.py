@@ -94,6 +94,40 @@ def two_step_branch_pick(u, stable, order):
     return chosen
 
 
+def loop_sweep(params, grid, u, stable, n_lock, direction):
+    """Sweep columns by the per-point loop the package used before its sweep
+    became columnar, kept operation for operation so results compare by bytes.
+
+    ``u``, ``stable`` and ``n_lock`` are the package's root table for ``grid``;
+    each point keeps the stable root nearest in n to the previous pick (from
+    0.0), else the nearest root, and derives its detunings, field phase and
+    transmission with Python float arithmetic.
+    """
+    deltas, u_rows, stable_rows = grid.tolist(), u.tolist(), stable.tolist()
+    forward = (len(deltas) == 1 or deltas[1] > deltas[0]) == (direction == "up")
+    order = range(len(deltas)) if forward else range(len(deltas) - 1, -1, -1)
+    shift_sum = params.g_opt + params.g_th
+    half_loss = (params.kappa + params.gamma) / 2.0
+    cols = {k: [0.0] * len(deltas) for k in
+            ("n", "delta_cl", "delta_f", "stable", "alpha_phase", "transmission")}
+    prev = 0.0
+    for i in order:
+        roots = [(x, s) for x, s in zip(u_rows[i], stable_rows[i]) if not math.isnan(x)]
+        pool = [r for r in roots if r[1]] or roots
+        prev, is_stable = min(pool, key=lambda r: abs(r[0] - prev))
+        n = prev * n_lock
+        delta_cl = deltas[i] + shift_sum * n
+        cols["n"][i] = n
+        cols["delta_cl"][i] = delta_cl
+        cols["delta_f"][i] = delta_cl + params.g_opt * n
+        cols["stable"][i] = is_stable
+        cols["alpha_phase"][i] = math.atan2(delta_cl, half_loss)
+        cols["transmission"][i] = (
+            ((params.kappa - params.gamma) ** 2 / 4.0 + delta_cl * delta_cl)
+            / ((params.kappa + params.gamma) ** 2 / 4.0 + delta_cl * delta_cl))
+    return {k: np.array(v) for k, v in cols.items()}
+
+
 def golden_min(f, a: float, b: float, tol: float = 1e-12):
     """Golden-section minimum of a unimodal f on [a, b]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

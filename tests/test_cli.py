@@ -234,6 +234,16 @@ def test_module_invocation_smoke(sample_dir, tmp_path):
     assert out.read_text().startswith("p_in_w,")
 
 
+def test_start_up_does_not_import_scipy():
+    # only the two fitters need scipy; every other subcommand starts without it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, kerrsqueeze, kerrsqueeze.cli; assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_missing_input_file_named_in_error(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"fit": {"input": "ghost.csv"}}))
@@ -336,13 +346,15 @@ def _sample_with(name, section, key, value):
 # leaves the float range: Python's float ** and / raise OverflowError or
 # ZeroDivisionError there, and a product can reach inf or underflow to 0
 _LOCKED = "locked photon number is not finite at p_in = "
+_LOSS_SQUARED = ("locked photon number is not finite: (kappa + gamma)**2 overflows at "
+                 "kappa + gamma = 1e+300 rad/s")
 _P_TH = "threshold power out of float range: "
 _LOCK_DETUNING = "locking detuning is not finite at p_in = "
 _PUMPED = [("sweep", "sweep"), ("locking", "locking"), ("spectrum", "spectrum_detuning"),
            ("spectrum", "spectrum_locking"), ("spectrum", "spectrum_optimized")]
 _USES_P_TH = {"threshold", "report", "spectrum_locking", "spectrum_optimized"}
 _RANGE = (
-    [(cmd, name, "resonator", key, 1e300, _P_TH if name in _USES_P_TH else _LOCKED)
+    [(cmd, name, "resonator", key, 1e300, _P_TH if name in _USES_P_TH else _LOSS_SQUARED)
      for key in ("kappa_rad_s", "gamma_rad_s")
      for cmd, name in _PUMPED + [("threshold", "threshold"), ("report", "report")]]
     + [(cmd, name, section, key, value, _LOCKED)
@@ -385,10 +397,16 @@ _RANGE_IDS = [f"{name}-{key}-{value!r}" for _, name, _, key, value, _ in _RANGE]
     # finite roots, but delta_cl * delta_cl overflows in the transmission
     ("sweep", _sweep_config([-1e155, 0.0, 1e155]),
      "transmission not finite at delta_p = -1e+155 rad/s"),
+    # the pump frequency overflows to inf, and so does the free spectral range
+    ("sweep", _sample_with("sweep", "resonator", "lambda_m", 1e-300),
+     "energy_j not finite at delta_p = -30000000000.0 rad/s"),
+    ("sweep", _sample_with("sweep", "resonator", "n_eff", 1e-300),
+     "circulating_power_w not finite at delta_p = -30000000000.0 rad/s"),
 ] + _RANGE_CASES, ids=["grid-1e300", "g_opt-1e300", "spectrum-grid-1e300", "fit.input",
                        "dispersion.input", "trace.input", "trace.reference",
                        "detection.budget_path", "losses.budget_path", "points-10_000_001",
-                       "points-10**400", "grid-1e155"] + _RANGE_IDS)
+                       "points-10**400", "grid-1e155", "sweep-lambda_m-1e-300",
+                       "sweep-n_eff-1e-300"] + _RANGE_IDS)
 def test_out_of_range_configs_are_one_line_errors(cmd, config, expected, tmp_path, capsys):
     # inputs whose steady state, transmission, locked point, threshold, path
     # or grid size the program cannot use end in one typed error, not a

@@ -329,6 +329,12 @@ class TestFluctuationFlux:
         assert len(roots) == 3
         with pytest.raises(UnstablePoint):
             fluctuation_flux(p, roots[1])
+        # the variance code rejects the middle root too, though its matrix is regular
+        assert not roots[1].stable
+        with pytest.raises(UnstablePoint), pytest.warns(LinearizationWarning):
+            variance_spectrum(p, roots[1], 0.0, 0.0)
+        with pytest.raises(UnstablePoint), pytest.warns(LinearizationWarning):
+            variance_extrema(p, roots[1], 0.0)
 
 
 class TestGuards:

@@ -19,6 +19,7 @@ from kerrsqueeze import (
 
 from kerrsqueeze.steady_state import _branch, _grid_roots
 from oracles import (
+    loop_sweep,
     pow_lineshape,
     scaled_discriminant,
     scaled_roots_brute,
@@ -250,8 +251,9 @@ def test_root_count_and_residual_property(g, delta):
     assert ns == sorted(ns)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+# sweeps whose grid spans lo..lo+width hundredths of (g + 1) linewidths, so
+# it often cuts the three-root window that lies between about -g and -1
+_random_sweeps = given(
     tenth_g=st.integers(min_value=0, max_value=600),
     th_frac=st.floats(min_value=0.0, max_value=1.0),
     zero_power=st.sampled_from([False, False, False, True]),
@@ -261,12 +263,9 @@ def test_root_count_and_residual_property(g, delta):
     descending=st.booleans(),
     direction=st.sampled_from(["up", "down"]),
 )
-def test_sweep_matches_two_step_rule(tenth_g, th_frac, zero_power, lo, width, points,
-                                     descending, direction):
-    # "nearest stable root, else nearest root, from n = 0" must pick exactly
-    # what the two-step rule picks: same n, stability and transmission bits.
-    # The grid spans lo..lo+width hundredths of (g + 1) linewidths, so it
-    # often cuts the three-root window that lies between about -g and -1.
+
+
+def _random_sweep(tenth_g, th_frac, zero_power, lo, width, points, descending, direction):
     g = tenth_g / 10.0
     params, p_in, _ = params_for_scaled(g, th_frac=th_frac)
     p_in = 0.0 if zero_power else p_in
@@ -274,7 +273,18 @@ def test_sweep_matches_two_step_rule(tenth_g, th_frac, zero_power, lo, width, po
     grid = np.linspace(lo * span, (lo + width) * span, points)
     if descending:
         grid = grid[::-1]
-    tr = sweep(params, PumpConfig(p_in=p_in, delta_p=grid, direction=direction))
+    return params, p_in, grid, sweep(params, PumpConfig(p_in=p_in, delta_p=grid,
+                                                         direction=direction))
+
+
+@settings(max_examples=300, deadline=None)
+@_random_sweeps
+def test_sweep_matches_two_step_rule(tenth_g, th_frac, zero_power, lo, width, points,
+                                     descending, direction):
+    # "nearest stable root, else nearest root, from n = 0" must pick exactly
+    # what the two-step rule picks: same n, stability and transmission bits.
+    params, p_in, grid, tr = _random_sweep(tenth_g, th_frac, zero_power, lo, width, points,
+                                           descending, direction)
 
     u, stable, n_lock = _grid_roots(params, grid, p_in, OM)
     forward = (points == 1 or grid[1] > grid[0]) == (direction == "up")
@@ -285,6 +295,32 @@ def test_sweep_matches_two_step_rule(tenth_g, th_frac, zero_power, lo, width, po
     assert tr.n.tobytes() == np.array([b.n for b in ref]).tobytes()
     assert [b.stable for b in tr.branches] == [b.stable for b in ref]
     assert tr.transmission.tobytes() == np.array([transmission(params, b) for b in ref]).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@_random_sweeps
+def test_sweep_columns_match_the_per_point_loop(tenth_g, th_frac, zero_power, lo, width, points,
+                                                descending, direction):
+    # the columnar pick and arithmetic give the loop's exact bits in every column
+    params, p_in, grid, tr = _random_sweep(tenth_g, th_frac, zero_power, lo, width, points,
+                                           descending, direction)
+    u, stable, n_lock = _grid_roots(params, grid, p_in, OM)
+    ref = loop_sweep(params, grid, u, stable, n_lock, direction)
+    for name, column in ref.items():
+        got = getattr(tr, name)
+        assert got.dtype == column.dtype, name
+        assert got.tobytes() == column.tobytes(), name
+
+
+def test_sweep_alpha_phase_is_math_atan2(strong_params):
+    # np.arctan2 differs from math.atan2 in the last bit on some inputs, and
+    # the phase feeds the detuning spectrum's bytes
+    loss = total_loss(strong_params)
+    grid = np.linspace(-60.0 * loss, 10.0 * loss, 2001)
+    for direction in ("up", "down"):
+        tr = sweep(strong_params, PumpConfig(p_in=4e-3, delta_p=grid, direction=direction))
+        for i, b in enumerate(tr.branches):
+            assert b.alpha_phase == math.atan2(tr.delta_cl[i], loss / 2.0)
 
 
 @settings(max_examples=300, deadline=None)
