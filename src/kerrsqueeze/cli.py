@@ -246,9 +246,15 @@ def _py(obj: Any) -> Any:
         return float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, float) and math.isinf(obj):
-        return None  # JSON has no Infinity; absent threshold reports as null
     return obj
+
+
+def _dumps(obj: Any, **kwargs: Any) -> str:
+    """JSON text of ``obj``; a NaN or an infinity in it is a ModelError."""
+    try:
+        return json.dumps(_py(obj), allow_nan=False, **kwargs)
+    except ValueError as e:
+        raise ModelError(f"output is not valid JSON: {e}") from e
 
 
 def _cells(column: Sequence[Any]) -> List[str]:
@@ -277,7 +283,7 @@ def render_csv(names: Sequence[str], columns: Sequence[Sequence[Any]],
 
 
 def render_json(obj: Any) -> str:
-    return json.dumps(_py(obj), indent=2) + "\n"
+    return _dumps(obj, indent=2) + "\n"
 
 
 def _flatten(obj: Any, prefix: str = "") -> List[Tuple[str, Any]]:
@@ -287,7 +293,7 @@ def _flatten(obj: Any, prefix: str = "") -> List[Tuple[str, Any]]:
             out.extend(_flatten(v, f"{prefix}.{k}" if prefix else k))
         return out
     if isinstance(obj, (list, tuple)):
-        return [(prefix, json.dumps(_py(obj)))]
+        return [(prefix, _dumps(obj))]
     return [(prefix, obj)]
 
 
@@ -486,23 +492,19 @@ def cmd_spectrum(cfg: RunConfig) -> Table:
 
     # operating points as (leading row cells, eta, branch, p_in / p_th); the
     # locked closed forms use the last, so detuning mode leaves it unset
-    points: List[Tuple[List[Any], float, steady_state.SteadyStateBranch, Optional[float]]] = []
+    points: List[Tuple[List[Any], float, steady_state.SteadyStateBranch, Optional[float]]]
     if locked:
         head = ["eta", "p_in_w"]
         p_th = core.threshold_power(params, omega_p, allow_infinite=True)
-        for eta in etas:
-            for p_in in powers:
-                _, branch = steady_state.injection_locking_point(params, p_in, omega_p)
-                st = 0.0 if math.isinf(p_th) else p_in / p_th
-                points.append(([eta, p_in], eta, branch, st))
+        locks = [(p_in, steady_state.injection_locking_point(params, p_in, omega_p)[1],
+                  0.0 if math.isinf(p_th) else p_in / p_th) for p_in in powers]
+        points = [([eta, p_in], eta, branch, st) for eta in etas for p_in, branch, st in locks]
     else:
         head = ["eta", "p_in_w", "direction", "delta_p_rad_s", "n_photons"]
         swept = _sweeps(params, powers, omega_p, dirs, _grid(grid_sec, "delta_p_rad_s", "grid"))
-        for eta in etas:
-            for trace in swept:
-                for i, branch in enumerate(trace.branches):
-                    lead = [eta, trace.p_in, trace.direction, float(trace.delta_p[i]), branch.n]
-                    points.append((lead, eta, branch, None))
+        points = [([eta, trace.p_in, trace.direction, float(trace.delta_p[i]), branch.n],
+                   eta, branch, None)
+                  for eta in etas for trace in swept for i, branch in enumerate(trace.branches)]
 
     if optimize_phi:
         columns = head + ["omega_rad_s", "v_s_ratio", "v_s_db", "v_as_ratio", "v_as_db",
@@ -549,6 +551,11 @@ def cmd_locking(cfg: RunConfig) -> Table:
     return columns, list(zip(*rows)), ()
 
 
+def _threshold_or_none(p_th: float) -> Optional[float]:
+    """The threshold power, or None (JSON null) where it is absent (g_opt = 0)."""
+    return None if math.isinf(p_th) else p_th
+
+
 def cmd_threshold(cfg: RunConfig) -> Dict[str, Any]:
     """parametric threshold power report"""
     params = parse_resonator(cfg)
@@ -564,7 +571,7 @@ def cmd_threshold(cfg: RunConfig) -> Dict[str, Any]:
         "omega_p_rad_s": omega_p,
         "total_loss_rad_s": core.total_loss(params),
         "quality_factor": _quality_factor(params),
-        "p_th_w": p_th,
+        "p_th_w": _threshold_or_none(p_th),
     }
 
 
@@ -614,8 +621,8 @@ def cmd_report(cfg: RunConfig) -> Dict[str, Any]:
         "pump": {"p_in_w": p_in, "omega_p_rad_s": omega_p},
         "total_loss_rad_s": core.total_loss(params),
         "quality_factor": _quality_factor(params),
-        "p_th_model_w": p_th_model,
-        "p_th_w": p_th_used,
+        "p_th_model_w": _threshold_or_none(p_th_model),
+        "p_th_w": _threshold_or_none(p_th_used),
         "drive": {
             "sigma_tilde": drv.sigma_tilde,
             "x": drv.x,

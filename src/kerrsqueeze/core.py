@@ -236,9 +236,9 @@ def drive_state(
 
 
 def db_from_linear(v: float) -> float:
-    """Power ratio to dB. Raises NonPositive for v <= 0."""
-    if v <= 0:
-        raise NonPositive(f"ratio must be > 0 for dB conversion, got {v}")
+    """Power ratio to dB. Raises NonPositive unless 0 < v < inf (so also for NaN)."""
+    if not 0.0 < v < math.inf:
+        raise NonPositive(f"ratio must be finite and > 0 for dB conversion, got {v}")
     return 10.0 * math.log10(v)
 
 

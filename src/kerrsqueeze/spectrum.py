@@ -30,6 +30,7 @@ from typing import Tuple
 from .core import ResonatorParams, check_eta, total_loss
 from .errors import (
     LinearizationWarning,
+    ModelError,
     NonPositive,
     SingularMatrix,
     UnstablePoint,
@@ -81,29 +82,6 @@ def spectral_numbers(params: ResonatorParams, omega: float, eta: float) -> Tuple
     return 1.0 + (2.0 * omega / loss) ** 2, 4.0 * eta * params.kappa / loss
 
 
-def _mode_matrix(
-    params: ResonatorParams, delta_f: float, sigma_c: complex, w: float
-) -> Tuple[complex, complex]:
-    """Entries M11 and M12 of M(w) = I - kappa Q(w)^{-1} for the output doublet."""
-    half_loss = total_loss(params) / 2.0
-    q11 = half_loss - 1j * (w + delta_f)
-    q22 = half_loss - 1j * (w - delta_f)
-    q12 = -1j * sigma_c / 2.0
-    q21 = 1j * sigma_c.conjugate() / 2.0
-    det = q11 * q22 - q12 * q21
-    absdet = abs(det)
-    # exact 2-norm condition number of a 2x2: s_max^2 / |det|
-    fro2 = abs(q11) ** 2 + abs(q12) ** 2 + abs(q21) ** 2 + abs(q22) ** 2
-    s_max2 = (fro2 + math.sqrt(max(fro2 * fro2 - 4.0 * absdet * absdet, 0.0))) / 2.0
-    if absdet == 0.0 or s_max2 / absdet > 1e12:
-        raise SingularMatrix(
-            "fluctuation system matrix is ill-conditioned; the operating "
-            "point sits at a marginally stable branch fold"
-        )
-    k = params.kappa
-    return 1.0 - k * q22 / det, k * q12 / det
-
-
 def _output_moments(
     params: ResonatorParams, branch: SteadyStateBranch, omega: float, eta: float
 ) -> Tuple[complex, float, float]:
@@ -114,14 +92,40 @@ def _output_moments(
     preservation), which the reduced forms below inherit from the identities
     M22(-w) = conj(M11(w)) and M21(w) = conj(M12(-w)). Checks ``eta``, warns
     near the critical point and rejects an unstable branch on behalf of the
-    public callers; a singular system matrix is reported first.
+    public callers; a system matrix out of the float range is reported first,
+    then a singular one. Raises ModelError when a moment is not finite.
+
+    One solve of Q(w) serves both frequencies: Q11(-w) = conj Q22(w),
+    Q22(-w) = conj Q11(w) and Q12 Q21 is real, so det Q(-w) = conj det Q(w)
+    and M12(-w) = kappa Q12 / conj det Q(w), bit for bit.
     """
     check_eta(eta)
-    _warn_if_near_critical(_critical_distance(params, branch), stacklevel=4)
     sigma_c = 2.0 * params.g_opt * branch.n * cmath.exp(2j * branch.alpha_phase)
-    m11_p, _ = _mode_matrix(params, branch.delta_f, sigma_c, omega)
-    _, m12_m = _mode_matrix(params, branch.delta_f, sigma_c, -omega)
+    half_loss = total_loss(params) / 2.0
+    q11 = half_loss - 1j * (omega + branch.delta_f)
+    q22 = half_loss - 1j * (omega - branch.delta_f)
+    q12 = -1j * sigma_c / 2.0
+    q21 = 1j * sigma_c.conjugate() / 2.0
+    det = q11 * q22 - q12 * q21
+    try:
+        absdet = abs(det)
+        fro2 = abs(q11) ** 2 + abs(q12) ** 2 + abs(q21) ** 2 + abs(q22) ** 2
+    except OverflowError:  # abs and ** of Python numbers raise out of range
+        fro2 = math.inf
+    if not fro2 < math.inf:
+        raise NonPositive(f"fluctuation system matrix out of float range at omega = {omega!r} rad/s")
+    _warn_if_near_critical(_critical_distance(params, branch), stacklevel=4)
+    # exact 2-norm condition number of a 2x2: s_max^2 / |det|
+    s_max2 = (fro2 + math.sqrt(max(fro2 * fro2 - 4.0 * absdet * absdet, 0.0))) / 2.0
+    if absdet == 0.0 or s_max2 / absdet > 1e12:
+        raise SingularMatrix(
+            "fluctuation system matrix is ill-conditioned; the operating "
+            "point sits at a marginally stable branch fold"
+        )
     _check_stable(branch)
+    k = params.kappa
+    m11_p = 1.0 - k * q22 / det
+    m12_m = k * q12 / det.conjugate()
     loss_ratio = params.gamma / params.kappa
 
     s11 = m12_m * (m11_p + loss_ratio * (m11_p - 1.0))
@@ -131,6 +135,8 @@ def _output_moments(
     g11 = eta * s11
     g12 = eta * s12 + (1.0 - eta)
     g21 = eta * s21
+    if not (cmath.isfinite(g11) and math.isfinite(g12) and math.isfinite(g21)):
+        raise ModelError(f"fluctuation moments not finite at omega = {omega!r} rad/s")
     return g11, g12, g21
 
 

@@ -76,22 +76,39 @@ class SweepTrace:
     @property
     def branches(self) -> Tuple[SteadyStateBranch, ...]:
         """The columns as one read-only :class:`SteadyStateBranch` per grid point."""
-        return tuple(map(SteadyStateBranch, self.n.tolist(), self.delta_cl.tolist(),
-                         self.delta_f.tolist(), self.stable.tolist(),
-                         self.alpha_phase.tolist()))
+        return _zip_branches(self.n, self.delta_cl, self.delta_f, self.stable, self.alpha_phase)
+
+
+def _zip_branches(n: np.ndarray, delta_cl: np.ndarray, delta_f: np.ndarray,
+                  stable: np.ndarray, alpha_phase: np.ndarray) -> Tuple[SteadyStateBranch, ...]:
+    return tuple(map(SteadyStateBranch, n.tolist(), delta_cl.tolist(), delta_f.tolist(),
+                     stable.tolist(), alpha_phase.tolist()))
+
+
+def _operating_columns(
+    params: ResonatorParams, delta_p: np.ndarray, n: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(delta_cl, delta_f, alpha_phase) at cold detunings ``delta_p`` and photon numbers ``n``."""
+    # out of the float range these come out inf, as with Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta_cl = delta_p + (params.g_opt + params.g_th) * n
+        delta_f = delta_cl + params.g_opt * n
+    # math.atan2, not np.arctan2: the two differ in the last bit on some inputs
+    alpha_phase = np.fromiter(map(math.atan2, delta_cl.tolist(), repeat(total_loss(params) / 2.0)),
+                              float, count=delta_cl.size)
+    return delta_cl, delta_f, alpha_phase
 
 
 def _solve_scaled(g: float, delta: np.ndarray) -> np.ndarray:
     """All roots u in (0, 1] of the scaled cubic, per detuning grid point.
 
-    Returns an (K, 3) array, ascending per row, NaN-padded. ``g`` may carry
-    either sign (fitters probe negative shifts); physical inputs give g >= 0.
+    Returns an (K, 3) array, ascending per row, NaN-padded; ``g`` >= 0.
     """
     delta = np.asarray(delta, dtype=float)
     lin_c = 0.25 + delta * delta
     cand = np.full((delta.size, 3), np.nan)
 
-    rho = (g * g + 2.0 * abs(g) * np.abs(delta)) / lin_c
+    rho = (g * g + 2.0 * g * np.abs(delta)) / lin_c
     lin_mask = rho < _LINEAR_RATIO
     cand[lin_mask, 0] = 0.25 / lin_c[lin_mask]
 
@@ -176,21 +193,6 @@ def _grid_roots(
     return u, stable, n_lock
 
 
-def _branch(
-    params: ResonatorParams, delta_p: float, n: float, stable: bool
-) -> SteadyStateBranch:
-    n = float(n)
-    shift_sum = params.g_opt + params.g_th
-    delta_cl = float(delta_p) + shift_sum * n
-    return SteadyStateBranch(
-        n=n,
-        delta_cl=delta_cl,
-        delta_f=delta_cl + params.g_opt * n,
-        stable=stable,
-        alpha_phase=math.atan2(delta_cl, total_loss(params) / 2.0),
-    )
-
-
 def steady_roots(
     params: ResonatorParams,
     delta_p: float,
@@ -206,12 +208,10 @@ def steady_roots(
         omega_p = params.resonance_omega
     grid = np.array([delta_p], dtype=float)
     u, stable, n_lock = _grid_roots(params, grid, p_in, omega_p)
-    out = []
-    for j in range(3):
-        if math.isnan(u[0, j]):
-            continue
-        out.append(_branch(params, delta_p, u[0, j] * n_lock, bool(stable[0, j])))
-    return out
+    live = ~np.isnan(u[0])
+    n = u[0, live] * n_lock
+    delta_cl, delta_f, alpha_phase = _operating_columns(params, grid, n)
+    return list(_zip_branches(n, delta_cl, delta_f, stable[0, live], alpha_phase))
 
 
 def lineshape(delta: float | np.ndarray, kappa: float, gamma: float) -> float | np.ndarray:
@@ -283,17 +283,12 @@ def sweep(params: ResonatorParams, pump: PumpConfig) -> SweepTrace:
 
     rows = np.arange(grid.size)
     n = u[rows, pick] * n_lock
+    delta_cl, delta_f, alpha_phase = _operating_columns(params, grid, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        delta_cl = grid + (params.g_opt + params.g_th) * n
-        delta_f = delta_cl + params.g_opt * n
         trans = lineshape(delta_cl, params.kappa, params.gamma)
     bad = ~np.isfinite(trans)
     if bad.any():
         raise ModelError(f"transmission not finite at delta_p = {float(grid[bad][0])!r} rad/s")
-    # math.atan2, not np.arctan2: the two differ in the last bit on some inputs
-    half_loss = total_loss(params) / 2.0
-    alpha_phase = np.fromiter(map(math.atan2, delta_cl.tolist(), repeat(half_loss)),
-                              float, count=grid.size)
     return SweepTrace(
         delta_p=grid.copy(),
         n=n,
@@ -325,5 +320,7 @@ def injection_locking_point(
     delta_p_lock = -(params.g_opt + params.g_th) * n_lock
     if not math.isfinite(delta_p_lock):
         raise ModelError(f"locking detuning is not finite at p_in = {p_in}")
-    branch = _branch(params, delta_p_lock, n_lock, stable=True)
+    n = np.array([n_lock])
+    delta_cl, delta_f, alpha_phase = _operating_columns(params, np.array([delta_p_lock]), n)
+    (branch,) = _zip_branches(n, delta_cl, delta_f, np.array([True]), alpha_phase)
     return delta_p_lock, branch

@@ -6,9 +6,12 @@ phase extrema from a scan plus golden-section refinement. Agreement between
 these and the package is then evidence, not tautology.
 """
 
+import cmath
 import math
 
 import numpy as np
+
+from kerrsqueeze import SteadyStateBranch
 
 HBAR = 1.054571817e-34
 C_VACUUM = 2.99792458e8
@@ -126,6 +129,46 @@ def loop_sweep(params, grid, u, stable, n_lock, direction):
             ((params.kappa - params.gamma) ** 2 / 4.0 + delta_cl * delta_cl)
             / ((params.kappa + params.gamma) ** 2 / 4.0 + delta_cl * delta_cl))
     return {k: np.array(v) for k, v in cols.items()}
+
+
+def scalar_branch(params, delta_p, n, stable):
+    """One steady-state branch by the per-point rule the package used before
+    its scalar calls shared the sweep's columns, kept operation for operation."""
+    n = float(n)
+    shift_sum = params.g_opt + params.g_th
+    delta_cl = float(delta_p) + shift_sum * n
+    return SteadyStateBranch(
+        n=n,
+        delta_cl=delta_cl,
+        delta_f=delta_cl + params.g_opt * n,
+        stable=stable,
+        alpha_phase=math.atan2(delta_cl, (params.kappa + params.gamma) / 2.0),
+    )
+
+
+def _mode_matrix(params, delta_f, sigma_c, w):
+    """M11 and M12 of M(w) = I - kappa Q(w)^{-1}, one solve per frequency."""
+    half_loss = (params.kappa + params.gamma) / 2.0
+    q11 = half_loss - 1j * (w + delta_f)
+    q22 = half_loss - 1j * (w - delta_f)
+    q12 = -1j * sigma_c / 2.0
+    q21 = 1j * sigma_c.conjugate() / 2.0
+    det = q11 * q22 - q12 * q21
+    k = params.kappa
+    return 1.0 - k * q22 / det, k * q12 / det
+
+
+def two_call_moments(params, branch, omega, eta):
+    """Detected moments (G11, G12, G21) with Q solved at omega and again at
+    -omega, as the package did before one solve served both; no checks."""
+    sigma_c = 2.0 * params.g_opt * branch.n * cmath.exp(2j * branch.alpha_phase)
+    m11_p, _ = _mode_matrix(params, branch.delta_f, sigma_c, omega)
+    _, m12_m = _mode_matrix(params, branch.delta_f, sigma_c, -omega)
+    loss_ratio = params.gamma / params.kappa
+    s11 = m12_m * (m11_p + loss_ratio * (m11_p - 1.0))
+    s12 = abs(m11_p) ** 2 + loss_ratio * abs(m11_p - 1.0) ** 2
+    s21 = (1.0 + loss_ratio) * abs(m12_m) ** 2
+    return eta * s11, eta * s12 + (1.0 - eta), eta * s21
 
 
 def golden_min(f, a: float, b: float, tol: float = 1e-12):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kerrsqueeze import steady_state
-from kerrsqueeze.cli import main
+from kerrsqueeze import ModelError, steady_state
+from kerrsqueeze.cli import main, render_json
 
 CONFIGS = [
     ("sweep", "config_sweep.json"),
@@ -350,6 +351,8 @@ _LOSS_SQUARED = ("locked photon number is not finite: (kappa + gamma)**2 overflo
                  "kappa + gamma = 1e+300 rad/s")
 _P_TH = "threshold power out of float range: "
 _LOCK_DETUNING = "locking detuning is not finite at p_in = "
+_Q_RANGE = "fluctuation system matrix out of float range at omega = "
+_MOMENTS = "fluctuation moments not finite at omega = "
 _PUMPED = [("sweep", "sweep"), ("locking", "locking"), ("spectrum", "spectrum_detuning"),
            ("spectrum", "spectrum_locking"), ("spectrum", "spectrum_optimized")]
 _USES_P_TH = {"threshold", "report", "spectrum_locking", "spectrum_optimized"}
@@ -369,6 +372,14 @@ _RANGE = (
                               ("g_th_rad_s", "locking", "locking"),
                               ("g_th_rad_s", "spectrum", "spectrum_locking"),
                               ("g_th_rad_s", "spectrum", "spectrum_optimized")]]
+    # a locked point so strongly driven that |Q|**2 overflows, and a kappa so
+    # small that gamma / kappa does and the moments come out NaN
+    + [("spectrum", name, section, key, value, expected)
+       for section, key, value, expected in [("pump", "p_in_w", [1e150], _Q_RANGE),
+                                             ("resonator", "g_opt_rad_s", 1e150, _Q_RANGE),
+                                             ("resonator", "lambda_m", 1e150, _Q_RANGE),
+                                             ("resonator", "kappa_rad_s", 1e-300, _MOMENTS)]
+       for name in ("spectrum_locking", "spectrum_optimized")]
 )
 _RANGE_CASES = [(cmd, _sample_with(name, section, key, value), expected)
                 for cmd, name, section, key, value, expected in _RANGE]
@@ -446,3 +457,55 @@ def test_detuning_spectrum_sweeps_once_per_power_and_direction(tmp_path, monkeyp
     lead = [line.split(",")[:3] for line in out.read_text().splitlines()[1:]]
     assert [row[0] for row in lead] == ["1.0"] * 12 + ["0.5"] * 12
     assert lead[:12] == [["1.0"] + row[1:] for row in lead[12:]]
+
+
+def test_locking_spectrum_locks_each_power_once(tmp_path, monkeypatch):
+    calls = []
+    real_lock = steady_state.injection_locking_point
+
+    def counting_lock(params, p_in, omega_p=None):
+        calls.append(p_in)
+        return real_lock(params, p_in, omega_p)
+
+    monkeypatch.setattr(steady_state, "injection_locking_point", counting_lock)
+    config = {"resonator": _RESONATOR, "pump": {"p_in_w": [1e-3, 2e-3, 3e-3]},
+              "detection": {"eta": [1.0, 0.5]}, "spectrum": {"mode": "locking"},
+              "grid": {"omega_rad_s": [0.0, 1e8], "phi_lo_rad": 0.0}}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    assert calls == [1e-3, 2e-3, 3e-3]
+    # rows stay eta-major, then power, then omega
+    lead = [line.split(",")[:3] for line in out.read_text().splitlines()[1:]]
+    assert lead == [[eta, p, w] for eta in ("1.0", "0.5") for p in ("0.001", "0.002", "0.003")
+                    for w in ("0.0", "100000000.0")]
+
+
+@pytest.mark.parametrize("cmd,keys", [("threshold", ["p_th_w"]),
+                                      ("report", ["p_th_model_w", "p_th_w"])])
+def test_absent_threshold_is_null(cmd, keys, tmp_path):
+    # without Kerr gain there is no threshold; JSON has no Infinity, so the
+    # report writes null there, and the key,value CSV writes None
+    cfg = _sample_with(cmd, "resonator", "g_opt_rad_s", 0.0)
+    cfg.get("report", {}).pop("p_th_w", None)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.json"
+    assert main([cmd, "--config", str(path), "--out", str(out)]) == 0
+    body = json.loads(out.read_text())
+    assert [body[k] for k in keys] == [None] * len(keys)
+    assert main([cmd, "--config", str(path), "--out", str(out), "--format", "csv"]) == 0
+    assert [f"{k},None" for k in keys] == [line for line in out.read_text().splitlines()
+                                           if line.split(",")[0] in keys]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_output_never_holds_non_finite_numbers(bad):
+    # json.dumps would write the invalid tokens NaN and Infinity
+    with pytest.raises(ModelError, match="output is not valid JSON"):
+        render_json({"a": [1.0, bad]})
+    with pytest.raises(ModelError, match="output is not valid JSON"):
+        render_json({"a": np.array([bad])})
+    with pytest.raises(ModelError, match="output is not valid JSON"):
+        render_json({"a": {"b": bad}})

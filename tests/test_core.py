@@ -161,6 +161,10 @@ class TestDecibels:
             db_from_linear(0.0)
         with pytest.raises(NonPositive):
             db_from_linear(-2.0)
+        # NaN compares false with 0, so a plain v <= 0 test let it through
+        for v in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonPositive, match="finite and > 0"):
+                db_from_linear(v)
 
     @given(st.floats(min_value=-60.0, max_value=60.0))
     def test_round_trip(self, db):

@@ -33,6 +33,7 @@ from kerrsqueeze import (
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kerrsqueeze"
 PARAMS = ResonatorParams(kappa=515e6, gamma=192e6, g_opt=1.4, lambda_r=1550e-9)
 OMEGA_P = PARAMS.resonance_omega
+TINY_KAPPA = ResonatorParams(kappa=1e-300, gamma=192e6, g_opt=1.4, lambda_r=1550e-9)
 
 
 def _fit_shift(p_in, omega_p):
@@ -86,6 +87,16 @@ OUT_OF_RANGE = {
     # the locking detuning -(g_opt + g_th) * n_lock overflows
     "injection_locking_point": lambda: injection_locking_point(
         ResonatorParams(kappa=515e6, gamma=192e6, g_th=1e300), 1.0, OMEGA_P),
+    # |Q|**2 overflows a Python float at a locked point this strongly driven
+    "variance_spectrum-p_in": lambda: variance_spectrum(
+        PARAMS, injection_locking_point(PARAMS, 1e150, OMEGA_P)[1], 0.0, 0.0),
+    "variance_extrema-p_in": lambda: variance_extrema(
+        PARAMS, injection_locking_point(PARAMS, 1e150, OMEGA_P)[1], 2.5),
+    # gamma / kappa overflows and inf * 0 makes the moments NaN, even undriven
+    "variance_spectrum-kappa": lambda: variance_spectrum(
+        TINY_KAPPA, injection_locking_point(TINY_KAPPA, 0.0, OMEGA_P)[1], 1e8, 0.3),
+    "variance_extrema-kappa": lambda: variance_extrema(
+        TINY_KAPPA, injection_locking_point(TINY_KAPPA, 7.59e-3, OMEGA_P)[1], -0.0),
 }
 
 

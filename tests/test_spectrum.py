@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from kerrsqueeze import (
 )
 from kerrsqueeze.spectrum import _output_moments
 
-from oracles import locked_closed_forms, phase_extrema_scan
+from oracles import locked_closed_forms, phase_extrema_scan, two_call_moments
 
 OM = omega_from_wavelength(1550e-9)
 
@@ -385,3 +386,38 @@ def test_variance_positive_and_lossy_floor_property(frac, w_rel, phi, eta):
     pt = variance_spectrum(params, b, w_rel * loss, phi, eta)
     assert pt.v > 0.0
     assert pt.v >= (1.0 - eta) - 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kappa=st.floats(min_value=1e6, max_value=1e11),
+    gamma=st.floats(min_value=0.0, max_value=1e11),
+    g_opt=st.floats(min_value=0.0, max_value=1e3),
+    g_th=st.sampled_from([0.0, 0.0, 50.0, 500.0]),
+    p_in=st.floats(min_value=0.0, max_value=0.1),
+    frac=st.one_of(st.none(), st.floats(min_value=-40.0, max_value=5.0)),
+    omega=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-1e11, max_value=-1e-3),
+                    st.floats(min_value=1e-3, max_value=1e11)),
+    eta=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_one_solve_moments_match_two_solves(kappa, gamma, g_opt, g_th, p_in, frac, omega, eta):
+    # Q(-w) has Q(w)'s diagonal swapped and conjugated and the same
+    # off-diagonal, so one solve gives the moments that solving at w and
+    # again at -w gave, bit for bit; frac None takes the locked branch,
+    # otherwise the stable roots at frac linewidths from the cold line
+    params = ResonatorParams(kappa=kappa, gamma=gamma, g_opt=g_opt, g_th=g_th,
+                             lambda_r=1550e-9)
+    if frac is None:
+        branches = [lock(params, p_in)]
+    else:
+        roots = steady_roots(params, frac * total_loss(params), p_in, OM)
+        branches = [b for b in roots if b.stable]
+    for b in branches:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinearizationWarning)
+            try:
+                got = _output_moments(params, b, omega, eta)
+            except SingularMatrix:
+                continue
+        assert repr(got) == repr(two_call_moments(params, b, omega, eta))
+

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -17,12 +18,13 @@ from kerrsqueeze import (
     transmission,
 )
 
-from kerrsqueeze.steady_state import _branch, _grid_roots
+from kerrsqueeze.steady_state import _grid_roots
 from oracles import (
     loop_sweep,
     pow_lineshape,
     scaled_discriminant,
     scaled_roots_brute,
+    scalar_branch,
     two_step_branch_pick,
 )
 
@@ -290,7 +292,7 @@ def test_sweep_matches_two_step_rule(tenth_g, th_frac, zero_power, lo, width, po
     forward = (points == 1 or grid[1] > grid[0]) == (direction == "up")
     order = range(points) if forward else range(points - 1, -1, -1)
     chosen = two_step_branch_pick(u, stable, order)
-    ref = [_branch(params, grid[i], u[i, j] * n_lock, bool(stable[i, j]))
+    ref = [scalar_branch(params, grid[i], u[i, j] * n_lock, bool(stable[i, j]))
            for i, j in enumerate(chosen)]
     assert tr.n.tobytes() == np.array([b.n for b in ref]).tobytes()
     assert [b.stable for b in tr.branches] == [b.stable for b in ref]
@@ -352,3 +354,33 @@ def test_sweep_transmission_is_the_scalar_lineshape(kappa, gamma, tenth_g, zero_
     ref = np.array([pow_lineshape(b.delta_cl, kappa, gamma) for b in tr.branches])
     ulps = np.abs(tr.transmission.view(np.int64) - ref.view(np.int64))
     assert ulps.max() <= 4, (ulps.max(), tr.transmission[ulps.argmax()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kappa=st.floats(min_value=1e6, max_value=1e11),
+    gamma=st.floats(min_value=0.0, max_value=1e11),
+    tenth_g=st.integers(min_value=0, max_value=600),
+    th_frac=st.floats(min_value=0.0, max_value=1.0),
+    power=st.sampled_from([0.0, 1e-6, 1.0, 1.7, 250.0]),
+    frac=st.floats(min_value=-1.5, max_value=0.2),
+)
+def test_scalar_calls_match_the_per_point_rule(kappa, gamma, tenth_g, th_frac, power, frac):
+    # steady_roots and injection_locking_point derive delta_cl, delta_f and
+    # alpha_phase with the sweep's column helper; each field keeps the bits
+    # the per-point rule gave, -0.0 included
+    g = tenth_g / 10.0
+    params, p_in, _ = params_for_scaled(g, kappa=kappa, gamma=gamma, th_frac=th_frac)
+    p_in *= power
+    delta_p = frac * (g + 1.0) * total_loss(params)
+
+    u, stable, n_lock = _grid_roots(params, np.array([delta_p]), p_in, OM)
+    ref = [scalar_branch(params, delta_p, u[0, j] * n_lock, bool(stable[0, j]))
+           for j in range(3) if not math.isnan(u[0, j])]
+    got = steady_roots(params, delta_p, p_in, OM)
+    assert [repr(astuple(b)) for b in got] == [repr(astuple(b)) for b in ref]
+
+    delta_p_lock, branch = injection_locking_point(params, p_in, OM)
+    ref_lock = -(params.g_opt + params.g_th) * n_lock
+    assert repr(delta_p_lock) == repr(ref_lock)
+    assert repr(astuple(branch)) == repr(astuple(scalar_branch(params, ref_lock, n_lock, True)))
