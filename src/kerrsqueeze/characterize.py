@@ -265,12 +265,17 @@ def fit_shift_coefficient(
 
 def g_opt_from_threshold(p_th: float, kappa: float, gamma: float, lambda_p: float) -> float:
     """Kerr gain per photon from an observed threshold power."""
-    if p_th <= 0:
+    if not p_th > 0:
         raise NonPositive(f"p_th must be > 0, got {p_th}")
-    if kappa <= 0 or gamma < 0:
-        raise NonPositive("kappa must be > 0 and gamma >= 0")
+    ResonatorParams(kappa=kappa, gamma=gamma)  # the loss-rate rules
     omega_p = omega_from_wavelength(lambda_p)
-    return (kappa + gamma) ** 3 * HBAR * omega_p / (8.0 * kappa * p_th)
+    try:
+        g_opt = (kappa + gamma) ** 3 * HBAR * omega_p / (8.0 * kappa * p_th)
+    except (OverflowError, ZeroDivisionError):  # Python floats raise out of range
+        g_opt = math.inf
+    if not 0.0 < g_opt < math.inf:
+        raise NonPositive(f"Kerr gain out of float range: {g_opt!r} rad/s")
+    return g_opt
 
 
 def fit_dispersion(

@@ -495,9 +495,9 @@ def cmd_spectrum(cfg: RunConfig) -> Table:
     points: List[Tuple[List[Any], float, steady_state.SteadyStateBranch, Optional[float]]]
     if locked:
         head = ["eta", "p_in_w"]
-        p_th = core.threshold_power(params, omega_p, allow_infinite=True)
+        p_th = core.threshold_power(params, omega_p)
         locks = [(p_in, steady_state.injection_locking_point(params, p_in, omega_p)[1],
-                  0.0 if math.isinf(p_th) else p_in / p_th) for p_in in powers]
+                  p_in / p_th) for p_in in powers]
         points = [([eta, p_in], eta, branch, st) for eta in etas for p_in, branch, st in locks]
     else:
         head = ["eta", "p_in_w", "direction", "delta_p_rad_s", "n_photons"]
@@ -562,7 +562,7 @@ def cmd_threshold(cfg: RunConfig) -> Dict[str, Any]:
     sec = cfg.section("pump", required=False)
     omega_p_cfg = _num(sec, "omega_p_rad_s", "pump", required=False) if sec else None
     omega_p = _resolve_omega_p(params, omega_p_cfg)
-    p_th = core.threshold_power(params, omega_p, allow_infinite=True)
+    p_th = core.threshold_power(params, omega_p)
     return {
         "kappa_rad_s": params.kappa,
         "gamma_rad_s": params.gamma,
@@ -583,7 +583,7 @@ def cmd_report(cfg: RunConfig) -> Dict[str, Any]:
     etas, budget = parse_detection(cfg)
     eta = etas[0]
     rep_sec = cfg.section("report", required=False)
-    p_th_model = core.threshold_power(params, omega_p, allow_infinite=True)
+    p_th_model = core.threshold_power(params, omega_p)
     p_th_override = _num(rep_sec, "p_th_w", "report", required=False)
     p_th_used = p_th_model if p_th_override is None else p_th_override
 
@@ -628,8 +628,7 @@ def cmd_report(cfg: RunConfig) -> Dict[str, Any]:
             "x": drv.x,
             "n_fluct_out": drv.n_fluct_out,
             "r": drv.r,
-            "phi_opt_rad": (spectrum.optimal_phase(p_in, p_th_used)
-                            if p_in > 0 and math.isfinite(p_th_used) else None),
+            "phi_opt_rad": chip.phi_opt if chip is not None and p_in > 0 else None,
         },
         "detection": {
             "eta": eta,

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .errors import InvalidEfficiency, ModelError, NonPositive, ZeroGain
+from .errors import InvalidEfficiency, ModelError, NonPositive
 
 # CODATA values; fixed rather than imported so results are bit-stable.
 HBAR = 1.054571817e-34   # reduced Planck constant [J s]
@@ -167,30 +167,31 @@ def locked_photon_number(params: ResonatorParams, p_in: float, omega_p: float) -
     return n_lock
 
 
-def threshold_power(
-    params: ResonatorParams,
-    omega_p: float,
-    *,
-    allow_infinite: bool = False,
-) -> float:
+def drive_ratio(p_in: float, p_th: float) -> float:
+    """Drive ratio sigma_tilde = P_in / P_th; an absent threshold (inf) gives 0.0.
+
+    Rejects NaN for either power, and a ratio whose square is not finite.
+    """
+    if not p_in >= 0:
+        raise NonPositive(f"p_in must be >= 0, got {p_in}")
+    if not p_th > 0:
+        raise NonPositive(f"p_th must be > 0, got {p_th}")
+    sigma_tilde = p_in / p_th
+    if not math.isfinite(sigma_tilde * sigma_tilde):
+        raise NonPositive(f"p_in / p_th = {sigma_tilde!r}: its square is not finite")
+    return sigma_tilde
+
+
+def threshold_power(params: ResonatorParams, omega_p: float) -> float:
     """Pump power [W] at which classical four-wave mixing reaches threshold.
 
-    Parameters
-    ----------
-    params : ResonatorParams
-    omega_p : float
-        Pump angular frequency [rad/s].
-    allow_infinite : bool
-        With ``g_opt == 0`` the threshold does not exist. By default that
-        raises :class:`ZeroGain`; with this flag it returns ``math.inf`` so
-        linear-resonator workflows stay usable.
+    With ``g_opt == 0`` the threshold does not exist and this returns
+    ``math.inf``, so linear-resonator workflows stay usable.
     """
     if omega_p <= 0:
         raise NonPositive(f"omega_p must be > 0, got {omega_p}")
     if params.g_opt == 0:
-        if allow_infinite:
-            return math.inf
-        raise ZeroGain("g_opt = 0: no parametric threshold")
+        return math.inf
     loss = total_loss(params)
     try:
         p_th = loss**3 * HBAR * omega_p / (8.0 * params.g_opt * params.kappa)
@@ -215,16 +216,10 @@ def drive_state(
     flux lives in :func:`kerrsqueeze.spectrum.fluctuation_flux`. Passing
     ``p_th`` substitutes a measured threshold for the modelled one.
     """
-    if p_in < 0:
-        raise NonPositive(f"p_in must be >= 0, got {p_in}")
     check_eta(eta)
     if p_th is None:
-        p_th = threshold_power(params, omega_p, allow_infinite=True)
-    elif p_th <= 0:
-        raise NonPositive(f"p_th must be > 0, got {p_th}")
-    sigma_tilde = 0.0 if math.isinf(p_th) else p_in / p_th
-    if not math.isfinite(sigma_tilde * sigma_tilde):
-        raise NonPositive(f"p_in / p_th = {sigma_tilde!r}: its square is not finite")
+        p_th = threshold_power(params, omega_p)
+    sigma_tilde = drive_ratio(p_in, p_th)
     x = sigma_tilde / math.sqrt(1.0 + sigma_tilde * sigma_tilde)
     n_fluct = 4.0 * eta * params.kappa / total_loss(params) * sigma_tilde
     return DriveState(
@@ -243,5 +238,14 @@ def db_from_linear(v: float) -> float:
 
 
 def linear_from_db(db: float) -> float:
-    """dB to power ratio; exact inverse of :func:`db_from_linear`."""
-    return 10.0 ** (db / 10.0)
+    """dB to power ratio; exact inverse of :func:`db_from_linear`.
+
+    Raises NonPositive when the ratio is not finite (so also for NaN).
+    """
+    try:
+        v = 10.0 ** (db / 10.0)
+    except OverflowError:  # Python's float ** raises out of range
+        v = math.inf
+    if not v < math.inf:
+        raise NonPositive(f"power ratio of {db!r} dB is not finite")
+    return v

@@ -9,10 +9,6 @@ class ModelError(ValueError):
     """Base class for all domain errors raised by this package."""
 
 
-class ZeroGain(ModelError):
-    """Kerr gain is zero, so the parametric threshold does not exist."""
-
-
 class NonPositive(ModelError):
     """A quantity that must be positive (or non-negative) is not."""
 

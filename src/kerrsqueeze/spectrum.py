@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Tuple
 
-from .core import ResonatorParams, check_eta, total_loss
+from .core import ResonatorParams, check_eta, drive_ratio, total_loss
 from .errors import (
     LinearizationWarning,
     ModelError,
@@ -115,9 +115,11 @@ def _output_moments(
     if not fro2 < math.inf:
         raise NonPositive(f"fluctuation system matrix out of float range at omega = {omega!r} rad/s")
     _warn_if_near_critical(_critical_distance(params, branch), stacklevel=4)
-    # exact 2-norm condition number of a 2x2: s_max^2 / |det|
-    s_max2 = (fro2 + math.sqrt(max(fro2 * fro2 - 4.0 * absdet * absdet, 0.0))) / 2.0
-    if absdet == 0.0 or s_max2 / absdet > 1e12:
+    # exact 2-norm condition number of a 2x2, s_max^2 / |det|, in its
+    # scale-free form (1 + sqrt(1 - 4 r^2)) / (2 r) with r = |det| / fro2,
+    # so squaring fro2 cannot overflow for large |Q|
+    r = absdet / fro2 if absdet else 0.0
+    if r == 0.0 or (1.0 + math.sqrt(max(1.0 - 4.0 * r * r, 0.0))) / (2.0 * r) > 1e12:
         raise SingularMatrix(
             "fluctuation system matrix is ill-conditioned; the operating "
             "point sits at a marginally stable branch fold"
@@ -212,13 +214,8 @@ def locked_variances(
     evaluated in a cancellation-free form so the large-drive limit is exact.
     """
     check_eta(eta)
-    if p_th <= 0 or kappa <= 0 or gamma < 0:
-        raise NonPositive("p_th and kappa must be > 0, gamma >= 0")
-    if p_in < 0:
-        raise NonPositive(f"p_in must be >= 0, got {p_in}")
-    st = p_in / p_th
-    if not math.isfinite(st * st):
-        raise NonPositive(f"p_in / p_th = {st!r}: its square is not finite")
+    ResonatorParams(kappa=kappa, gamma=gamma)  # the loss-rate rules
+    st = drive_ratio(p_in, p_th)
     _warn_if_near_critical(st / math.sqrt(1.0 + st * st), stacklevel=3)
     loss = kappa + gamma
     c = 4.0 * eta * kappa / loss
@@ -232,10 +229,7 @@ def locked_variances(
 
 def optimal_phase(p_in: float, p_th: float) -> float:
     """LO phase minimizing the locked variance; in (-pi/4, 0)."""
-    if p_th <= 0:
-        raise NonPositive(f"p_th must be > 0, got {p_th}")
-    if p_in < 0:
-        raise NonPositive(f"p_in must be >= 0, got {p_in}")
+    drive_ratio(p_in, p_th)  # the drive rules; the formula needs p_th / p_in
     if p_in == 0:
         raise ZeroPower("optimal phase undefined at zero input power")
     return 0.5 * math.atan(-p_th / (2.0 * p_in))

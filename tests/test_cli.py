@@ -384,6 +384,8 @@ _RANGE = (
 _RANGE_CASES = [(cmd, _sample_with(name, section, key, value), expected)
                 for cmd, name, section, key, value, expected in _RANGE]
 _RANGE_IDS = [f"{name}-{key}-{value!r}" for _, name, _, key, value, _ in _RANGE]
+_ILL_CONDITIONED = _sample_with("spectrum_optimized", "pump", "p_in_w", [1.144e147])
+_ILL_CONDITIONED["resonator"].update(kappa_rad_s=1e80, gamma_rad_s=0.0)
 
 
 @pytest.mark.parametrize("cmd,config,expected", [
@@ -413,11 +415,15 @@ _RANGE_IDS = [f"{name}-{key}-{value!r}" for _, name, _, key, value, _ in _RANGE]
      "energy_j not finite at delta_p = -30000000000.0 rad/s"),
     ("sweep", _sample_with("sweep", "resonator", "n_eff", 1e-300),
      "circulating_power_w not finite at delta_p = -30000000000.0 rad/s"),
+    # locked at 1e7 P_th the matrix is as ill-conditioned as at kappa 5e8, but
+    # |Q|^4 overflows; the condition check must still fire
+    pytest.param("spectrum", _ILL_CONDITIONED, "fluctuation system matrix is ill-conditioned",
+                 marks=pytest.mark.filterwarnings("ignore::kerrsqueeze.LinearizationWarning")),
 ] + _RANGE_CASES, ids=["grid-1e300", "g_opt-1e300", "spectrum-grid-1e300", "fit.input",
                        "dispersion.input", "trace.input", "trace.reference",
                        "detection.budget_path", "losses.budget_path", "points-10_000_001",
                        "points-10**400", "grid-1e155", "sweep-lambda_m-1e-300",
-                       "sweep-n_eff-1e-300"] + _RANGE_IDS)
+                       "sweep-n_eff-1e-300", "spectrum_optimized-kappa-1e80"] + _RANGE_IDS)
 def test_out_of_range_configs_are_one_line_errors(cmd, config, expected, tmp_path, capsys):
     # inputs whose steady state, transmission, locked point, threshold, path
     # or grid size the program cannot use end in one typed error, not a
@@ -431,6 +437,21 @@ def test_out_of_range_configs_are_one_line_errors(cmd, config, expected, tmp_pat
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert expected in err, err
+    assert not out.exists()
+
+
+def test_reduce_trace_out_of_range_level_is_one_line_error(tmp_path, capsys):
+    # 40000 dBm over a -60 dBm reference is 10**4006 as a power ratio
+    meta = "# center_hz=100000000.0\n# rbw_hz=300000.0\n# vbw_hz=300.0\nt_s,power_dbm\n"
+    (tmp_path / "t.csv").write_text(meta + "0.0,40000.0\n")
+    (tmp_path / "r.csv").write_text(meta + "0.0,-60.0\n")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"trace": {"input": "t.csv", "reference": "r.csv"}}))
+    out = tmp_path / "out.txt"
+    rc = main(["reduce-trace", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: power ratio of 40060.0 dB is not finite\n", err
     assert not out.exists()
 
 

@@ -18,9 +18,12 @@ from kerrsqueeze import (
     drive_state,
     fit_shift_coefficient,
     fluctuation_flux,
+    g_opt_from_threshold,
     infer_chip_variance,
     injection_locking_point,
+    linear_from_db,
     locked_variances,
+    optimal_phase,
     propagate_variance,
     steady_roots,
     sweep,
@@ -36,11 +39,11 @@ OMEGA_P = PARAMS.resonance_omega
 TINY_KAPPA = ResonatorParams(kappa=1e-300, gamma=192e6, g_opt=1.4, lambda_r=1550e-9)
 
 
-def _fit_shift(p_in, omega_p):
+def _fit_shift(p_in, omega_p, kappa=PARAMS.kappa, gamma=PARAMS.gamma):
     freq = np.linspace(-6e9, 2e9, 8)
     traces = [TransmissionTrace(freq=freq, transmission=np.full(8, 0.5), p_in=p)
               for p in (1e-4, p_in)]
-    return fit_shift_coefficient(traces, PARAMS.kappa, PARAMS.gamma, omega_p)
+    return fit_shift_coefficient(traces, kappa, gamma, omega_p)
 
 
 PUMP_ENTRY_POINTS = {
@@ -60,6 +63,47 @@ PUMP_ENTRY_POINTS = {
 def test_pump_rule_rejects_bad_power_and_frequency(entry, p_in, omega_p):
     with pytest.raises(NonPositive):
         PUMP_ENTRY_POINTS[entry](p_in, omega_p)
+
+
+DRIVE_ENTRY_POINTS = {
+    "drive_state": lambda p_in, p_th: drive_state(PARAMS, p_in, OMEGA_P, p_th=p_th),
+    "locked_variances": lambda p_in, p_th: locked_variances(
+        p_in, p_th, PARAMS.kappa, PARAMS.gamma),
+    "optimal_phase": optimal_phase,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DRIVE_ENTRY_POINTS))
+@pytest.mark.parametrize("p_in,p_th", [
+    (-1.0, 8e-3), (math.nan, 8e-3), (math.inf, 8e-3), (1e-3, 0.0), (1e-3, -1.0), (1e-3, math.nan),
+], ids=["negative-power", "nan-power", "inf-power", "zero-p_th", "negative-p_th", "nan-p_th"])
+def test_drive_rule_rejects_bad_power_and_threshold(entry, p_in, p_th):
+    with pytest.raises(NonPositive):
+        DRIVE_ENTRY_POINTS[entry](p_in, p_th)
+
+
+def test_drive_rule_rejects_infinite_power_without_threshold():
+    # the absent threshold is inf, and inf / inf is not a drive ratio
+    no_gain = ResonatorParams(kappa=515e6, gamma=192e6, lambda_r=1550e-9)
+    with pytest.raises(NonPositive):
+        drive_state(no_gain, math.inf, OMEGA_P)
+
+
+RATE_ENTRY_POINTS = {
+    "locked_variances": lambda kappa, gamma: locked_variances(1e-3, 8e-3, kappa, gamma),
+    "g_opt_from_threshold": lambda kappa, gamma: g_opt_from_threshold(
+        8e-3, kappa, gamma, 1550e-9),
+    "fit_shift_coefficient": lambda kappa, gamma: _fit_shift(1e-3, OMEGA_P, kappa, gamma),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RATE_ENTRY_POINTS))
+@pytest.mark.parametrize("kappa,gamma", [
+    (0.0, 192e6), (math.nan, 192e6), (math.inf, 192e6), (515e6, -1.0), (515e6, math.nan),
+], ids=["zero-kappa", "nan-kappa", "inf-kappa", "negative-gamma", "nan-gamma"])
+def test_rate_rule_rejects_bad_loss_rates(entry, kappa, gamma):
+    with pytest.raises(ModelError):
+        RATE_ENTRY_POINTS[entry](kappa, gamma)
 
 
 OUT_OF_RANGE = {
@@ -84,6 +128,10 @@ OUT_OF_RANGE = {
         ResonatorParams(kappa=515e6, gamma=192e6, g_opt=1e300), OMEGA_P),
     "threshold_power-kappa": lambda: threshold_power(
         ResonatorParams(kappa=1e300, gamma=192e6, g_opt=1.4), OMEGA_P),
+    "g_opt_from_threshold-kappa": lambda: g_opt_from_threshold(8e-3, 1e300, 192e6, 1550e-9),
+    # 10**(db / 10) raises OverflowError above about 3082 dB; NaN dB is no ratio
+    "linear_from_db-overflow": lambda: linear_from_db(40060.0),
+    "linear_from_db-nan": lambda: linear_from_db(math.nan),
     # the locking detuning -(g_opt + g_th) * n_lock overflows
     "injection_locking_point": lambda: injection_locking_point(
         ResonatorParams(kappa=515e6, gamma=192e6, g_th=1e300), 1.0, OMEGA_P),

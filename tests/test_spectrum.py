@@ -365,6 +365,15 @@ class TestGuards:
         with pytest.raises(SingularMatrix), pytest.warns(LinearizationWarning):
             variance_spectrum(p, b, 0.0, 0.0)
 
+    def test_singular_matrix_independent_of_scale(self):
+        # the same drive far above threshold is ill-conditioned at any loss
+        # rate, also where |Q|^4 leaves the float range
+        for kappa in (5e8, 1e80):
+            p = ResonatorParams(kappa=kappa, gamma=0.0, g_opt=1.0, lambda_r=1550e-9)
+            b = lock(p, 1e7 * threshold_power(p, OM))
+            with pytest.raises(SingularMatrix), pytest.warns(LinearizationWarning):
+                variance_extrema(p, b, 0.0)
+
     def test_eta_validation(self, device_params):
         b = lock(device_params, 1e-3)
         with pytest.raises(InvalidEfficiency):
