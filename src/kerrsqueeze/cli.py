@@ -367,9 +367,15 @@ def _column(path: Path, columns: List[str], rows: List[List[str]],
     j = columns.index(name)
     vals = []
     for row, lineno in zip(rows, lineno_of_row):
-        if j >= len(row):
-            raise SchemaError(f"{path.name}: line {lineno}: row has no column '{name}'")
-        vals.append(_csv_number(row[j], f"{path.name}: line {lineno}: column '{name}'"))
+        try:
+            value = float(row[j])
+        except (IndexError, ValueError):
+            value = math.nan
+        if not math.isfinite(value):  # only a failing cell pays for its location
+            if j >= len(row):
+                raise SchemaError(f"{path.name}: line {lineno}: row has no column '{name}'")
+            _csv_number(row[j], f"{path.name}: line {lineno}: column '{name}'")
+        vals.append(value)
     return np.array(vals)
 
 

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import InvalidEfficiency, ModelError, NonPositive
 
 # CODATA values; fixed rather than imported so results are bit-stable.
@@ -75,6 +77,9 @@ class ResonatorParams:
             raise NonPositive(f"kappa must be > 0, got {self.kappa}")
         if self.gamma < 0:
             raise NonPositive(f"gamma must be >= 0, got {self.gamma}")
+        # one home for the total loss rate: every Gamma-based formula needs it finite
+        if not math.isfinite(self.kappa + self.gamma):
+            raise NonPositive(f"kappa + gamma must be finite, got {self.kappa} + {self.gamma}")
         if self.g_opt < 0:
             raise NonPositive(f"g_opt must be >= 0, got {self.g_opt}")
         if self.g_th < 0:
@@ -116,8 +121,12 @@ class PumpConfig:
     direction: str = "down"
 
     def __post_init__(self) -> None:
-        if self.p_in < 0:
-            raise NonPositive(f"p_in must be >= 0, got {self.p_in}")
+        if not 0.0 <= self.p_in < math.inf:
+            raise NonPositive(f"p_in must be finite and >= 0, got {self.p_in}")
+        if self.delta_p is not None and np.isnan(self.delta_p).any():
+            raise ModelError("delta_p must not be NaN")
+        if self.omega_p is not None and math.isnan(self.omega_p):
+            raise ModelError("omega_p must not be NaN")
         if self.direction not in ("up", "down"):
             raise ModelError(f"direction must be 'up' or 'down', got {self.direction!r}")
 

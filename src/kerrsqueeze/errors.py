@@ -18,7 +18,7 @@ class InvalidEfficiency(ModelError):
 
 
 class ZeroPower(ModelError):
-    """Operation undefined at zero input power."""
+    """Operation undefined at zero input power or zero drive ratio."""
 
 
 class SingularMatrix(ModelError):

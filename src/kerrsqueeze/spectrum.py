@@ -223,15 +223,19 @@ def locked_variances(
     # st*root - st^2 == st/(4*(root + st)), exact also for st >> 1
     v_s = 1.0 - 2.0 * c * st * 0.25 / (root + st) if st > 0 else 1.0
     v_as = 1.0 + 2.0 * c * (st * root + st * st)
-    phi = optimal_phase(p_in, p_th) if p_in > 0 else 0.0
+    phi = optimal_phase(p_in, p_th) if st > 0 else 0.0
     return SqueezingResult(v_s=v_s, v_as=v_as, phi_opt=phi, sigma=loss * st, eta=eta)
 
 
 def optimal_phase(p_in: float, p_th: float) -> float:
-    """LO phase minimizing the locked variance; in (-pi/4, 0)."""
-    drive_ratio(p_in, p_th)  # the drive rules; the formula needs p_th / p_in
-    if p_in == 0:
-        raise ZeroPower("optimal phase undefined at zero input power")
+    """LO phase minimizing the locked variance; in (-pi/4, 0).
+
+    Raises ZeroPower at drive ratio 0: zero power, an absent (inf) threshold
+    or a ratio that underflows, where atan would give the excluded -pi/4.
+    """
+    if drive_ratio(p_in, p_th) == 0.0:
+        raise ZeroPower(f"optimal phase undefined at drive ratio 0: p_in = {p_in!r} W, "
+                        f"p_th = {p_th!r} W")
     return 0.5 * math.atan(-p_th / (2.0 * p_in))
 
 

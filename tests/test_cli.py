@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -235,14 +237,70 @@ def test_module_invocation_smoke(sample_dir, tmp_path):
     assert out.read_text().startswith("p_in_w,")
 
 
-def test_start_up_does_not_import_scipy():
+@pytest.mark.parametrize("imports,module", [
     # only the two fitters need scipy; every other subcommand starts without it
+    ("kerrsqueeze, kerrsqueeze.cli", "scipy"),
+    # the package namespace is lazy, so the CLI can set BLAS threading first
+    ("kerrsqueeze", "numpy"),
+], ids=["cli-without-scipy", "package-without-numpy"])
+def test_start_up_does_not_import_scipy(imports, module):
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, kerrsqueeze, kerrsqueeze.cli; assert 'scipy' not in sys.modules"],
+        [sys.executable, "-c", f"import sys, {imports}; assert {module!r} not in sys.modules"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_namespace_exports_submodule_objects():
+    import kerrsqueeze
+    for name in kerrsqueeze.__all__:
+        module = importlib.import_module(f"kerrsqueeze.{kerrsqueeze._EXPORTS[name]}")
+        assert getattr(kerrsqueeze, name) is getattr(module, name), name
+        assert name in dir(kerrsqueeze), name
+    assert len(kerrsqueeze.__all__) == len(set(kerrsqueeze.__all__)) == 58
+    with pytest.raises(AttributeError):
+        kerrsqueeze.no_such_name
+
+
+def _env_without_blas_threads(**extra):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(extra)
+    return env
+
+
+@pytest.mark.parametrize("extra,expected", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")],
+                         ids=["unset-defaults-to-1", "caller-setting-wins"])
+def test_console_entry_module_sets_blas_default_without_running(extra, expected):
+    # the installed `kerrsqueeze` script imports kerrsqueeze.__main__ and calls main
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, kerrsqueeze.__main__; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, env=_env_without_blas_threads(**extra),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected + "\n"
+    assert proc.stderr == ""
+
+
+def test_cli_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits dot products over 10,000 elements across its threads,
+    # so on a multi-core host a long fit's sums change with the thread count
+    rng = np.random.default_rng(7)
+    freq = np.linspace(-5e9, 5e9, 20_001)
+    trans = steady_state.lineshape(freq, 515e6, 192e6) + rng.normal(0.0, 1e-3, freq.size)
+    (tmp_path / "t.csv").write_text("delta_p_rad_s,transmission\n" + "".join(
+        f"{f!r},{t!r}\n" for f, t in zip(freq.tolist(), trans.tolist())))
+    (tmp_path / "c.json").write_text(json.dumps({"fit": {"input": "t.csv"}}))
+    outs = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kerrsqueeze", "fit-transmission",
+             "--config", str(tmp_path / "c.json")],
+            capture_output=True, text=True, env=_env_without_blas_threads(**extra),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_missing_input_file_named_in_error(tmp_path, capsys):

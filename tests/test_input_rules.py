@@ -15,6 +15,7 @@ from kerrsqueeze import (
     PumpConfig,
     ResonatorParams,
     TransmissionTrace,
+    ZeroPower,
     drive_state,
     fit_shift_coefficient,
     fluctuation_flux,
@@ -89,6 +90,30 @@ def test_drive_rule_rejects_infinite_power_without_threshold():
         drive_state(no_gain, math.inf, OMEGA_P)
 
 
+@pytest.mark.parametrize("p_in", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_pump_config_rejects_power_not_finite_and_non_negative(p_in):
+    with pytest.raises(NonPositive):
+        PumpConfig(p_in=p_in)
+
+
+@pytest.mark.parametrize("fields", [
+    {"delta_p": math.nan}, {"delta_p": [-1e9, math.nan, 1e9]},
+    {"delta_p": np.array([0.0, math.nan])}, {"omega_p": math.nan},
+], ids=["delta_p-scalar", "delta_p-list", "delta_p-array", "omega_p"])
+def test_pump_config_rejects_nan_placement(fields):
+    with pytest.raises(ModelError):
+        PumpConfig(p_in=1e-3, **fields)
+
+
+@pytest.mark.parametrize("p_in,p_th", [(1e-3, math.inf), (0.0, 8e-3), (5e-324, 1e10)],
+                         ids=["absent-threshold", "zero-power", "underflowed-ratio"])
+def test_optimal_phase_rejects_zero_drive_ratio(p_in, p_th):
+    # atan(-inf) would give -pi/4, outside the documented open range
+    with pytest.raises(ZeroPower):
+        optimal_phase(p_in, p_th)
+    assert locked_variances(p_in, p_th, PARAMS.kappa, PARAMS.gamma).phi_opt == 0.0
+
+
 RATE_ENTRY_POINTS = {
     "locked_variances": lambda kappa, gamma: locked_variances(1e-3, 8e-3, kappa, gamma),
     "g_opt_from_threshold": lambda kappa, gamma: g_opt_from_threshold(
@@ -104,6 +129,17 @@ RATE_ENTRY_POINTS = {
 def test_rate_rule_rejects_bad_loss_rates(entry, kappa, gamma):
     with pytest.raises(ModelError):
         RATE_ENTRY_POINTS[entry](kappa, gamma)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: locked_variances(1e-3, 8e-3, 1e308, 1e308),
+    lambda: drive_state(ResonatorParams(kappa=1e308, gamma=1e308, g_opt=1.0), 1e-3, 1.2e15,
+                        p_th=8e-3),
+], ids=["locked_variances", "drive_state"])
+def test_rate_rule_rejects_overflowing_total_loss(make):
+    # each rate is finite, but kappa + gamma is inf; this once gave NaN variances
+    with pytest.raises(NonPositive, match="kappa \\+ gamma must be finite"):
+        make()
 
 
 OUT_OF_RANGE = {
