@@ -228,6 +228,8 @@ def _fmt(v: Any) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (np.floating, float)):
+        if not math.isfinite(v):
+            raise ModelError(f"output value {float(v)!r} is not finite")
         return repr(float(v))
     if isinstance(v, (np.integer, int)):
         return str(int(v))
@@ -241,7 +243,8 @@ def _py(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [_py(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_py(v) for v in obj.tolist()]
+        # tolist() already gives Python scalars unless the items are objects
+        return [_py(v) for v in obj.tolist()] if obj.dtype.kind == "O" else obj.tolist()
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):
@@ -257,24 +260,43 @@ def _dumps(obj: Any, **kwargs: Any) -> str:
         raise ModelError(f"output is not valid JSON: {e}") from e
 
 
-def _cells(column: Sequence[Any]) -> List[str]:
+def _not_finite(name: str, row: int, value: Any) -> ModelError:
+    return ModelError(f"output column '{name}' row {row + 1}: {float(value)!r} is not finite")
+
+
+def _cells(name: str, column: Sequence[Any]) -> List[str]:
     """One column's CSV cells: float arrays by repr, bool arrays as true/false,
-    string arrays as they are, anything else by _fmt."""
+    string arrays as they are, anything else by _fmt. A NaN or an infinity is
+    a ModelError naming the column and its row (counted from 1)."""
     if isinstance(column, np.ndarray):
         if column.dtype.kind == "f":
-            return list(map(repr, column.tolist()))
+            # repr once per distinct value; keyed on the bits, so -0.0 keeps its sign
+            bits, inverse = np.unique(column.astype(np.float64, copy=False).view(np.int64),
+                                      return_inverse=True)
+            values = bits.view(np.float64)
+            bad = ~np.isfinite(values)
+            if bad.any():
+                row = int(np.flatnonzero(bad[inverse])[0])
+                raise _not_finite(name, row, column[row])
+            text = list(map(repr, values.tolist()))
+            return list(map(text.__getitem__, inverse.tolist()))
         if column.dtype.kind == "b":
             return ["true" if v else "false" for v in column.tolist()]
         if column.dtype.kind == "U":
             return column.tolist()
-    return list(map(_fmt, column))
+    try:
+        return list(map(_fmt, column))
+    except ModelError:
+        row = next(i for i, v in enumerate(column)
+                   if isinstance(v, (np.floating, float)) and not math.isfinite(v))
+        raise _not_finite(name, row, column[row]) from None
 
 
 def render_csv(names: Sequence[str], columns: Sequence[Sequence[Any]],
                meta: Sequence[Tuple[int, str]] = ()) -> str:
     """CSV text from equal-length columns, with '#' metadata lines inserted
     before the given row indices (-1: before the header)."""
-    lines = [",".join(names), *map(",".join, zip(*map(_cells, columns)))]
+    lines = [",".join(names), *map(",".join, zip(*map(_cells, names, columns)))]
     # from the last index back, so the earlier ones still point at their rows;
     # lines that share an index keep their order
     for idx, line in reversed(sorted(meta, key=lambda m: m[0])):

@@ -49,7 +49,7 @@ class SqueezingResult:
 
     v_s: float       # squeezed quadrature ratio, <= 1
     v_as: float      # anti-squeezed quadrature ratio, >= 1
-    phi_opt: float   # LO phase of the variance minimum [rad], in (-pi/4, 0]
+    phi_opt: float   # LO phase of the variance minimum [rad], in [-pi/4, 0]
     sigma: float     # injection parameter [rad/s]
     eta: float       # detection efficiency the ratios include
 
@@ -228,15 +228,17 @@ def locked_variances(
 
 
 def optimal_phase(p_in: float, p_th: float) -> float:
-    """LO phase minimizing the locked variance; in (-pi/4, 0).
+    """LO phase minimizing the locked variance; in [-pi/4, 0).
 
-    Raises ZeroPower at drive ratio 0: zero power, an absent (inf) threshold
-    or a ratio that underflows, where atan would give the excluded -pi/4.
+    Tends to -pi/4 as the drive ratio p_in / p_th goes to 0, and rounds to it
+    once the ratio is below about 1e-16. Raises ZeroPower at drive ratio 0:
+    zero power, an absent (inf) threshold or a ratio that underflows.
     """
     if drive_ratio(p_in, p_th) == 0.0:
         raise ZeroPower(f"optimal phase undefined at drive ratio 0: p_in = {p_in!r} W, "
                         f"p_th = {p_th!r} W")
-    return 0.5 * math.atan(-p_th / (2.0 * p_in))
+    # halving after the division, not doubling p_in, which overflows above ~9e307
+    return 0.5 * math.atan(-p_th / p_in / 2.0)
 
 
 def _check_locked_numbers(sigma_tilde: float, y: float, c: float) -> None:

@@ -20,7 +20,9 @@ N against drive) is flagged unstable; tangency points count as unstable.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 from itertools import repeat
 from typing import List, Optional, Tuple
@@ -165,31 +167,46 @@ def _solve_scaled(g: float, delta: np.ndarray) -> np.ndarray:
     return np.sort(cand, axis=1)
 
 
-def _grid_roots(
-    params: ResonatorParams, delta_p: np.ndarray, p_in: float, omega_p: float
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Scaled roots and stability flags for a whole detuning grid.
+@functools.lru_cache(maxsize=1)
+def _scaled_roots(g_bits: bytes, d_bits: bytes) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only (u_roots, stable) of the scaled cubic for ``g`` and grid ``d``
+    given by their float64 bytes.
 
-    Returns (u_roots, stable, n_lock) where u_roots is (K, 3) NaN-padded.
-    Raises ModelError when some grid point has no finite root.
+    One entry is kept: a hysteresis sweep solves each power's grid once for
+    both directions. Keying on bytes keeps -0.0 and 0.0 apart.
     """
-    n_lock = locked_photon_number(params, p_in, omega_p)
-    loss = total_loss(params)
-    g = (params.g_opt + params.g_th) * n_lock / loss
-    d = delta_p / loss
-    # out of the float range the roots come out NaN and are reported below
+    (g,) = struct.unpack("d", g_bits)
+    d = np.frombuffer(d_bits)
+    # out of the float range the roots come out NaN and are reported by the caller
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             u = _solve_scaled(g, d)
         except OverflowError:  # g**3 on a Python float
             u = np.full((d.size, 3), np.nan)
+        shifted = d[:, None] + g * u
+        stable = 0.25 + shifted * shifted + 2.0 * g * u * shifted > 0.0
+    u.flags.writeable = False
+    stable.flags.writeable = False
+    return u, stable
+
+
+def _grid_roots(
+    params: ResonatorParams, delta_p: np.ndarray, p_in: float, omega_p: float
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Scaled roots and stability flags for a whole detuning grid.
+
+    Returns (u_roots, stable, n_lock) where u_roots is (K, 3) NaN-padded and
+    both arrays are read-only. Raises ModelError when some grid point has no
+    finite root.
+    """
+    n_lock = locked_photon_number(params, p_in, omega_p)
+    loss = total_loss(params)
+    g = (params.g_opt + params.g_th) * n_lock / loss
+    d = delta_p / loss
+    u, stable = _scaled_roots(struct.pack("d", g), d.tobytes())
     empty = np.isnan(u[:, 0])
     if empty.any():
         raise ModelError(f"no finite steady state at delta_p = {float(delta_p[empty][0])!r} rad/s")
-    shifted = d[:, None] + g * u
-    with np.errstate(invalid="ignore"):
-        fprime = 0.25 + shifted * shifted + 2.0 * g * u * shifted
-        stable = fprime > 0.0
     return u, stable, n_lock
 
 

@@ -314,3 +314,25 @@ def dispersion_residual_norm(entries, fit):
     omegas = np.array([w for _, w in entries])
     model = fit.omega_0 + fit.d1 * mus + 0.5 * fit.d2 * mus * mus
     return float(np.linalg.norm(omegas - model))
+
+
+def repr_cells(column):
+    """CSV cells of a float array as the CLI wrote them before it formatted
+    each distinct value once: ``repr`` of every element in turn."""
+    return list(map(repr, column.tolist()))
+
+
+def py_tree(obj):
+    """Plain Python tree for JSON output, by the per-element recursion the CLI
+    used before numeric arrays went through one ``tolist()``."""
+    if isinstance(obj, dict):
+        return {k: py_tree(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [py_tree(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [py_tree(v) for v in obj.tolist()]
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj

@@ -3,6 +3,7 @@ replacing functions at the module attributes where their callers look them
 up. A caller that stops going through such an attribute makes that layer's
 figures read 0 without any error, so every traced name must see a call."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -49,3 +50,17 @@ def test_shift_fit_counts_its_model_sweeps(tracer):
     summary = spans.summary()
     assert summary["calls"][FIT_SPAN] == 1
     assert summary["counts"]["characterize.model_sweeps"] > 0
+
+
+def test_traced_sweep_counts_one_call_per_power_and_direction(tracer, sample_dir, tmp_path):
+    # the hysteresis workload's per-layer figures divide by these counts
+    config = json.loads((sample_dir / "config_sweep.json").read_text())
+    config["pump"] = {"p_in_w": [2e-3, 4e-3], "direction": ["down", "up"]}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    spans = tracer.Tracer()
+    with tracer.installed(spans):
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    summary = spans.summary()
+    assert summary["calls"]["steady_state.sweep"] == 4
+    assert summary["counts"]["steady_state.points"] == 4 * config["grid"]["delta_p_rad_s"]["points"]

@@ -579,6 +579,15 @@ def test_absent_threshold_is_null(cmd, keys, tmp_path):
                                            if line.split(",")[0] in keys]
 
 
+def test_report_phase_at_a_tiny_drive_ratio_is_minus_pi_over_4(tmp_path):
+    # below a drive ratio of about 1e-16 the optimal phase rounds to the closed end
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_sample_with("report", "pump", "p_in_w", 1e-20)))
+    out = tmp_path / "out.json"
+    assert main(["report", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["drive"]["phi_opt_rad"] == -math.pi / 4
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_json_output_never_holds_non_finite_numbers(bad):
     # json.dumps would write the invalid tokens NaN and Infinity

@@ -1,0 +1,119 @@
+"""CLI output rendering: CSV float cells are formatted once per distinct value,
+JSON tables convert numeric columns with one ``tolist()``, and a NaN or an
+infinity never reaches a CSV cell. The old per-cell renderers live in
+``oracles`` and must give the same bytes."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kerrsqueeze import ModelError, cli
+
+from oracles import py_tree, repr_cells
+
+
+# signed zeros, subnormals, the extremes and a few everyday values, as bit patterns
+SPECIAL64 = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                      1.7976931348623157e308, -1.7976931348623157e308, 1.0, 0.1]
+                     ).view(np.int64).tolist()
+SPECIAL32 = np.array([0.0, -0.0, 1e-45, -1e-45, 1.1754943508222875e-38,
+                      3.4028234663852886e38, 1.0, 0.1], dtype=np.float32).view(np.int32).tolist()
+
+
+def _column(pool, picks, dtype):
+    """Column of ``picks`` indices into the finite values of ``pool``, so
+    values repeat; the bit patterns in ``pool`` are of ``dtype``'s width."""
+    ints = np.int64 if dtype == np.float64 else np.int32
+    values = np.array(pool, dtype=ints).view(dtype)
+    values = values[np.isfinite(values)]
+    if values.size == 0:
+        return values
+    return values[np.array(picks, dtype=np.intp) % values.size]
+
+
+_picks = st.lists(st.integers(min_value=0, max_value=10**6), max_size=200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool=st.lists(st.one_of(st.integers(min_value=-2**63, max_value=2**63 - 1),
+                               st.sampled_from(SPECIAL64)), min_size=1, max_size=20),
+       picks=_picks)
+def test_float64_cells_match_repr_per_cell(pool, picks):
+    column = _column(pool, picks, np.float64)
+    assert cli._cells("x", column) == repr_cells(column)
+    rendered = cli.render_csv(["x", "y"], [column, column[::-1]])
+    lines = ["x,y", *map(",".join, zip(repr_cells(column), repr_cells(column[::-1])))]
+    assert rendered == "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(st.one_of(st.integers(min_value=-2**31, max_value=2**31 - 1),
+                               st.sampled_from(SPECIAL32)), min_size=1, max_size=20),
+       picks=_picks)
+def test_float32_cells_match_repr_per_cell(pool, picks):
+    # tolist() widens float32 to the same double the cast gives
+    column = _column(pool, picks, np.float32)
+    assert cli._cells("x", column) == repr_cells(column)
+
+
+def test_signed_zeros_keep_their_own_cells():
+    column = np.array([0.0, -0.0, 0.0, -0.0, 1.5, 1.5])
+    assert cli._cells("x", column) == ["0.0", "-0.0", "0.0", "-0.0", "1.5", "1.5"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_float_array_cell_names_column_and_row(bad):
+    columns = [np.array([1.0, 2.0, 3.0]), np.array([0.5, bad, bad])]
+    with pytest.raises(ModelError) as err:
+        cli.render_csv(["a", "b"], columns)
+    assert str(err.value) == f"output column 'b' row 2: {bad!r} is not finite"
+    with pytest.raises(ModelError, match="output column 'c' row 1"):
+        cli.render_csv(["c"], [np.array([bad], dtype=np.float32)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_generic_cell_names_column_and_row(bad):
+    # tuple columns (the spectrum and locking tables) go through _fmt
+    with pytest.raises(ModelError) as err:
+        cli.render_csv(["p", "v"], [(1e-3, 2e-3, 3e-3), ("x", np.float64(1.0), bad)])
+    assert str(err.value) == f"output column 'v' row 3: {bad!r} is not finite"
+    # so does the key,value CSV of a report
+    with pytest.raises(ModelError, match=r"output column 'value' row 2: "):
+        cli._render({"a": 1.0, "b": {"c": bad}}, "csv")
+
+
+def test_sweep_table_renders_the_per_cell_bytes(tmp_path):
+    # the benchmark's hysteresis sweep, at a tenth of its grid
+    config = {"resonator": {"kappa_rad_s": 500e6, "gamma_rad_s": 50e6, "g_opt_rad_s": 1.5,
+                            "g_th_rad_s": 100.0, "lambda_m": 1.55e-6, "radius_m": 22.5e-6,
+                            "n_eff": 2.05},
+              "pump": {"p_in_w": [0.002, 0.004], "direction": ["down", "up"]},
+              "grid": {"delta_p_rad_s": {"start": -30e9, "stop": 5e9, "points": 3000}}}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    names, columns, meta = cli.cmd_sweep(cli.load_config(str(path)))
+    # CSV: repr of every float cell in turn
+    lines = [",".join(names)]
+    for row in zip(*(repr_cells(c) if c.dtype.kind == "f" else list(map(cli._fmt, c.tolist()))
+                     for c in columns)):
+        lines.append(",".join(row))
+    for idx, line in reversed(sorted(meta, key=lambda m: m[0])):
+        lines.insert(idx + 1, f"# {line}")
+    assert cli._render((names, columns, meta), None) == "\n".join(lines) + "\n"
+    # JSON: the per-element recursion
+    rows = list(zip(*map(py_tree, columns)))
+    old = json.dumps(py_tree({"columns": names, "rows": rows}), allow_nan=False, indent=2) + "\n"
+    assert cli._render((names, columns, meta), "json") == old
+
+
+def test_py_converts_numeric_arrays_with_tolist():
+    arrays = [np.array([0.1, -0.0]), np.array([True, False]), np.array(["up", "down"]),
+              np.array([3, 4], dtype=np.int32), np.array([1.5], dtype=np.float32)]
+    for a in arrays:
+        got = cli._py(a)
+        assert got == py_tree(a) and [type(v) for v in got] == [type(v) for v in py_tree(a)]
+    mixed = np.array([np.float64(0.5), np.int64(2), "x"], dtype=object)
+    assert cli._py(mixed) == py_tree(mixed) == [0.5, 2, "x"]

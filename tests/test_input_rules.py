@@ -108,7 +108,7 @@ def test_pump_config_rejects_nan_placement(fields):
 @pytest.mark.parametrize("p_in,p_th", [(1e-3, math.inf), (0.0, 8e-3), (5e-324, 1e10)],
                          ids=["absent-threshold", "zero-power", "underflowed-ratio"])
 def test_optimal_phase_rejects_zero_drive_ratio(p_in, p_th):
-    # atan(-inf) would give -pi/4, outside the documented open range
+    # the phase is undefined without drive; atan(-inf) would give the limit -pi/4
     with pytest.raises(ZeroPower):
         optimal_phase(p_in, p_th)
     assert locked_variances(p_in, p_th, PARAMS.kappa, PARAMS.gamma).phi_opt == 0.0

@@ -173,6 +173,28 @@ class TestOptimalPhase:
         res = locked_variances(2e-3, 7.89e-3, 515e6, 192e6, eta=0.8)
         assert res.phi_opt == optimal_phase(2e-3, 7.89e-3)
 
+    def test_tiny_ratio_rounds_to_minus_pi_over_4(self):
+        # below a drive ratio of about 1e-16 the atan rounds to the closed end
+        assert repr(optimal_phase(1e-20, 8e-3)) == "-0.7853981633974483"
+        assert optimal_phase(1e-20, 8e-3) == -math.pi / 4
+        assert locked_variances(1e-20, 8e-3, 515e6, 192e6).phi_opt == -math.pi / 4
+
+    def test_huge_power_stays_below_zero(self):
+        # 2 * p_in overflowed to inf here and gave -0.0, the excluded end
+        with pytest.warns(LinearizationWarning):
+            res = locked_variances(1e308, 1e200, 5e8, 1e8)
+        assert res.phi_opt == optimal_phase(1e308, 1e200) < 0.0
+
+    @settings(max_examples=500, deadline=None)
+    @given(p_in=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           p_th=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_range_over_positive_ratios(self, p_in, p_th):
+        try:
+            phi = optimal_phase(p_in, p_th)
+        except (ZeroPower, NonPositive):  # ratio underflows to 0, or its square overflows
+            return
+        assert -math.pi / 4 <= phi < 0.0
+
 
 class TestLockedRawVariance:
     def test_phase_structure(self):

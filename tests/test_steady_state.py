@@ -18,7 +18,7 @@ from kerrsqueeze import (
     transmission,
 )
 
-from kerrsqueeze.steady_state import _grid_roots
+from kerrsqueeze.steady_state import _grid_roots, _scaled_roots
 from oracles import (
     loop_sweep,
     pow_lineshape,
@@ -312,6 +312,59 @@ def test_sweep_columns_match_the_per_point_loop(tenth_g, th_frac, zero_power, lo
         got = getattr(tr, name)
         assert got.dtype == column.dtype, name
         assert got.tobytes() == column.tobytes(), name
+
+
+def _fresh_loop_sweep(params, trace):
+    """loop_sweep columns for ``trace`` from a root table solved anew."""
+    _scaled_roots.cache_clear()
+    u, stable, n_lock = _grid_roots(params, trace.delta_p, trace.p_in, trace.omega_p)
+    return loop_sweep(params, trace.delta_p, u, stable, n_lock, trace.direction)
+
+
+@pytest.mark.parametrize("runs", [
+    [(4e-3, "down"), (4e-3, "up"), (2e-3, "down"), (2e-3, "up")],
+    [(0.0, "down"), (-0.0, "down"), (0.0, "up"), (-0.0, "up")],
+], ids=["down-then-up", "zero-then-minus-zero"])
+def test_sweep_sequences_match_the_loop_by_bytes(strong_params, runs):
+    # the second direction at a power reuses the first one's root table, and
+    # p_in -0.0 (whose n column is -0.0) never shares 0.0's
+    grid = np.linspace(-30e9, 5e9, 701)
+    traces = [sweep(strong_params, PumpConfig(p_in=p_in, delta_p=grid, direction=direction))
+              for p_in, direction in runs]
+    for tr in traces:
+        ref = _fresh_loop_sweep(strong_params, tr)
+        for name, column in ref.items():
+            assert getattr(tr, name).tobytes() == column.tobytes(), (tr.p_in, tr.direction, name)
+        assert np.signbit(tr.n).all() == (math.copysign(1.0, tr.p_in) < 0)
+
+
+def test_second_direction_reuses_the_roots(strong_params):
+    grid = np.linspace(-30e9, 5e9, 301)
+    _scaled_roots.cache_clear()
+    for p_in in (4e-3, 0.0, -0.0):
+        for direction in ("down", "up"):
+            sweep(strong_params, PumpConfig(p_in=p_in, delta_p=grid, direction=direction))
+    info = _scaled_roots.cache_info()
+    assert (info.hits, info.misses) == (3, 3)
+    u, stable, _ = _grid_roots(strong_params, grid, 4e-3, OM)
+    with pytest.raises(ValueError):
+        u[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        stable[0, 0] = False
+
+
+def test_mutating_a_trace_leaves_the_next_sweep_alone(strong_params):
+    grid = np.linspace(-30e9, 5e9, 301)
+    pump = PumpConfig(p_in=4e-3, delta_p=grid, direction="down")
+    first = sweep(strong_params, pump)
+    for name in ("delta_p", "n", "delta_cl", "delta_f", "alpha_phase", "transmission"):
+        getattr(first, name)[:] = 7.0
+    first.stable[:] = ~first.stable
+    for direction in ("down", "up"):
+        tr = sweep(strong_params, PumpConfig(p_in=4e-3, delta_p=grid, direction=direction))
+        assert tr.delta_p.tobytes() == grid.tobytes()
+        for name, column in _fresh_loop_sweep(strong_params, tr).items():
+            assert getattr(tr, name).tobytes() == column.tobytes(), (direction, name)
 
 
 def test_sweep_alpha_phase_is_math_atan2(strong_params):
