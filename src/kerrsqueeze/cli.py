@@ -224,8 +224,8 @@ def _quality_factor(params: core.ResonatorParams) -> Optional[float]:
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
-def _fmt(v: Any) -> str:
-    if isinstance(v, bool):
+def _fmt(v: Any, quote: Callable[[Any], str] = str) -> str:
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (np.floating, float)):
         if not math.isfinite(v):
@@ -233,29 +233,20 @@ def _fmt(v: Any) -> str:
         return repr(float(v))
     if isinstance(v, (np.integer, int)):
         return str(int(v))
-    return str(v)
+    return quote(v)
 
 
-def _py(obj: Any) -> Any:
-    """Recursively convert numpy scalars/arrays for JSON output."""
-    if isinstance(obj, dict):
-        return {k: _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        # tolist() already gives Python scalars unless the items are objects
-        return [_py(v) for v in obj.tolist()] if obj.dtype.kind == "O" else obj.tolist()
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
+def _tolist(obj: Any) -> Any:
+    """json.dumps ``default`` hook: numpy arrays and scalars as Python objects."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _dumps(obj: Any, **kwargs: Any) -> str:
     """JSON text of ``obj``; a NaN or an infinity in it is a ModelError."""
     try:
-        return json.dumps(_py(obj), allow_nan=False, **kwargs)
+        return json.dumps(obj, allow_nan=False, default=_tolist, **kwargs)
     except ValueError as e:
         raise ModelError(f"output is not valid JSON: {e}") from e
 
@@ -264,10 +255,11 @@ def _not_finite(name: str, row: int, value: Any) -> ModelError:
     return ModelError(f"output column '{name}' row {row + 1}: {float(value)!r} is not finite")
 
 
-def _cells(name: str, column: Sequence[Any]) -> List[str]:
-    """One column's CSV cells: float arrays by repr, bool arrays as true/false,
-    string arrays as they are, anything else by _fmt. A NaN or an infinity is
-    a ModelError naming the column and its row (counted from 1)."""
+def _cells(name: str, column: Sequence[Any], quote: Callable[[Any], str] = str) -> List[str]:
+    """One column's cells, the same in CSV and JSON: floats by repr, bools as
+    true/false, strings and other non-numbers by ``quote`` (once per distinct
+    value in a string array). A NaN or an infinity is a ModelError naming the
+    column and its row (counted from 1)."""
     if isinstance(column, np.ndarray):
         if column.dtype.kind == "f":
             # repr once per distinct value; keyed on the bits, so -0.0 keeps its sign
@@ -283,9 +275,10 @@ def _cells(name: str, column: Sequence[Any]) -> List[str]:
         if column.dtype.kind == "b":
             return ["true" if v else "false" for v in column.tolist()]
         if column.dtype.kind == "U":
-            return column.tolist()
+            text = {s: quote(s) for s in set(column.tolist())}
+            return list(map(text.__getitem__, column.tolist()))
     try:
-        return list(map(_fmt, column))
+        return [_fmt(v, quote) for v in column]
     except ModelError:
         row = next(i for i, v in enumerate(column)
                    if isinstance(v, (np.floating, float)) and not math.isfinite(v))
@@ -308,13 +301,16 @@ def render_json(obj: Any) -> str:
     return _dumps(obj, indent=2) + "\n"
 
 
+def _json_list(items: Sequence[str], indent: str) -> str:
+    """Encoded items laid out as render_json lays out a list that closes at ``indent``."""
+    inner = "\n" + indent + "  "
+    return f"[{inner}{(',' + inner).join(items)}\n{indent}]" if items else "[]"
+
+
 def _flatten(obj: Any, prefix: str = "") -> List[Tuple[str, Any]]:
     if isinstance(obj, dict):
-        out: List[Tuple[str, Any]] = []
-        for k, v in obj.items():
-            out.extend(_flatten(v, f"{prefix}.{k}" if prefix else k))
-        return out
-    if isinstance(obj, (list, tuple)):
+        return [kv for k, v in obj.items() for kv in _flatten(v, f"{prefix}.{k}" if prefix else k)]
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [(prefix, _dumps(obj))]
     return [(prefix, obj)]
 
@@ -328,11 +324,14 @@ def _render(result: Result, out_format: Optional[str]) -> str:
     """Reports default to JSON (flattened key,value CSV on request), tables to CSV."""
     if isinstance(result, dict):
         if out_format == "csv":
-            return render_csv(("key", "value"), list(zip(*_flatten(_py(result)))))
+            return render_csv(("key", "value"), list(zip(*_flatten(result))))
         return render_json(result)
     names, columns, meta = result
     if out_format == "json":
-        return render_json({"columns": names, "rows": list(zip(*map(_py, columns)))})
+        cells = zip(*(_cells(name, column, json.dumps) for name, column in zip(names, columns)))
+        rows = _json_list([_json_list(row, "    ") for row in cells], "  ")
+        head = _json_list([*map(json.dumps, names)], "  ")
+        return f'{{\n  "columns": {head},\n  "rows": {rows}\n}}\n'
     return render_csv(names, columns, meta)
 
 

@@ -50,14 +50,14 @@ class ResonatorParams:
     g_th : float
         Thermal shift per intracavity photon [rad/s], >= 0.
     lambda_r : float, optional
-        Cold resonance wavelength [m].
+        Cold resonance wavelength [m], > 0.
     omega_r : float, optional
-        Cold resonance angular frequency [rad/s]. If both this and
+        Cold resonance angular frequency [rad/s], > 0. If both this and
         ``lambda_r`` are given they must agree to 1e-12 relative.
     radius : float, optional
-        Ring radius [m]; only used for circulating-power reporting.
+        Ring radius [m], > 0; only used for circulating-power reporting.
     n_eff : float, optional
-        Effective mode index; only used for circulating-power reporting.
+        Effective mode index, > 0; only used for circulating-power reporting.
     """
 
     kappa: float
@@ -84,10 +84,10 @@ class ResonatorParams:
             raise NonPositive(f"g_opt must be >= 0, got {self.g_opt}")
         if self.g_th < 0:
             raise NonPositive(f"g_th must be >= 0, got {self.g_th}")
-        if self.lambda_r is not None and self.lambda_r <= 0:
-            raise NonPositive(f"lambda_r must be > 0, got {self.lambda_r}")
-        if self.omega_r is not None and self.omega_r <= 0:
-            raise NonPositive(f"omega_r must be > 0, got {self.omega_r}")
+        for name in ("lambda_r", "omega_r", "radius", "n_eff"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise NonPositive(f"{name} must be > 0, got {value}")
         if self.lambda_r is not None and self.omega_r is not None:
             expected = omega_from_wavelength(self.lambda_r)
             if abs(self.omega_r - expected) > 1e-12 * expected:

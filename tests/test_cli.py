@@ -123,6 +123,25 @@ SAMPLE_DIGESTS = {
 }
 
 
+# SHA-256 of each sample config's output in the other format (--format json
+# for the tables, csv for the reports), recorded with the same versions before
+# JSON tables were joined from the CSV cells, so the new path must match the old
+OTHER_FORMAT_DIGESTS = {
+    "config_sweep.json": "b3c18545ccfaa5ea216ccdb4f74c32c89e246fa9443441b56e27da370ab1154d",
+    "config_spectrum_locking.json": "21148861bc214f4dcbc0e95ae66b03e5228a5fe0d645876f7cb3d3ca9ed7f709",
+    "config_spectrum_optimized.json": "4cd9537c534cfe187ce6a2446806f4b25d884b40bfb20d9505a74e60e128d2a0",
+    "config_spectrum_detuning.json": "d27320888c9aae151be28141a3413ada6ef50b8090c8dc5b5ab38218046d63a4",
+    "config_locking.json": "22ababf76811c21525520707b597bd0a2122023d005ea6cece69d81c84027793",
+    "config_threshold.json": "0b98d23d882126f8f4673b01a5ab0b3fa7cdfb763bcbc8fd424e456f1cc876f9",
+    "config_report.json": "7542120eb9b093c3f2991db63835c56214cc12102f07cc16117a87461f8dd9d2",
+    "config_fit_transmission.json": "f53996550459be46e7943dc46f1ed513525d5391b26154203ee0955568b0b4b9",
+    "config_fit_dispersion.json": "b37658bb632e97f7d0684a1fb5157fcbb9bd7c22d979aebd931a16b73afd1ad4",
+    "config_reduce_trace.json": "eeb743e66051dbd4ba3fb446c69b9547e57471ca7e07766bd880ba12d2266e16",
+    "config_losses.json": "5df851e8cd9b9e454a9cf921367975940a2e77e2b9c22b74a1a95db7d22426b6",
+}
+_TABLE_COMMANDS = {"sweep", "spectrum", "locking"}
+
+
 @pytest.mark.parametrize("cmd,config", CONFIGS)
 def test_sample_output_bytes_match_recorded_digest(cmd, config, sample_dir, tmp_path):
     _, out = run(sample_dir, cmd, config, tmp_path)
@@ -130,6 +149,17 @@ def test_sample_output_bytes_match_recorded_digest(cmd, config, sample_dir, tmp_
     assert digest == SAMPLE_DIGESTS[config], (
         f"{cmd} {config}: output bytes changed; the recorded digest was taken "
         "with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1"
+    )
+
+
+@pytest.mark.parametrize("cmd,config", CONFIGS)
+def test_sample_other_format_bytes_match_recorded_digest(cmd, config, sample_dir, tmp_path):
+    out_format = "json" if cmd in _TABLE_COMMANDS else "csv"
+    _, out = run(sample_dir, cmd, config, tmp_path, extra=("--format", out_format))
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == OTHER_FORMAT_DIGESTS[config], (
+        f"{cmd} {config} --format {out_format}: output bytes changed; the recorded "
+        "digest was taken with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1"
     )
 
 
@@ -495,6 +525,21 @@ def test_out_of_range_configs_are_one_line_errors(cmd, config, expected, tmp_pat
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert expected in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [0, -2.25e-5])
+@pytest.mark.parametrize("key,field", [("radius_m", "radius"), ("n_eff", "n_eff")])
+def test_non_positive_ring_size_is_one_line_error(key, field, value, tmp_path, capsys):
+    # the free spectral range divides by both; zero raised ZeroDivisionError
+    # and a negative value wrote negative circulating powers
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_sample_with("sweep", "resonator", key, value)))
+    out = tmp_path / "out.csv"
+    rc = main(["sweep", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: config key 'resonator': {field} must be > 0, got {float(value)}\n")
     assert not out.exists()
 
 

@@ -1,6 +1,8 @@
-"""CLI output rendering: CSV float cells are formatted once per distinct value,
-JSON tables convert numeric columns with one ``tolist()``, and a NaN or an
-infinity never reaches a CSV cell. The old per-cell renderers live in
+"""CLI output rendering. CSV and JSON tables share one cell writer, ``_cells``:
+it formats each distinct float once, quotes JSON strings once per distinct
+value, and never lets a NaN or an infinity into a cell of either format.
+Reports go through one JSON encoder, whose ``default`` hook converts numpy
+arrays and scalars with ``tolist()``. The old per-cell renderers live in
 ``oracles`` and must give the same bytes."""
 
 import json
@@ -67,9 +69,11 @@ def test_signed_zeros_keep_their_own_cells():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_float_array_cell_names_column_and_row(bad):
     columns = [np.array([1.0, 2.0, 3.0]), np.array([0.5, bad, bad])]
-    with pytest.raises(ModelError) as err:
-        cli.render_csv(["a", "b"], columns)
-    assert str(err.value) == f"output column 'b' row 2: {bad!r} is not finite"
+    for render in (lambda: cli.render_csv(["a", "b"], columns),
+                   lambda: cli._render((["a", "b"], columns, ()), "json")):
+        with pytest.raises(ModelError) as err:
+            render()
+        assert str(err.value) == f"output column 'b' row 2: {bad!r} is not finite"
     with pytest.raises(ModelError, match="output column 'c' row 1"):
         cli.render_csv(["c"], [np.array([bad], dtype=np.float32)])
 
@@ -77,9 +81,11 @@ def test_non_finite_float_array_cell_names_column_and_row(bad):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_generic_cell_names_column_and_row(bad):
     # tuple columns (the spectrum and locking tables) go through _fmt
-    with pytest.raises(ModelError) as err:
-        cli.render_csv(["p", "v"], [(1e-3, 2e-3, 3e-3), ("x", np.float64(1.0), bad)])
-    assert str(err.value) == f"output column 'v' row 3: {bad!r} is not finite"
+    columns = [(1e-3, 2e-3, 3e-3), ("x", np.float64(1.0), bad)]
+    for out_format in ("csv", "json"):
+        with pytest.raises(ModelError) as err:
+            cli._render((["p", "v"], columns, ()), out_format)
+        assert str(err.value) == f"output column 'v' row 3: {bad!r} is not finite"
     # so does the key,value CSV of a report
     with pytest.raises(ModelError, match=r"output column 'value' row 2: "):
         cli._render({"a": 1.0, "b": {"c": bad}}, "csv")
@@ -109,11 +115,56 @@ def test_sweep_table_renders_the_per_cell_bytes(tmp_path):
     assert cli._render((names, columns, meta), "json") == old
 
 
-def test_py_converts_numeric_arrays_with_tolist():
+def test_json_encodes_numpy_arrays_and_scalars_with_tolist():
     arrays = [np.array([0.1, -0.0]), np.array([True, False]), np.array(["up", "down"]),
               np.array([3, 4], dtype=np.int32), np.array([1.5], dtype=np.float32)]
     for a in arrays:
-        got = cli._py(a)
-        assert got == py_tree(a) and [type(v) for v in got] == [type(v) for v in py_tree(a)]
+        assert cli._dumps(a) == json.dumps(py_tree(a))
+        assert cli._dumps(a[0]) == json.dumps(a.tolist()[0])  # a numpy scalar
+        assert cli.render_json({"a": a}) == json.dumps(py_tree({"a": a}), indent=2) + "\n"
     mixed = np.array([np.float64(0.5), np.int64(2), "x"], dtype=object)
-    assert cli._py(mixed) == py_tree(mixed) == [0.5, 2, "x"]
+    assert cli._dumps(mixed) == json.dumps(py_tree(mixed)) == '[0.5, 2, "x"]'
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._dumps({"a": object()})
+
+
+def test_report_holding_a_numpy_bool_renders_in_both_formats():
+    # the old element-wise conversion left np.bool_ as it was, so JSON raised TypeError
+    report = {"ok": np.bool_(True), "flags": np.array([False, True]), "n": np.int64(3)}
+    assert cli._render(report, None) == (
+        '{\n  "ok": true,\n  "flags": [\n    false,\n    true\n  ],\n  "n": 3\n}\n')
+    assert cli._render(report, "csv") == "key,value\nok,true\nflags,[false, true]\nn,3\n"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_finite32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
+# quotes, backslashes, control and non-ASCII characters all need JSON escapes
+_text = st.text(max_size=6)
+# what a tuple column of the spectrum or locking tables may hold
+_scalar = st.one_of(_finite, _finite.map(np.float64), _finite32.map(np.float32),
+                    st.sampled_from([0.0, -0.0]), st.booleans(), st.integers(-2**70, 2**70),
+                    st.integers(-2**63, 2**63 - 1).map(np.int64), _text, st.none())
+_array_elements = {"f8": st.one_of(_finite, st.sampled_from([0.0, -0.0])), "f4": _finite32,
+                   "b": st.booleans(), "U": _text}
+
+
+@st.composite
+def _tables(draw):
+    rows = draw(st.integers(min_value=0, max_value=5))
+    names, columns = [], []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        names.append(draw(_text))
+        kind = draw(st.sampled_from(["tuple", *_array_elements]))
+        element = _scalar if kind == "tuple" else _array_elements[kind]
+        cells = draw(st.lists(element, min_size=rows, max_size=rows))
+        columns.append(tuple(cells) if kind == "tuple" else np.array(cells, dtype=kind))
+    return names, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables())
+def test_json_table_matches_json_dumps_of_the_old_tree(table):
+    names, columns = table
+    rows = list(zip(*map(py_tree, columns)))
+    old = json.dumps(py_tree({"columns": names, "rows": rows}), indent=2, allow_nan=False)
+    assert cli._render((names, columns, ()), "json") == old + "\n"

@@ -59,6 +59,10 @@ class TestResonatorParams:
             for bad in (math.nan, math.inf):
                 with pytest.raises(NonPositive, match=field):
                     ResonatorParams(**{"kappa": 1e8, "gamma": 1e6, field: bad})
+        for field in ("lambda_r", "omega_r", "radius", "n_eff"):
+            for bad in (0.0, -1.0):
+                with pytest.raises(NonPositive, match=f"{field} must be > 0"):
+                    ResonatorParams(**{"kappa": 1e8, "gamma": 1e6, field: bad})
 
     def test_zero_gamma_allowed(self):
         p = ResonatorParams(kappa=1e8, gamma=0.0, g_opt=1.0)
