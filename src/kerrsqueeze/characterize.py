@@ -20,6 +20,7 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
+from ._lm import least_squares_lm
 from .core import HBAR, PumpConfig, ResonatorParams, locked_photon_number, omega_from_wavelength
 from .errors import (
     Degenerate,
@@ -160,15 +161,9 @@ def fit_linear_resonance(
     def model(theta: np.ndarray) -> np.ndarray:
         return lineshape(trace.freq - theta[0], theta[1], theta[2])
 
-    from scipy.optimize import least_squares  # only the fits pay for importing scipy
-
-    sol = least_squares(
-        lambda th: model(th) - data,
-        x0=[center0, kappa0, gamma0],
-        method="lm",
-        x_scale=[loss0, loss0, loss0],
-    )
-    center, k_fit, g_fit = sol.x
+    x = least_squares_lm(lambda th: model(th) - data, [center0, kappa0, gamma0],
+                         [loss0, loss0, loss0])
+    center, k_fit, g_fit = x
     # the model sees only |k - g| and |k + g|; canonicalize, then assign
     loss_fit = abs(k_fit + g_fit)
     split_fit = abs(k_fit - g_fit)
@@ -178,7 +173,7 @@ def fit_linear_resonance(
     lo = (loss_fit - split_fit) / 2.0
     kappa, gamma = (hi, lo) if coupling_regime == "over" else (lo, hi)
 
-    rel = float(np.linalg.norm(model(sol.x) - data) / np.linalg.norm(data))
+    rel = float(np.linalg.norm(model(x) - data) / np.linalg.norm(data))
     if rel > max_residual:
         raise PoorFit(f"relative residual {rel:.3g} exceeds {max_residual:.3g}")
 
@@ -241,15 +236,10 @@ def fit_shift_coefficient(
         g0 = g_probe * 1e-3
 
     data = np.concatenate([tr.transmission for tr in traces])
-    from scipy.optimize import least_squares
-
-    sol = least_squares(
-        lambda th: model(th[0]) - data,
-        x0=[g0],
-        bounds=([0.0], [np.inf]),
-        x_scale=[max(g0, g_probe * 1e-3)],
-    )
-    g_sum = float(sol.x[0])
+    # g >= 0: the residual sees max(g, 0), and the result is clamped the same way
+    x = least_squares_lm(lambda th: model(max(float(th[0]), 0.0)) - data, [g0],
+                         [max(g0, g_probe * 1e-3)])
+    g_sum = max(float(x[0]), 0.0)
     # identifiability: the fitted shift must explain the data measurably
     # better than no shift at all, otherwise the powers were too low and
     # any g_sum in a flat cost valley would do

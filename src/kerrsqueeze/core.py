@@ -157,12 +157,19 @@ def check_eta(eta: float) -> None:
         raise InvalidEfficiency(f"eta must be in [0, 1], got {eta}")
 
 
+def check_omega_p(omega_p: float) -> None:
+    """Raise NonPositive unless the pump frequency omega_p is finite and > 0."""
+    if not omega_p > 0:  # NaN fails here too
+        raise NonPositive(f"omega_p must be > 0, got {omega_p}")
+    if omega_p == math.inf:
+        raise NonPositive(f"omega_p must be finite, got {omega_p}")
+
+
 def locked_photon_number(params: ResonatorParams, p_in: float, omega_p: float) -> float:
     """Locked-point photon number 4 kappa P_in / (hbar omega_p) / Gamma^2, the largest root."""
     if not 0.0 <= p_in < math.inf:
         raise NonPositive(f"p_in must be finite and >= 0, got {p_in}")
-    if not omega_p > 0:
-        raise NonPositive(f"omega_p must be > 0, got {omega_p}")
+    check_omega_p(omega_p)
     try:
         n_lock = 4.0 * params.kappa * p_in / (HBAR * omega_p) / total_loss(params) ** 2
     except (OverflowError, ZeroDivisionError):  # Python floats raise out of range
@@ -197,8 +204,7 @@ def threshold_power(params: ResonatorParams, omega_p: float) -> float:
     With ``g_opt == 0`` the threshold does not exist and this returns
     ``math.inf``, so linear-resonator workflows stay usable.
     """
-    if omega_p <= 0:
-        raise NonPositive(f"omega_p must be > 0, got {omega_p}")
+    check_omega_p(omega_p)
     if params.g_opt == 0:
         return math.inf
     loss = total_loss(params)

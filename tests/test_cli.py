@@ -107,7 +107,8 @@ def test_rerun_is_byte_identical(sample_dir, tmp_path):
 
 
 # SHA-256 of each sample config's default output, recorded with Python 3.11.7,
-# numpy 2.4.6 and scipy 1.17.1
+# numpy 2.4.6 and scipy 1.17.1; the fits now run on the package's own LM
+# solver, which reproduces scipy 1.17.1's least_squares(method="lm") bit for bit
 SAMPLE_DIGESTS = {
     "config_sweep.json": "cd184f7debc98fd1db151ff2e826ff47d15f56f4480df085a7bfc65ce1eeb31b",
     "config_spectrum_locking.json": "8683b2d7ec8be754256f6d0e7c28e5274275f4830abe2b8f3a8a2e5357a975b1",
@@ -148,7 +149,8 @@ def test_sample_output_bytes_match_recorded_digest(cmd, config, sample_dir, tmp_
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == SAMPLE_DIGESTS[config], (
         f"{cmd} {config}: output bytes changed; the recorded digest was taken "
-        "with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1"
+        "with Python 3.11.7 and numpy 2.4.6, the fits on the in-repo LM solver, "
+        "which reproduces scipy 1.17.1"
     )
 
 
@@ -159,7 +161,8 @@ def test_sample_other_format_bytes_match_recorded_digest(cmd, config, sample_dir
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == OTHER_FORMAT_DIGESTS[config], (
         f"{cmd} {config} --format {out_format}: output bytes changed; the recorded "
-        "digest was taken with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1"
+        "digest was taken with Python 3.11.7 and numpy 2.4.6, the fits on the "
+        "in-repo LM solver, which reproduces scipy 1.17.1"
     )
 
 
@@ -267,18 +270,23 @@ def test_module_invocation_smoke(sample_dir, tmp_path):
     assert out.read_text().startswith("p_in_w,")
 
 
-@pytest.mark.parametrize("imports,module", [
-    # only the two fitters need scipy; every other subcommand starts without it
-    ("kerrsqueeze, kerrsqueeze.cli", "scipy"),
+@pytest.mark.parametrize("code,config", [
+    # no subcommand needs scipy: the fits run on the package's own LM solver
+    ("import sys, kerrsqueeze, kerrsqueeze.cli; assert 'scipy' not in sys.modules", None),
     # the package namespace is lazy, so the CLI can set BLAS threading first
-    ("kerrsqueeze", "numpy"),
-], ids=["cli-without-scipy", "package-without-numpy"])
-def test_start_up_does_not_import_scipy(imports, module):
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import sys, {imports}; assert {module!r} not in sys.modules"],
-        capture_output=True, text=True,
-    )
+    ("import sys, kerrsqueeze; assert 'numpy' not in sys.modules", None),
+    # with scipy unimportable, fit-transmission still writes the pinned bytes
+    ("import sys; sys.modules['scipy'] = None; from kerrsqueeze.cli import main; "
+     "sys.exit(main(sys.argv[1:]))", "config_fit_transmission.json"),
+], ids=["cli-without-scipy", "package-without-numpy", "fit-transmission-with-scipy-blocked"])
+def test_start_up_does_not_import_scipy(code, config, sample_dir, tmp_path):
+    out = tmp_path / "out.json"
+    args = [] if config is None else [
+        "fit-transmission", "--config", str(sample_dir / config), "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    if config is not None:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLE_DIGESTS[config]
 
 
 def test_package_namespace_exports_submodule_objects():
@@ -498,9 +506,9 @@ _ILL_CONDITIONED["resonator"].update(kappa_rad_s=1e80, gamma_rad_s=0.0)
     # finite roots, but delta_cl * delta_cl overflows in the transmission
     ("sweep", _sweep_config([-1e155, 0.0, 1e155]),
      "transmission not finite at delta_p = -1e+155 rad/s"),
-    # the pump frequency overflows to inf, and so does the free spectral range
+    # the pump frequency overflows to inf, which the pump rule rejects (not n = 0)
     ("sweep", _sample_with("sweep", "resonator", "lambda_m", 1e-300),
-     "energy_j not finite at delta_p = -30000000000.0 rad/s"),
+     "omega_p must be finite, got inf"),
     ("sweep", _sample_with("sweep", "resonator", "n_eff", 1e-300),
      "circulating_power_w not finite at delta_p = -30000000000.0 rad/s"),
     # locked at 1e7 P_th the matrix is as ill-conditioned as at kappa 5e8, but

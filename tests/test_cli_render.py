@@ -91,6 +91,15 @@ def test_non_finite_generic_cell_names_column_and_row(bad):
         cli._render({"a": 1.0, "b": {"c": bad}}, "csv")
 
 
+def _assert_same_text(got: str, want: str) -> None:
+    """got == want, reported as the first line that differs: pytest's diff of
+    two strings of megabytes runs for minutes before it reports anything."""
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    i = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b), None)
+    assert i is None, f"line {i} differs: {got_lines[i]!r} != {want_lines[i]!r}"
+    assert len(got_lines) == len(want_lines), (len(got_lines), len(want_lines))
+
+
 def test_sweep_table_renders_the_per_cell_bytes(tmp_path):
     # the benchmark's hysteresis sweep, at a tenth of its grid
     config = {"resonator": {"kappa_rad_s": 500e6, "gamma_rad_s": 50e6, "g_opt_rad_s": 1.5,
@@ -108,11 +117,11 @@ def test_sweep_table_renders_the_per_cell_bytes(tmp_path):
         lines.append(",".join(row))
     for idx, line in reversed(sorted(meta, key=lambda m: m[0])):
         lines.insert(idx + 1, f"# {line}")
-    assert cli._render((names, columns, meta), None) == "\n".join(lines) + "\n"
+    _assert_same_text(cli._render((names, columns, meta), None), "\n".join(lines) + "\n")
     # JSON: the per-element recursion
     rows = list(zip(*map(py_tree, columns)))
     old = json.dumps(py_tree({"columns": names, "rows": rows}), allow_nan=False, indent=2) + "\n"
-    assert cli._render((names, columns, meta), "json") == old
+    _assert_same_text(cli._render((names, columns, meta), "json"), old)
 
 
 def test_json_encodes_numpy_arrays_and_scalars_with_tolist():

@@ -33,6 +33,7 @@ from kerrsqueeze import (
     variance_extrema,
     variance_spectrum,
 )
+from kerrsqueeze.core import locked_photon_number
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kerrsqueeze"
 PARAMS = ResonatorParams(kappa=515e6, gamma=192e6, g_opt=1.4, lambda_r=1550e-9)
@@ -59,11 +60,25 @@ PUMP_ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", sorted(PUMP_ENTRY_POINTS))
 @pytest.mark.parametrize("p_in,omega_p", [
-    (-1.0, OMEGA_P), (math.nan, OMEGA_P), (math.inf, OMEGA_P), (1e-3, 0.0),
-], ids=["negative-power", "nan-power", "inf-power", "zero-omega_p"])
+    (-1.0, OMEGA_P), (math.nan, OMEGA_P), (math.inf, OMEGA_P), (1e-3, 0.0), (1e-3, math.inf),
+], ids=["negative-power", "nan-power", "inf-power", "zero-omega_p", "inf-omega_p"])
 def test_pump_rule_rejects_bad_power_and_frequency(entry, p_in, omega_p):
+    # an infinite omega_p must not give a locked photon number of 0.0 (n = 0)
     with pytest.raises(NonPositive):
         PUMP_ENTRY_POINTS[entry](p_in, omega_p)
+
+
+@pytest.mark.parametrize("make", [
+    lambda omega_p: locked_photon_number(PARAMS, 1e-3, omega_p),
+    lambda omega_p: threshold_power(PARAMS, omega_p),
+    lambda omega_p: drive_state(PARAMS, 1e-3, omega_p),
+], ids=["locked_photon_number", "threshold_power", "drive_state"])
+@pytest.mark.parametrize("omega_p", [0.0, -1.0, math.inf, math.nan],
+                         ids=["zero", "negative", "inf", "nan"])
+def test_omega_p_rule_is_finite_and_positive(make, omega_p):
+    # one rule for all three: NaN and inf pass a bare `omega_p <= 0` test
+    with pytest.raises(NonPositive):
+        make(omega_p)
 
 
 DRIVE_ENTRY_POINTS = {
