@@ -21,10 +21,10 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 import numpy as np
 
 from ._lm import least_squares_lm
-from .core import HBAR, PumpConfig, ResonatorParams, locked_photon_number, omega_from_wavelength
+from .core import (HBAR, PumpConfig, ResonatorParams, check_axis, locked_photon_number,
+                   omega_from_wavelength)
 from .errors import (
     Degenerate,
-    EmptyTrace,
     MetadataMismatch,
     ModelError,
     NoDip,
@@ -51,18 +51,12 @@ class TransmissionTrace:
     direction: str = "down"
 
     def __post_init__(self) -> None:
-        freq = np.asarray(self.freq, dtype=float)
+        freq = check_axis(self.freq, "frequency axis")
         trans = np.asarray(self.transmission, dtype=float)
         object.__setattr__(self, "freq", freq)
         object.__setattr__(self, "transmission", trans)
-        if freq.ndim != 1 or freq.shape != trans.shape:
-            raise ModelError("freq and transmission must be 1-d and equal length")
-        if not (np.all(np.isfinite(freq)) and np.all(np.isfinite(trans))):
-            raise ModelError("freq and transmission must be finite")
-        if freq.size > 1:
-            steps = np.diff(freq)
-            if not (np.all(steps > 0) or np.all(steps < 0)):
-                raise ModelError("frequency axis must be strictly monotone")
+        if trans.shape != freq.shape or not np.isfinite(trans).all():
+            raise ModelError("transmission must hold one finite sample per frequency")
 
 
 @dataclass(frozen=True)
@@ -90,16 +84,14 @@ class ZeroSpanTrace:
     vbw_hz: float
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.t, dtype=float)
+        t = check_axis(self.t, "time axis")
         p = np.asarray(self.power_dbm, dtype=float)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "power_dbm", p)
-        if t.ndim != 1 or t.shape != p.shape:
-            raise ModelError("t and power_dbm must be 1-d and equal length")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
-            raise ModelError("t and power_dbm must be finite")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
+        if t[0] > t[-1]:  # time runs forward
             raise ModelError("time axis must be strictly monotone")
+        if p.shape != t.shape or not np.isfinite(p).all():
+            raise ModelError("power_dbm must hold one finite sample per time")
 
 
 class ResonanceFit(NamedTuple):
@@ -139,8 +131,6 @@ def fit_linear_resonance(
     """
     if coupling_regime not in ("over", "under"):
         raise ModelError(f"coupling_regime must be 'over' or 'under', got {coupling_regime!r}")
-    if trace.freq.size == 0:
-        raise EmptyTrace("transmission trace has no samples")
     if trace.freq.size < 4:
         raise RankDeficient("need at least 4 samples to fit 3 parameters")
     data = trace.transmission
@@ -183,10 +173,14 @@ def fit_linear_resonance(
     m, n = data.size, 3
     jac = np.empty((m, n))
     for j in range(n):
-        h = 1e-6 * max(abs(theta[j]), 1e-30)
-        tp = theta.copy()
-        tp[j] += h
-        jac[:, j] = (model(tp) - model(theta)) / h
+        # a step below the rounding of the axis (a centre near 0 on a wide
+        # detuning axis) leaves the column all zeros: retake it on the linewidth
+        for h in (1e-6 * max(abs(theta[j]), 1e-30), 1e-6 * (kappa + gamma)):
+            tp = theta.copy()
+            tp[j] += h
+            jac[:, j] = (model(tp) - model(theta)) / h
+            if jac[:, j].any():
+                break
     s2 = float(r0 @ r0) / (m - n)
     cov = s2 * np.linalg.inv(jac.T @ jac)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
@@ -346,8 +340,6 @@ def reduce_homodyne_trace(
     reference enters as its mean level, or, with ``detrend``, as a linear
     drift fit evaluated on the trace's own time axis.
     """
-    if trace.t.size == 0 or reference.t.size == 0:
-        raise EmptyTrace("zero-span trace has no samples")
     meta_a = (trace.center_hz, trace.rbw_hz, trace.vbw_hz)
     meta_b = (reference.center_hz, reference.rbw_hz, reference.vbw_hz)
     if meta_a != meta_b:

@@ -131,18 +131,16 @@ def _grid(sec: Dict[str, Any], key: str, path: str) -> np.ndarray:
                 or not 1 <= points <= _MAX_GRID_POINTS):
             raise SchemaError(f"config key '{path}.{key}.points': expected an integer "
                               f"from 1 to {_MAX_GRID_POINTS}, got {points!r}")
-        grid = np.linspace(start, stop, points)
+        # a span that overflows comes out non-finite, which the axis rule reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = np.linspace(start, stop, points)
     elif isinstance(v, list):
         if not v:
             raise SchemaError(f"config key '{path}.{key}': must not be empty")
         grid = np.array([_number(x, f"config key '{path}.{key}'") for x in v])
     else:
         grid = np.array([_num(sec, key, path)])
-    if grid.size > 1:
-        steps = np.diff(grid)
-        if not (np.all(steps > 0) or np.all(steps < 0)):
-            raise SchemaError(f"config key '{path}.{key}': grid must be strictly monotone")
-    return grid
+    return _schema(f"config key '{path}.{key}'", core.check_axis, grid, "grid")
 
 
 # optional 'resonator' config keys and the ResonatorParams fields they set
@@ -285,11 +283,20 @@ def _cells(name: str, column: Sequence[Any], quote: Callable[[Any], str] = str) 
         raise _not_finite(name, row, column[row]) from None
 
 
+def _csv_quote(v: Any) -> str:
+    """A CSV string cell, quoted as RFC 4180 asks when it holds ',', '"', CR or LF."""
+    text = str(v)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def render_csv(names: Sequence[str], columns: Sequence[Sequence[Any]],
                meta: Sequence[Tuple[int, str]] = ()) -> str:
     """CSV text from equal-length columns, with '#' metadata lines inserted
     before the given row indices (-1: before the header)."""
-    lines = [",".join(names), *map(",".join, zip(*map(_cells, names, columns)))]
+    cells = (_cells(name, column, _csv_quote) for name, column in zip(names, columns))
+    lines = [",".join(names), *map(",".join, zip(*cells))]
     # from the last index back, so the earlier ones still point at their rows;
     # lines that share an index keep their order
     for idx, line in reversed(sorted(meta, key=lambda m: m[0])):

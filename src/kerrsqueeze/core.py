@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidEfficiency, ModelError, NonPositive
+from .errors import EmptyTrace, InvalidEfficiency, ModelError, NonPositive
 
 # CODATA values; fixed rather than imported so results are bit-stable.
 HBAR = 1.054571817e-34   # reduced Planck constant [J s]
@@ -110,23 +110,21 @@ class ResonatorParams:
 class PumpConfig:
     """Pump drive: power, frequency placement, and sweep direction.
 
-    ``delta_p`` is the cold-cavity detuning omega_p - omega_r [rad/s]; it may
-    be a scalar or a strictly monotone grid (for sweeps). ``direction`` is the
-    frequency sweep direction: "down" means decreasing pump frequency.
+    ``delta_p`` is the cold-cavity detuning omega_p - omega_r [rad/s], a scalar
+    (one point) or a grid, stored as :func:`check_axis` returns it. ``direction``
+    is the frequency sweep direction: "down" means decreasing pump frequency.
     """
 
     p_in: float
-    delta_p: Union[float, Sequence[float], None] = None
+    delta_p: Union[float, Sequence[float], np.ndarray]
     omega_p: Optional[float] = None
     direction: str = "down"
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p_in < math.inf:
-            raise NonPositive(f"p_in must be finite and >= 0, got {self.p_in}")
-        if self.delta_p is not None and np.isnan(self.delta_p).any():
-            raise ModelError("delta_p must not be NaN")
-        if self.omega_p is not None and math.isnan(self.omega_p):
-            raise ModelError("omega_p must not be NaN")
+        check_power(self.p_in)
+        object.__setattr__(self, "delta_p", check_axis(np.atleast_1d(self.delta_p), "delta_p"))
+        if self.omega_p is not None:
+            check_omega_p(self.omega_p)
         if self.direction not in ("up", "down"):
             raise ModelError(f"direction must be 'up' or 'down', got {self.direction!r}")
 
@@ -157,6 +155,29 @@ def check_eta(eta: float) -> None:
         raise InvalidEfficiency(f"eta must be in [0, 1], got {eta}")
 
 
+def check_axis(values: Union[Sequence[float], np.ndarray], name: str) -> np.ndarray:
+    """``values`` as a float64 sample axis: 1-d, non-empty (else EmptyTrace), finite
+    and strictly monotone (else ModelError). Finiteness is tested before the
+    steps are taken, so numpy never warns."""
+    axis = np.asarray(values, dtype=float)
+    if axis.ndim != 1:
+        raise ModelError(f"{name} must be 1-d")
+    if axis.size == 0:
+        raise EmptyTrace(f"{name} has no samples")
+    if not np.isfinite(axis).all():
+        raise ModelError(f"{name} must be finite")
+    steps = np.diff(axis)
+    if not ((steps > 0).all() or (steps < 0).all()):
+        raise ModelError(f"{name} must be strictly monotone")
+    return axis
+
+
+def check_power(p_in: float) -> None:
+    """Raise NonPositive unless the pump power p_in is finite and >= 0."""
+    if not 0.0 <= p_in < math.inf:
+        raise NonPositive(f"p_in must be finite and >= 0, got {p_in}")
+
+
 def check_omega_p(omega_p: float) -> None:
     """Raise NonPositive unless the pump frequency omega_p is finite and > 0."""
     if not omega_p > 0:  # NaN fails here too
@@ -167,8 +188,7 @@ def check_omega_p(omega_p: float) -> None:
 
 def locked_photon_number(params: ResonatorParams, p_in: float, omega_p: float) -> float:
     """Locked-point photon number 4 kappa P_in / (hbar omega_p) / Gamma^2, the largest root."""
-    if not 0.0 <= p_in < math.inf:
-        raise NonPositive(f"p_in must be finite and >= 0, got {p_in}")
+    check_power(p_in)
     check_omega_p(omega_p)
     try:
         n_lock = 4.0 * params.kappa * p_in / (HBAR * omega_p) / total_loss(params) ** 2

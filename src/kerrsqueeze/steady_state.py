@@ -282,14 +282,7 @@ def sweep(params: ResonatorParams, pump: PumpConfig) -> SweepTrace:
     therefore followed until it folds away, which is what produces hysteresis
     between directions.
     """
-    grid = np.asarray(pump.delta_p, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ModelError("sweep needs a non-empty 1-d delta_p grid")
-    if grid.size > 1:
-        steps = np.diff(grid)
-        if not (np.all(steps > 0) or np.all(steps < 0)):
-            raise ModelError("delta_p grid must be strictly monotone")
-
+    grid = pump.delta_p
     omega_p = pump.omega_p if pump.omega_p is not None else params.resonance_omega
     u, stable, n_lock = _grid_roots(params, grid, pump.p_in, omega_p)
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib
 import json
@@ -126,7 +127,9 @@ SAMPLE_DIGESTS = {
 
 # SHA-256 of each sample config's output in the other format (--format json
 # for the tables, csv for the reports), recorded with the same versions before
-# JSON tables were joined from the CSV cells, so the new path must match the old
+# JSON tables were joined from the CSV cells, so the new path must match the old;
+# the reports that hold a list cell were pinned again once their key,value CSV
+# quoted it as RFC 4180 asks
 OTHER_FORMAT_DIGESTS = {
     "config_sweep.json": "b3c18545ccfaa5ea216ccdb4f74c32c89e246fa9443441b56e27da370ab1154d",
     "config_spectrum_locking.json": "21148861bc214f4dcbc0e95ae66b03e5228a5fe0d645876f7cb3d3ca9ed7f709",
@@ -134,11 +137,11 @@ OTHER_FORMAT_DIGESTS = {
     "config_spectrum_detuning.json": "d27320888c9aae151be28141a3413ada6ef50b8090c8dc5b5ab38218046d63a4",
     "config_locking.json": "22ababf76811c21525520707b597bd0a2122023d005ea6cece69d81c84027793",
     "config_threshold.json": "0b98d23d882126f8f4673b01a5ab0b3fa7cdfb763bcbc8fd424e456f1cc876f9",
-    "config_report.json": "7542120eb9b093c3f2991db63835c56214cc12102f07cc16117a87461f8dd9d2",
+    "config_report.json": "2d9376244a16bb1929104055f2e8ac49b2f468599e96613a8048b039e02ad20f",
     "config_fit_transmission.json": "f53996550459be46e7943dc46f1ed513525d5391b26154203ee0955568b0b4b9",
-    "config_fit_dispersion.json": "b37658bb632e97f7d0684a1fb5157fcbb9bd7c22d979aebd931a16b73afd1ad4",
-    "config_reduce_trace.json": "eeb743e66051dbd4ba3fb446c69b9547e57471ca7e07766bd880ba12d2266e16",
-    "config_losses.json": "5df851e8cd9b9e454a9cf921367975940a2e77e2b9c22b74a1a95db7d22426b6",
+    "config_fit_dispersion.json": "48539e37417a776540640f8846564f480d644af630b7948e4f71015683e6a5b7",
+    "config_reduce_trace.json": "114b6bae7c98e3b167100fe11e20127f30d8363e9dd6d56d92e182592d84bd2e",
+    "config_losses.json": "611709b962089bc031138b167f8bb0b82e7881578fa5934c6bd5bc992498a60c",
 }
 _TABLE_COMMANDS = {"sweep", "spectrum", "locking"}
 
@@ -187,6 +190,38 @@ def test_report_csv_flattening(sample_dir, tmp_path):
     keys = {l.split(",", 1)[0] for l in lines[1:]}
     assert "drive.sigma_tilde" in keys
     assert "measured.v_as_db" in keys
+
+
+def _key_value_rows(path):
+    rows = list(csv.reader(path.read_text().splitlines()))
+    assert rows[0] == ["key", "value"]
+    assert all(len(row) == 2 for row in rows), [row for row in rows if len(row) != 2]
+    return rows[1:]
+
+
+@pytest.mark.parametrize("cmd,config", [c for c in CONFIGS if c[0] not in _TABLE_COMMANDS])
+def test_report_csv_is_two_fields_per_row(cmd, config, sample_dir, tmp_path):
+    # a list cell is its JSON text, quoted as RFC 4180 asks, so a CSV reader
+    # sees one key and one value on every row
+    _, c = run(sample_dir, cmd, config, tmp_path, name="r.csv", extra=("--format", "csv"))
+    _, j = run(sample_dir, cmd, config, tmp_path, name="r.json")
+    body = json.loads(j.read_text())
+    for key, value in _key_value_rows(c):
+        node = body
+        for part in key.split("."):
+            node = node[part]
+        if isinstance(node, list):
+            assert json.loads(value) == node, key
+
+
+def test_report_csv_round_trips_a_label_with_comma_and_quotes(tmp_path):
+    label = 'fiber, "A"'
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"losses": {"entries": [{"label": label, "loss_db": -1.0}]}}))
+    out = tmp_path / "out.csv"
+    assert main(["losses", "--config", str(cfg), "--out", str(out), "--format", "csv"]) == 0
+    cells = dict(_key_value_rows(out))
+    assert json.loads(cells["entries"]) == [{"label": label, "loss_db": -1.0}]
 
 
 def test_sweep_zero_power_block_is_dark(sample_dir, tmp_path):
@@ -339,6 +374,22 @@ def test_cli_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def test_fit_of_a_dip_centred_on_a_wide_detuning_axis_has_error_bars(tmp_path):
+    # the centre fits to about -6e-6 rad/s, where a step of 1e-6 times it is lost
+    # in the rounding of a +-6e7 rad/s axis and leaves its Jacobian column all zeros
+    freq = np.linspace(-6e7, 6e7, 21)
+    trans = steady_state.lineshape(freq, 2e7, 1e7)
+    (tmp_path / "t.csv").write_text("delta_p_rad_s,transmission\n" + "".join(
+        f"{f!r},{t!r}\n" for f, t in zip(freq.tolist(), trans.tolist())))
+    (tmp_path / "c.json").write_text(json.dumps({"fit": {"input": "t.csv"}}))
+    out = tmp_path / "out.json"
+    assert main(["fit-transmission", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 0
+    params = json.loads(out.read_text())["parameters"]
+    assert params["kappa_rad_s"]["value"] == pytest.approx(2e7, rel=1e-9)
+    assert params["gamma_rad_s"]["value"] == pytest.approx(1e7, rel=1e-9)
+    assert all(0.0 < p["stderr"] < 1.0 for p in params.values()), params
 
 
 def test_missing_input_file_named_in_error(tmp_path, capsys):
@@ -534,6 +585,18 @@ def test_out_of_range_configs_are_one_line_errors(cmd, config, expected, tmp_pat
     assert "Traceback" not in err
     assert expected in err, err
     assert not out.exists()
+
+
+def test_overflowing_grid_span_is_one_line_in_a_subprocess(tmp_path):
+    # in process pytest records warnings, so only a subprocess shows what the
+    # user sees: np.linspace over a span that overflows warns unless silenced
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_sweep_config({"start": -1.7e308, "stop": 1.7e308, "points": 5})))
+    proc = subprocess.run([sys.executable, "-m", "kerrsqueeze", "sweep", "--config", str(cfg)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: config key 'grid.delta_p_rad_s': grid must be finite\n"
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("value", [0, -2.25e-5])

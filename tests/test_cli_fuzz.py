@@ -3,20 +3,24 @@
 Each example takes one sample config, sets one of its numeric leaves to an
 extreme or invalid value and runs ``cli.main`` with both ``--format`` values.
 The run must either exit 0 with every output cell finite, or exit 1 with one
-``error:`` line, no traceback and no output file.
+``error:`` line, no traceback and no output file. In process the warnings
+module never reaches stderr, so a run that warns fails too, except for
+``LinearizationWarning``, which a report carries by design.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from kerrsqueeze import cli
+from kerrsqueeze import LinearizationWarning, cli
 
 from test_cli import CONFIGS
 
@@ -85,11 +89,9 @@ def check_outputs_finite(text, out_format):
         body = json.loads(text, parse_constant=_reject_constant)
         assert _finite_tree(body), body
         return
-    lines = [line for line in text.splitlines() if not line.startswith("#")]
-    # a key,value report splits once, as its value may be a JSON list
-    cells = ([line.split(",", 1)[1] for line in lines[1:]] if lines[0] == "key,value"
-             else [c for line in lines[1:] for c in line.split(",")])
-    bad = [c for c in cells if not _cell_is_finite(c)]
+    rows = list(csv.reader(line for line in text.splitlines() if not line.startswith("#")))
+    assert all(len(row) == len(rows[0]) for row in rows), rows[0]
+    bad = [c for row in rows[1:] for c in row if not _cell_is_finite(c)]
     assert not bad, bad[:5]
 
 
@@ -100,9 +102,13 @@ def run_case(cmd, config, workdir):
     for out_format in ("csv", "json"):
         out = Path(workdir) / f"out.{out_format}"
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
             rc = cli.main([cmd, "--config", str(cfg), "--out", str(out), "--format", out_format])
         err = err.getvalue()
+        warned = [f"{w.category.__name__}: {w.message}" for w in caught
+                  if not issubclass(w.category, LinearizationWarning)]
+        assert not warned, warned
         if rc == 0:
             check_outputs_finite(out.read_text(), out_format)
             out.unlink()

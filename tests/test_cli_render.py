@@ -142,7 +142,7 @@ def test_report_holding_a_numpy_bool_renders_in_both_formats():
     report = {"ok": np.bool_(True), "flags": np.array([False, True]), "n": np.int64(3)}
     assert cli._render(report, None) == (
         '{\n  "ok": true,\n  "flags": [\n    false,\n    true\n  ],\n  "n": 3\n}\n')
-    assert cli._render(report, "csv") == "key,value\nok,true\nflags,[false, true]\nn,3\n"
+    assert cli._render(report, "csv") == 'key,value\nok,true\nflags,"[false, true]"\nn,3\n'
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

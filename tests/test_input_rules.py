@@ -3,12 +3,14 @@ public entry point that relies on it."""
 
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kerrsqueeze import (
+    EmptyTrace,
     InvalidEfficiency,
     ModelError,
     NonPositive,
@@ -16,6 +18,8 @@ from kerrsqueeze import (
     ResonatorParams,
     TransmissionTrace,
     ZeroPower,
+    ZeroSpanTrace,
+    cli,
     drive_state,
     fit_shift_coefficient,
     fluctuation_flux,
@@ -33,7 +37,7 @@ from kerrsqueeze import (
     variance_extrema,
     variance_spectrum,
 )
-from kerrsqueeze.core import locked_photon_number
+from kerrsqueeze.core import check_axis, locked_photon_number
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kerrsqueeze"
 PARAMS = ResonatorParams(kappa=515e6, gamma=192e6, g_opt=1.4, lambda_r=1550e-9)
@@ -72,7 +76,8 @@ def test_pump_rule_rejects_bad_power_and_frequency(entry, p_in, omega_p):
     lambda omega_p: locked_photon_number(PARAMS, 1e-3, omega_p),
     lambda omega_p: threshold_power(PARAMS, omega_p),
     lambda omega_p: drive_state(PARAMS, 1e-3, omega_p),
-], ids=["locked_photon_number", "threshold_power", "drive_state"])
+    lambda omega_p: PumpConfig(p_in=1e-3, delta_p=[0.0], omega_p=omega_p),
+], ids=["locked_photon_number", "threshold_power", "drive_state", "PumpConfig"])
 @pytest.mark.parametrize("omega_p", [0.0, -1.0, math.inf, math.nan],
                          ids=["zero", "negative", "inf", "nan"])
 def test_omega_p_rule_is_finite_and_positive(make, omega_p):
@@ -108,7 +113,7 @@ def test_drive_rule_rejects_infinite_power_without_threshold():
 @pytest.mark.parametrize("p_in", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
 def test_pump_config_rejects_power_not_finite_and_non_negative(p_in):
     with pytest.raises(NonPositive):
-        PumpConfig(p_in=p_in)
+        PumpConfig(p_in=p_in, delta_p=[0.0])
 
 
 @pytest.mark.parametrize("fields", [
@@ -117,7 +122,49 @@ def test_pump_config_rejects_power_not_finite_and_non_negative(p_in):
 ], ids=["delta_p-scalar", "delta_p-list", "delta_p-array", "omega_p"])
 def test_pump_config_rejects_nan_placement(fields):
     with pytest.raises(ModelError):
-        PumpConfig(p_in=1e-3, **fields)
+        PumpConfig(p_in=1e-3, **{"delta_p": [0.0], **fields})
+
+
+AXIS_ENTRY_POINTS = {
+    "PumpConfig": lambda axis: PumpConfig(p_in=1e-3, delta_p=axis),
+    "TransmissionTrace": lambda axis: TransmissionTrace(
+        freq=axis, transmission=np.full(np.shape(axis), 0.5)),
+    "ZeroSpanTrace": lambda axis: ZeroSpanTrace(
+        t=axis, power_dbm=np.full(np.shape(axis), -80.0), center_hz=1e8, rbw_hz=3e5,
+        vbw_hz=3e2),
+    # JSON has no NaN or infinity, so the config reader rejects those first
+    "cli-grid": lambda axis: cli._grid({"delta_p_rad_s": axis}, "delta_p_rad_s", "grid"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(AXIS_ENTRY_POINTS))
+@pytest.mark.parametrize("axis", [
+    [0.0, math.nan, 2.0], [0.0, math.inf, 2.0], [-math.inf, 0.0, 1.0], [],
+    [[0.0, 1.0], [2.0, 3.0]], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0],
+], ids=["nan", "inf", "minus-inf", "empty", "2-d", "non-monotone", "repeated"])
+def test_axis_rule_rejects_bad_sample_axes(entry, axis):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the rule tests finiteness before taking steps
+        with pytest.raises(ModelError):
+            AXIS_ENTRY_POINTS[entry](axis)
+
+
+def test_axis_rule_checks_in_order_and_keeps_both_directions():
+    with pytest.raises(ModelError, match="must be 1-d"):
+        check_axis(np.empty((0, 2)), "x")
+    with pytest.raises(EmptyTrace):
+        check_axis([], "x")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError, match="x must be finite"):
+            check_axis([math.inf, math.inf], "x")
+    for axis in ([3.0], [1.0, 2.0], [2.0, 1.0]):
+        got = check_axis(axis, "x")
+        assert got.dtype == np.float64 and got.tolist() == axis
+    # a scalar detuning is a one-point grid; a sample time axis runs forward only
+    assert PumpConfig(p_in=1e-3, delta_p=-2e9).delta_p.tolist() == [-2e9]
+    with pytest.raises(ModelError, match="time axis must be strictly monotone"):
+        AXIS_ENTRY_POINTS["ZeroSpanTrace"]([2.0, 1.0])
 
 
 @pytest.mark.parametrize("p_in,p_th", [(1e-3, math.inf), (0.0, 8e-3), (5e-324, 1e10)],
