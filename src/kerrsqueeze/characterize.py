@@ -20,7 +20,6 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._lm import least_squares_lm
 from .core import (HBAR, PumpConfig, ResonatorParams, check_axis, locked_photon_number,
                    omega_from_wavelength)
 from .errors import (
@@ -129,6 +128,8 @@ def fit_linear_resonance(
     converged relative residual exceeds ``max_residual`` or the parameters
     come out unphysical.
     """
+    from ._lm import least_squares_lm  # on use: only the two fits need the solver
+
     if coupling_regime not in ("over", "under"):
         raise ModelError(f"coupling_regime must be 'over' or 'under', got {coupling_regime!r}")
     if trace.freq.size < 4:
@@ -201,6 +202,8 @@ def fit_shift_coefficient(
     detunings from the cold resonance. Raises Degenerate when the pump
     powers are too low for the model to show any measurable shift.
     """
+    from ._lm import least_squares_lm
+
     if len(traces) < 2:
         raise ModelError("need traces at two or more pump powers")
     cold = ResonatorParams(kappa=kappa, gamma=gamma)

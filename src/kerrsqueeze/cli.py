@@ -10,19 +10,25 @@ timestamps or environment state enter the files.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from . import characterize, core, detection, spectrum, steady_state
+from . import core
 from .errors import ModelError, SchemaError
+
+# numpy and the physics modules are imported inside the functions that use
+# them, so a subcommand loads only what it runs: threshold, report and losses
+# start without numpy. The modules are called through their attributes
+# (steady_state.sweep, not sweep), where a tracer can replace them.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import characterize, detection, spectrum, steady_state
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +126,8 @@ _MAX_GRID_POINTS = 10_000_000
 
 
 def _grid(sec: Dict[str, Any], key: str, path: str) -> np.ndarray:
+    import numpy as np
+
     v = sec.get(key)
     if v is None:
         raise SchemaError(f"config key '{path}.{key}': missing")
@@ -164,8 +172,7 @@ def parse_pump(cfg: RunConfig,
     sec = cfg.section("pump")
     powers = _num_list(sec, "p_in_w", "pump")
     for p in powers:
-        if p < 0:
-            raise SchemaError(f"config key 'pump.p_in_w': powers must be >= 0, got {p}")
+        _schema("config key 'pump.p_in_w'", core.check_power, p)
     omega_p = _num(sec, "omega_p_rad_s", "pump", required=False)
     dirs = sec.get("direction", "down")
     dirs = dirs if isinstance(dirs, list) else [dirs]
@@ -223,19 +230,32 @@ def _quality_factor(params: core.ResonatorParams) -> Optional[float]:
 # deterministic serialization
 
 def _fmt(v: Any, quote: Callable[[Any], str] = str) -> str:
-    if isinstance(v, (bool, np.bool_)):
+    if not isinstance(v, (float, int, str)):
+        # a numpy scalar is written as its Python value; plain values, one per
+        # cell of a row-built table, skip the import
+        import numpy as np
+
+        if isinstance(v, np.bool_):
+            v = bool(v)
+        elif isinstance(v, np.floating):
+            v = float(v)
+        elif isinstance(v, np.integer):
+            v = int(v)
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (np.floating, float)):
+    if isinstance(v, float):
         if not math.isfinite(v):
             raise ModelError(f"output value {float(v)!r} is not finite")
         return repr(float(v))
-    if isinstance(v, (np.integer, int)):
+    if isinstance(v, int):
         return str(int(v))
     return quote(v)
 
 
 def _tolist(obj: Any) -> Any:
     """json.dumps ``default`` hook: numpy arrays and scalars as Python objects."""
+    import numpy as np
+
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -258,6 +278,8 @@ def _cells(name: str, column: Sequence[Any], quote: Callable[[Any], str] = str) 
     true/false, strings and other non-numbers by ``quote`` (once per distinct
     value in a string array). A NaN or an infinity is a ModelError naming the
     column and its row (counted from 1)."""
+    import numpy as np
+
     if isinstance(column, np.ndarray):
         if column.dtype.kind == "f":
             # repr once per distinct value; keyed on the bits, so -0.0 keeps its sign
@@ -315,6 +337,8 @@ def _json_list(items: Sequence[str], indent: str) -> str:
 
 
 def _flatten(obj: Any, prefix: str = "") -> List[Tuple[str, Any]]:
+    import numpy as np
+
     if isinstance(obj, dict):
         return [kv for k, v in obj.items() for kv in _flatten(v, f"{prefix}.{k}" if prefix else k)]
     if isinstance(obj, (list, tuple, np.ndarray)):
@@ -343,6 +367,8 @@ def _render(result: Result, out_format: Optional[str]) -> str:
 
 
 def _sha256(path: Path) -> str:
+    import hashlib
+
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -390,6 +416,8 @@ def _csv_number(text: str, where: str) -> float:
 
 def _column(path: Path, columns: List[str], rows: List[List[str]],
             lineno_of_row: List[int], name: str) -> np.ndarray:
+    import numpy as np
+
     if name not in columns:
         raise SchemaError(f"{path.name}: missing required column '{name}'")
     j = columns.index(name)
@@ -419,6 +447,8 @@ def _meta_number(path: Path, meta: Dict[str, str], key: str,
 
 
 def read_transmission_csv(path: Path) -> characterize.TransmissionTrace:
+    from . import characterize
+
     meta, columns, rows, lines = _read_table(path)
     freq_col = "delta_p_rad_s" if "delta_p_rad_s" in columns else "omega_p_rad_s"
     freq = _column(path, columns, rows, lines, freq_col)
@@ -430,6 +460,10 @@ def read_transmission_csv(path: Path) -> characterize.TransmissionTrace:
 
 
 def read_resonance_csv(path: Path) -> characterize.ResonanceList:
+    import numpy as np
+
+    from . import characterize
+
     _, columns, rows, lines = _read_table(path)
     mu = _column(path, columns, rows, lines, "mu")
     omega = _column(path, columns, rows, lines, "omega_rad_s")
@@ -439,6 +473,8 @@ def read_resonance_csv(path: Path) -> characterize.ResonanceList:
 
 
 def read_zero_span_csv(path: Path) -> characterize.ZeroSpanTrace:
+    from . import characterize
+
     meta, columns, rows, lines = _read_table(path)
     center_hz, rbw_hz, vbw_hz = (_meta_number(path, meta, key)
                                  for key in ("center_hz", "rbw_hz", "vbw_hz"))
@@ -449,6 +485,8 @@ def read_zero_span_csv(path: Path) -> characterize.ZeroSpanTrace:
 
 
 def _budget_from_obj(obj: Any, where: str) -> detection.LossBudget:
+    from . import detection
+
     if not isinstance(obj, list):
         raise SchemaError(f"{where}: expected a list of {{label, loss_db}} entries")
     entries = []
@@ -470,6 +508,8 @@ def read_budget_json(path: Path) -> detection.LossBudget:
 def _sweeps(params: core.ResonatorParams, powers: List[float], omega_p: float, dirs: List[str],
             delta_p: np.ndarray) -> List[steady_state.SweepTrace]:
     """One sweep for each pump power and then each direction."""
+    from . import steady_state
+
     return [steady_state.sweep(params, core.PumpConfig(
                 p_in=p_in, delta_p=delta_p, omega_p=omega_p, direction=direction))
             for p_in in powers for direction in dirs]
@@ -477,6 +517,8 @@ def _sweeps(params: core.ResonatorParams, powers: List[float], omega_p: float, d
 
 def cmd_sweep(cfg: RunConfig) -> Table:
     """branch-continued steady-state sweep over detuning"""
+    import numpy as np
+
     params = parse_resonator(cfg)
     powers, omega_p, dirs = parse_pump(cfg, params)
     delta_p = _grid(cfg.section("grid"), "delta_p_rad_s", "grid")
@@ -511,6 +553,8 @@ def cmd_sweep(cfg: RunConfig) -> Table:
 
 def cmd_spectrum(cfg: RunConfig) -> Table:
     """quadrature variance spectra"""
+    from . import spectrum, steady_state
+
     params = parse_resonator(cfg)
     powers, omega_p, dirs = parse_pump(cfg, params)
     etas, _ = parse_detection(cfg)
@@ -573,6 +617,8 @@ def cmd_spectrum(cfg: RunConfig) -> Table:
 
 def cmd_locking(cfg: RunConfig) -> Table:
     """injection locking point per pump power"""
+    from . import steady_state
+
     params = parse_resonator(cfg)
     powers, omega_p, _ = parse_pump(cfg, params)
     columns = ["p_in_w", "delta_p_lock_rad_s", "n_lock_photons", "delta_cl_rad_s",
@@ -611,6 +657,8 @@ def cmd_threshold(cfg: RunConfig) -> Dict[str, Any]:
 
 def cmd_report(cfg: RunConfig) -> Dict[str, Any]:
     """end-to-end operating point summary"""
+    from . import spectrum
+
     params = parse_resonator(cfg)
     powers, omega_p, _ = parse_pump(cfg, params)
     p_in = powers[0]
@@ -679,6 +727,8 @@ def cmd_report(cfg: RunConfig) -> Dict[str, Any]:
 
 def cmd_fit_transmission(cfg: RunConfig) -> Dict[str, Any]:
     """fit a linear resonance lineshape"""
+    from . import characterize
+
     sec = cfg.section("fit")
     path = cfg.resolve("fit.input", sec.get("input"))
     regime = sec.get("coupling_regime", "over")
@@ -703,6 +753,8 @@ def cmd_fit_transmission(cfg: RunConfig) -> Dict[str, Any]:
 
 def cmd_fit_dispersion(cfg: RunConfig) -> Dict[str, Any]:
     """fit mode dispersion coefficients"""
+    from . import characterize
+
     sec = cfg.section("dispersion")
     path = cfg.resolve("dispersion.input", sec.get("input"))
     resonances = read_resonance_csv(path)
@@ -724,6 +776,10 @@ def cmd_fit_dispersion(cfg: RunConfig) -> Dict[str, Any]:
 
 def cmd_reduce_trace(cfg: RunConfig) -> Dict[str, Any]:
     """reduce a zero-span trace to squeezing dB"""
+    import numpy as np
+
+    from . import characterize
+
     sec = cfg.section("trace")
     t_path = cfg.resolve("trace.input", sec.get("input"))
     r_path = cfg.resolve("trace.reference", sec.get("reference"))

@@ -17,11 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .errors import EmptyTrace, InvalidEfficiency, ModelError, NonPositive
+
+# numpy is imported only where an axis is built, so the scalar formulas load
+# without it
+if TYPE_CHECKING:
+    import numpy as np
 
 # CODATA values; fixed rather than imported so results are bit-stable.
 HBAR = 1.054571817e-34   # reduced Planck constant [J s]
@@ -121,6 +124,8 @@ class PumpConfig:
     direction: str = "down"
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         check_power(self.p_in)
         object.__setattr__(self, "delta_p", check_axis(np.atleast_1d(self.delta_p), "delta_p"))
         if self.omega_p is not None:
@@ -159,6 +164,8 @@ def check_axis(values: Union[Sequence[float], np.ndarray], name: str) -> np.ndar
     """``values`` as a float64 sample axis: 1-d, non-empty (else EmptyTrace), finite
     and strictly monotone (else ModelError). Finiteness is tested before the
     steps are taken, so numpy never warns."""
+    import numpy as np
+
     axis = np.asarray(values, dtype=float)
     if axis.ndim != 1:
         raise ModelError(f"{name} must be 1-d")

@@ -25,7 +25,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from .core import ResonatorParams, check_eta, drive_ratio, total_loss
 from .errors import (
@@ -36,7 +36,9 @@ from .errors import (
     UnstablePoint,
     ZeroPower,
 )
-from .steady_state import SteadyStateBranch
+
+if TYPE_CHECKING:  # annotations only; steady_state loads numpy
+    from .steady_state import SteadyStateBranch
 
 # warn once the distance to the critical point exceeds this; the linearized
 # model is known to fail just above it

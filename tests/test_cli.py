@@ -305,19 +305,31 @@ def test_module_invocation_smoke(sample_dir, tmp_path):
     assert out.read_text().startswith("p_in_w,")
 
 
-@pytest.mark.parametrize("code,config", [
+# runs the CLI with one package made unimportable
+_BLOCKED_MAIN = ("import sys; sys.modules[%r] = None; from kerrsqueeze.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("code,cmd,config", [
     # no subcommand needs scipy: the fits run on the package's own LM solver
-    ("import sys, kerrsqueeze, kerrsqueeze.cli; assert 'scipy' not in sys.modules", None),
+    ("import sys, kerrsqueeze, kerrsqueeze.cli; assert 'scipy' not in sys.modules", None, None),
     # the package namespace is lazy, so the CLI can set BLAS threading first
-    ("import sys, kerrsqueeze; assert 'numpy' not in sys.modules", None),
+    ("import sys, kerrsqueeze; assert 'numpy' not in sys.modules", None, None),
+    # the CLI and the closed-form modules import numpy only where they build arrays
+    ("import sys, kerrsqueeze.cli, kerrsqueeze.core, kerrsqueeze.spectrum, "
+     "kerrsqueeze.detection; assert 'numpy' not in sys.modules", None, None),
     # with scipy unimportable, fit-transmission still writes the pinned bytes
-    ("import sys; sys.modules['scipy'] = None; from kerrsqueeze.cli import main; "
-     "sys.exit(main(sys.argv[1:]))", "config_fit_transmission.json"),
-], ids=["cli-without-scipy", "package-without-numpy", "fit-transmission-with-scipy-blocked"])
-def test_start_up_does_not_import_scipy(code, config, sample_dir, tmp_path):
+    (_BLOCKED_MAIN % "scipy", "fit-transmission", "config_fit_transmission.json"),
+    # and with numpy unimportable, so do the closed-form reports
+    (_BLOCKED_MAIN % "numpy", "threshold", "config_threshold.json"),
+    (_BLOCKED_MAIN % "numpy", "report", "config_report.json"),
+    (_BLOCKED_MAIN % "numpy", "losses", "config_losses.json"),
+], ids=["cli-without-scipy", "package-without-numpy", "cli-without-numpy",
+        "fit-transmission-with-scipy-blocked", "threshold-with-numpy-blocked",
+        "report-with-numpy-blocked", "losses-with-numpy-blocked"])
+def test_start_up_does_not_import_scipy(code, cmd, config, sample_dir, tmp_path):
     out = tmp_path / "out.json"
-    args = [] if config is None else [
-        "fit-transmission", "--config", str(sample_dir / config), "--out", str(out)]
+    args = [] if config is None else [cmd, "--config", str(sample_dir / config), "--out", str(out)]
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     if config is not None:
@@ -478,6 +490,7 @@ _ZERO_SPAN = str(_SAMPLES / "zero_span_trace.csv")
 _NO_ROOT = "no finite steady state at delta_p = "
 _PATH = "expected a file path string, got "
 _POINTS = "expected an integer from 1 to 10000000, got "
+_NEGATIVE_POWER = "config key 'pump.p_in_w': p_in must be finite and >= 0, got -1.0"
 
 
 def _sample_with(name, section, key, value):
@@ -562,6 +575,9 @@ _ILL_CONDITIONED["resonator"].update(kappa_rad_s=1e80, gamma_rad_s=0.0)
      "omega_p must be finite, got inf"),
     ("sweep", _sample_with("sweep", "resonator", "n_eff", 1e-300),
      "circulating_power_w not finite at delta_p = -30000000000.0 rad/s"),
+    # a negative power, in a list or alone, fails the one pump power rule
+    ("sweep", _sample_with("sweep", "pump", "p_in_w", [0.004, -1]), _NEGATIVE_POWER),
+    ("report", _sample_with("report", "pump", "p_in_w", -1), _NEGATIVE_POWER),
     # locked at 1e7 P_th the matrix is as ill-conditioned as at kappa 5e8, but
     # |Q|^4 overflows; the condition check must still fire
     pytest.param("spectrum", _ILL_CONDITIONED, "fluctuation system matrix is ill-conditioned",
@@ -570,7 +586,8 @@ _ILL_CONDITIONED["resonator"].update(kappa_rad_s=1e80, gamma_rad_s=0.0)
                        "dispersion.input", "trace.input", "trace.reference",
                        "detection.budget_path", "losses.budget_path", "points-10_000_001",
                        "points-10**400", "grid-1e155", "sweep-lambda_m-1e-300",
-                       "sweep-n_eff-1e-300", "spectrum_optimized-kappa-1e80"] + _RANGE_IDS)
+                       "sweep-n_eff-1e-300", "sweep-p_in_w--1", "report-p_in_w--1",
+                       "spectrum_optimized-kappa-1e80"] + _RANGE_IDS)
 def test_out_of_range_configs_are_one_line_errors(cmd, config, expected, tmp_path, capsys):
     # inputs whose steady state, transmission, locked point, threshold, path
     # or grid size the program cannot use end in one typed error, not a

@@ -133,6 +133,25 @@ def test_one_extreme_config_value_gives_finite_output_or_one_error_line(case, va
         run_case(cmd, _set(_SAMPLE_CONFIGS[name], path, value), workdir)
 
 
+# keys that no sample config sets, each inserted into every sample config with
+# a resonator section (threshold's gains a pump section)
+UNSET_CASES = [(cmd, name, section, key) for cmd, name in CONFIGS
+               if "resonator" in _SAMPLE_CONFIGS[name]
+               for section, key in (("pump", "omega_p_rad_s"), ("resonator", "omega_r_rad_s"))]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=repr)
+@pytest.mark.parametrize("cmd,name,section,key", UNSET_CASES,
+                         ids=[f"{name}-{key}" for _, name, _, key in UNSET_CASES])
+@pytest.mark.filterwarnings("ignore::kerrsqueeze.LinearizationWarning")
+def test_one_unset_config_key_gives_finite_output_or_one_error_line(cmd, name, section, key,
+                                                                    value):
+    config = _SAMPLE_CONFIGS[name]
+    config = {**config, section: {**config.get(section, {}), key: value}}
+    with tempfile.TemporaryDirectory() as workdir:
+        run_case(cmd, config, workdir)
+
+
 def test_fuzz_cases_cover_every_sample_config_with_numbers():
     # these two configs hold only file paths
     no_numbers = {"config_fit_dispersion.json", "config_losses.json"}

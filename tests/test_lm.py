@@ -33,7 +33,8 @@ def _assert_same_x_as_reference(trace):
         calls.append((fun, x0, x_scale, least_squares_lm(fun, x0, x_scale)))
         raise _Solved
 
-    with mock.patch.object(characterize, "least_squares_lm", recording), \
+    # the fits import the solver when they run, so it is replaced where it lives
+    with mock.patch("kerrsqueeze._lm.least_squares_lm", recording), \
             pytest.raises(_Solved):
         characterize.fit_linear_resonance(trace, "over")
     (fun, x0, x_scale, x), = calls
