@@ -57,7 +57,6 @@ _EXPORTS = {
     "SingularMatrix": "errors",
     "UnstablePoint": "errors",
     "ZeroPower": "errors",
-    "SpectrumPoint": "spectrum",
     "SqueezingResult": "spectrum",
     "fluctuation_flux": "spectrum",
     "locked_extrema": "spectrum",

@@ -27,6 +27,8 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
+from .errors import PoorFit
+
 EPS = float(np.finfo(float).eps)  # MINPACK dpmpar(1)
 DWARF = float(np.finfo(float).tiny)  # dpmpar(2)
 # enorm squares |x| in (RDWARF, RGIANT / n) directly; the C translation
@@ -226,6 +228,17 @@ def _lmpar(r: List[List[float]], ipvt, diag, qtb, delta: float, par: float):
     return par, x
 
 
+def _residual(fun: Callable, x: np.ndarray) -> np.ndarray:
+    """fun(x) as a float64 array; NaN in it is a PoorFit.
+
+    An infinite entry is left to the step test, which rejects the step.
+    """
+    f = np.asarray(fun(x), dtype=float)
+    if np.isnan(f).any():
+        raise PoorFit(f"residual is NaN at x = {x.tolist()}")
+    return f
+
+
 def _jacobian(fun: Callable, x: np.ndarray, f0: np.ndarray) -> np.ndarray:
     """Forward-difference Jacobian, column j in row j."""
     h = (math.sqrt(EPS) * np.where(x >= 0.0, 1.0, -1.0)) * np.maximum(1.0, np.abs(x))
@@ -233,7 +246,7 @@ def _jacobian(fun: Callable, x: np.ndarray, f0: np.ndarray) -> np.ndarray:
     for j in range(x.size):
         xh = x.copy()
         xh[j] = x[j] + h[j]
-        cols[j] = (fun(xh) - f0) / (xh[j] - x[j])
+        cols[j] = (_residual(fun, xh) - f0) / (xh[j] - x[j])
     return cols
 
 
@@ -245,12 +258,15 @@ def least_squares_lm(
     """x minimizing |fun(x)|, from ``x0`` with variable scales ``x_scale``.
 
     Stops at MINPACK's ftol/xtol/gtol tests or after 100·n evaluations of
-    ``fun`` outside the Jacobian, and returns the last accepted x.
+    ``fun`` outside the Jacobian, and returns the last accepted x. Raises
+    PoorFit when the residual at ``x0`` is not finite or any residual holds NaN.
     """
     x = np.array(x0, dtype=float)
     n = x.size
     diag = (1.0 / np.asarray(x_scale, dtype=float)).tolist()
-    fvec = np.asarray(fun(x), dtype=float)
+    fvec = _residual(fun, x)
+    if not np.isfinite(fvec).all():
+        raise PoorFit(f"residual at the initial point x = {x.tolist()} is not finite")
     nfev, fnorm, par = 1, enorm(fvec), 0.0
     xnorm = enorm(np.multiply(diag, x))
     delta = FACTOR * xnorm or FACTOR
@@ -284,7 +300,7 @@ def least_squares_lm(
             pnorm = enorm([d * pj for d, pj in zip(diag, p)])
             if first:
                 delta = min(delta, pnorm)
-            f_new = np.asarray(fun(x_new), dtype=float)
+            f_new = _residual(fun, x_new)
             nfev += 1
             fnorm1 = enorm(f_new)
             actred = -1.0

@@ -110,6 +110,9 @@ class DispersionFit(NamedTuple):
     residual_norm: float  # 2-norm of the misfit [rad/s]
 
 
+# out-of-range samples overflow the norms and the covariance: numpy stays
+# quiet, and the solver and the checks below raise typed errors instead
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit_linear_resonance(
     trace: TransmissionTrace,
     coupling_regime: str,
@@ -165,7 +168,7 @@ def fit_linear_resonance(
     kappa, gamma = (hi, lo) if coupling_regime == "over" else (lo, hi)
 
     rel = float(np.linalg.norm(model(x) - data) / np.linalg.norm(data))
-    if rel > max_residual:
+    if not rel <= max_residual:  # NaN too, where the norms overflow
         raise PoorFit(f"relative residual {rel:.3g} exceeds {max_residual:.3g}")
 
     # standard errors from the local Jacobian at the reported parameters
@@ -183,10 +186,18 @@ def fit_linear_resonance(
             if jac[:, j].any():
                 break
     s2 = float(r0 @ r0) / (m - n)
-    cov = s2 * np.linalg.inv(jac.T @ jac)
+    cov = s2 * _inverse(jac.T @ jac)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return ResonanceFit(float(center), float(kappa), float(gamma), rel,
                         (float(se[0]), float(se[1]), float(se[2])))
+
+
+def _inverse(normal: np.ndarray) -> np.ndarray:
+    """Inverse of a normal matrix J^T J; a singular one is RankDeficient."""
+    try:
+        return np.linalg.inv(normal)
+    except np.linalg.LinAlgError as e:
+        raise RankDeficient(f"standard errors undefined: {e}") from e
 
 
 def fit_shift_coefficient(
@@ -265,6 +276,7 @@ def g_opt_from_threshold(p_th: float, kappa: float, gamma: float, lambda_p: floa
     return g_opt
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit_dispersion(
     resonances: Union[ResonanceList, Sequence[Tuple[int, float]]],
 ) -> DispersionFit:
@@ -300,11 +312,14 @@ def fit_dispersion(
 
     resid = omegas - (omega_0 + d1 * mus + 0.5 * d2 * mus * mus)
     residual_norm = float(np.linalg.norm(resid))
+    if not (np.isfinite([omega_0, d1, d2, residual_norm]).all() and np.isfinite(d_int).all()):
+        raise PoorFit("dispersion fit out of float range: a coefficient or the residual "
+                      "is not finite")
     dof = len(entries) - 3
     if dof == 0:
         return DispersionFit(omega_0, d1, d2, d_int, (0.0, 0.0, 0.0), residual_norm)
     s2 = float(resid @ resid) / dof
-    cov_scaled = s2 * np.linalg.inv(design.T @ design)
+    cov_scaled = s2 * _inverse(design.T @ design)
     # map scaled-basis coefficients (a, b, c) to (omega_0, d1, d2)
     lmap = np.array(
         [
@@ -315,6 +330,8 @@ def fit_dispersion(
     )
     cov = lmap @ cov_scaled @ lmap.T
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    if not np.isfinite(se).all():
+        raise PoorFit("dispersion fit error bars out of float range")
     return DispersionFit(omega_0, d1, d2, d_int, (float(se[0]), float(se[1]), float(se[2])),
                          residual_norm)
 

@@ -229,12 +229,12 @@ def _quality_factor(params: core.ResonatorParams) -> Optional[float]:
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
-def _fmt(v: Any, quote: Callable[[Any], str] = str) -> str:
-    if not isinstance(v, (float, int, str)):
-        # a numpy scalar is written as its Python value; plain values, one per
-        # cell of a row-built table, skip the import
-        import numpy as np
+# The writer tests for numpy types through sys.modules.get("numpy"): no value
+# is a numpy object before numpy loads, so a report never imports it.
 
+def _fmt(v: Any, quote: Callable[[Any], str] = str) -> str:
+    np = None if isinstance(v, (float, int, str)) else sys.modules.get("numpy")
+    if np is not None:  # a numpy scalar is written as its Python value
         if isinstance(v, np.bool_):
             v = bool(v)
         elif isinstance(v, np.floating):
@@ -254,9 +254,8 @@ def _fmt(v: Any, quote: Callable[[Any], str] = str) -> str:
 
 def _tolist(obj: Any) -> Any:
     """json.dumps ``default`` hook: numpy arrays and scalars as Python objects."""
-    import numpy as np
-
-    if isinstance(obj, (np.ndarray, np.generic)):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -278,9 +277,8 @@ def _cells(name: str, column: Sequence[Any], quote: Callable[[Any], str] = str) 
     true/false, strings and other non-numbers by ``quote`` (once per distinct
     value in a string array). A NaN or an infinity is a ModelError naming the
     column and its row (counted from 1)."""
-    import numpy as np
-
-    if isinstance(column, np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(column, np.ndarray):
         if column.dtype.kind == "f":
             # repr once per distinct value; keyed on the bits, so -0.0 keeps its sign
             bits, inverse = np.unique(column.astype(np.float64, copy=False).view(np.int64),
@@ -300,8 +298,9 @@ def _cells(name: str, column: Sequence[Any], quote: Callable[[Any], str] = str) 
     try:
         return [_fmt(v, quote) for v in column]
     except ModelError:
+        floats = float if np is None else (float, np.floating)
         row = next(i for i, v in enumerate(column)
-                   if isinstance(v, (np.floating, float)) and not math.isfinite(v))
+                   if isinstance(v, floats) and not math.isfinite(v))
         raise _not_finite(name, row, column[row]) from None
 
 
@@ -337,11 +336,10 @@ def _json_list(items: Sequence[str], indent: str) -> str:
 
 
 def _flatten(obj: Any, prefix: str = "") -> List[Tuple[str, Any]]:
-    import numpy as np
-
+    np = sys.modules.get("numpy")
     if isinstance(obj, dict):
         return [kv for k, v in obj.items() for kv in _flatten(v, f"{prefix}.{k}" if prefix else k)]
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)) or np is not None and isinstance(obj, np.ndarray):
         return [(prefix, _dumps(obj))]
     return [(prefix, obj)]
 
@@ -460,16 +458,15 @@ def read_transmission_csv(path: Path) -> characterize.TransmissionTrace:
 
 
 def read_resonance_csv(path: Path) -> characterize.ResonanceList:
-    import numpy as np
-
     from . import characterize
 
     _, columns, rows, lines = _read_table(path)
-    mu = _column(path, columns, rows, lines, "mu")
+    mu = _column(path, columns, rows, lines, "mu").tolist()
     omega = _column(path, columns, rows, lines, "omega_rad_s")
-    if not np.all(mu == np.round(mu)):
+    if not all(m.is_integer() for m in mu):
         raise SchemaError(f"{path.name}: column 'mu': mode numbers must be integers")
-    return _schema(path.name, characterize.ResonanceList, tuple(zip(mu.astype(int), omega)))
+    # Python int is exact for any integral float; an int64 cast wraps above 2**63
+    return _schema(path.name, characterize.ResonanceList, tuple(zip(map(int, mu), omega)))
 
 
 def read_zero_span_csv(path: Path) -> characterize.ZeroSpanTrace:
@@ -568,15 +565,19 @@ def cmd_spectrum(cfg: RunConfig) -> Table:
     omega_grid = _grid(grid_sec, "omega_rad_s", "grid").tolist()
     phi_grid = None if optimize_phi else _grid(grid_sec, "phi_lo_rad", "grid").tolist()
 
-    # operating points as (leading row cells, eta, branch, p_in / p_th); the
+    # operating points as (leading row cells, eta, branch, sigma_tilde); the
     # locked closed forms use the last, so detuning mode leaves it unset
     points: List[Tuple[List[Any], float, steady_state.SteadyStateBranch, Optional[float]]]
     if locked:
         head = ["eta", "p_in_w"]
         p_th = core.threshold_power(params, omega_p)
-        locks = [(p_in, steady_state.injection_locking_point(params, p_in, omega_p)[1],
-                  p_in / p_th) for p_in in powers]
-        points = [([eta, p_in], eta, branch, st) for eta in etas for p_in, branch, st in locks]
+        locks = [(p_in, steady_state.injection_locking_point(params, p_in, omega_p)[1])
+                 for p_in in powers]
+        # sigma_tilde is p_in / p_th = 2 g_opt n / Gamma at the lock, but the two
+        # forms round apart in the last bit; each layout keeps the one its bytes hold
+        points = [([eta, p_in], eta, branch, p_in / p_th if optimize_phi
+                   else 2.0 * params.g_opt * branch.n / core.total_loss(params))
+                  for eta in etas for p_in, branch in locks]
     else:
         head = ["eta", "p_in_w", "direction", "delta_p_rad_s", "n_photons"]
         swept = _sweeps(params, powers, omega_p, dirs, _grid(grid_sec, "delta_p_rad_s", "grid"))
@@ -606,11 +607,14 @@ def cmd_spectrum(cfg: RunConfig) -> Table:
                     row.extend(spectrum.locked_extrema(st, y, c))
                 rows.append(row)
             else:
+                y_c = None
                 for phi in phi_grid:
-                    pt = spectrum.variance_spectrum(params, branch, w, phi, eta)
-                    row = lead + [w, phi, pt.v, core.db_from_linear(pt.v)]
+                    v = spectrum.variance_spectrum(params, branch, w, phi, eta)
+                    row = lead + [w, phi, v, core.db_from_linear(v)]
                     if locked:
-                        row.append(spectrum.locked_raw_variance(pt.sigma_tilde, pt.y, pt.c, phi))
+                        # once per omega, after the matrix path has checked its range
+                        y_c = y_c or spectrum.spectral_numbers(params, w, eta)
+                        row.append(spectrum.locked_raw_variance(st, *y_c, phi))
                     rows.append(row)
     return columns, list(zip(*rows)), ()
 

@@ -47,7 +47,8 @@ class NoDip(ModelError):
 
 
 class PoorFit(ModelError):
-    """Fit converged but the residual exceeds the configured threshold."""
+    """Fit ended without a usable result: the residual exceeds the configured
+    threshold, or a residual or fitted number is not finite."""
 
 
 class Degenerate(ModelError):

@@ -52,20 +52,6 @@ class SqueezingResult:
     v_s: float       # squeezed quadrature ratio, <= 1
     v_as: float      # anti-squeezed quadrature ratio, >= 1
     phi_opt: float   # LO phase of the variance minimum [rad], in [-pi/4, 0]
-    sigma: float     # injection parameter [rad/s]
-    eta: float       # detection efficiency the ratios include
-
-
-@dataclass(frozen=True)
-class SpectrumPoint:
-    """One sample of the variance spectrum with its dimensionless internals."""
-
-    omega: float
-    phi_lo: float
-    v: float
-    y: float            # 1 + (2 omega / Gamma)^2
-    c: float            # 4 eta kappa / Gamma
-    sigma_tilde: float  # |sigma| / Gamma
 
 
 def _warn_if_near_critical(x: float, stacklevel: int) -> None:
@@ -160,23 +146,14 @@ def variance_spectrum(
     omega: float,
     phi_lo: float,
     eta: float = 1.0,
-) -> SpectrumPoint:
+) -> float:
     """Variance ratio V/V_vac at one sideband frequency and LO phase.
 
     Valid at any steady-state branch, locked or not. Detection efficiency
     mixes in extra vacuum as (1 - eta) + eta * V.
     """
     g11, g12, g21 = _output_moments(params, branch, omega, eta)
-    v = 2.0 * (cmath.exp(-2j * phi_lo) * g11).real + g12 + g21
-    y, c = spectral_numbers(params, omega, eta)
-    return SpectrumPoint(
-        omega=omega,
-        phi_lo=phi_lo,
-        v=v,
-        y=y,
-        c=c,
-        sigma_tilde=2.0 * params.g_opt * branch.n / total_loss(params),
-    )
+    return 2.0 * (cmath.exp(-2j * phi_lo) * g11).real + g12 + g21
 
 
 def variance_extrema(
@@ -226,7 +203,7 @@ def locked_variances(
     v_s = 1.0 - 2.0 * c * st * 0.25 / (root + st) if st > 0 else 1.0
     v_as = 1.0 + 2.0 * c * (st * root + st * st)
     phi = optimal_phase(p_in, p_th) if st > 0 else 0.0
-    return SqueezingResult(v_s=v_s, v_as=v_as, phi_opt=phi, sigma=loss * st, eta=eta)
+    return SqueezingResult(v_s=v_s, v_as=v_as, phi_opt=phi)
 
 
 def optimal_phase(p_in: float, p_th: float) -> float:

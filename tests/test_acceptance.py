@@ -116,7 +116,7 @@ def test_criterion_05_matrix_path_equals_closed_forms():
         for i in (0, 12, 25, 37, 49):
             b = branches[i]
             ref_min, ref_max = phase_extrema_scan(
-                lambda phi: variance_spectrum(DEVICE, b, 0.0, phi).v
+                lambda phi: variance_spectrum(DEVICE, b, 0.0, phi)
             )
             assert got[i][0] == pytest.approx(ref_min, rel=1e-9)
             assert got[i][1] == pytest.approx(ref_max, rel=1e-9)
@@ -147,7 +147,7 @@ def test_criterion_07_vacuum_invariance_without_gain():
         b = steady_roots(p, float(dp), 2e-3)[0]
         for w in freqs:
             for phi in phases:
-                v = variance_spectrum(p, b, float(w), float(phi)).v
+                v = variance_spectrum(p, b, float(w), float(phi))
                 assert abs(v - 1.0) <= 1e-12
 
 
@@ -280,8 +280,8 @@ def test_criterion_11_loss_law_and_budget():
         w = float(rng.uniform(-2e9, 2e9))
         phi = float(rng.uniform(-math.pi / 2, math.pi / 2))
         eta = float(rng.uniform(0.0, 1.0))
-        full = variance_spectrum(DEVICE, b, w, phi, 1.0).v
-        lossy = variance_spectrum(DEVICE, b, w, phi, eta).v
+        full = variance_spectrum(DEVICE, b, w, phi, 1.0)
+        lossy = variance_spectrum(DEVICE, b, w, phi, eta)
         assert abs(lossy - ((1.0 - eta) + eta * full)) <= 1e-12 * max(1.0, full)
 
     table = LossBudget((

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from kerrsqueeze import (
 )
 
 import oracles
+from kerrsqueeze import characterize
 from kerrsqueeze.cli import read_resonance_csv, read_transmission_csv
 from oracles import shifted_trace, synth_lineshape
 
@@ -115,6 +117,20 @@ class TestLinearResonanceFit:
         with pytest.raises(PoorFit):
             fit_linear_resonance(make_trace(noise=0.02, seed=1), "over",
                                  max_residual=1e-4)
+
+    @pytest.mark.parametrize("column,value", [
+        ("freq", -1e300),  # the residual at the starting point is NaN
+        ("transmission", -1e300),  # the residual norms overflow
+        ("transmission", 1e300),
+    ])
+    def test_out_of_range_sample_is_poor_fit(self, column, value):
+        trace = make_trace()
+        fields = {"freq": trace.freq.copy(), "transmission": trace.transmission.copy()}
+        fields[column][0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy warning on the way
+            with pytest.raises(PoorFit):
+                fit_linear_resonance(TransmissionTrace(**fields), "over")
 
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(EmptyTrace):
@@ -214,6 +230,28 @@ class TestDispersionFit:
             fit_dispersion(self.entries((0, 1)))
         with pytest.raises(RankDeficient):
             fit_dispersion(self.entries((0, 4)))
+
+    def test_mode_numbers_beyond_int64_are_read_exactly(self, sample_dir, tmp_path):
+        lines = (sample_dir / "resonances.csv").read_text().splitlines()
+        lines[1] = "1e20," + lines[1].split(",")[1]
+        (tmp_path / "r.csv").write_text("\n".join(lines) + "\n")
+        resonances = read_resonance_csv(tmp_path / "r.csv")
+        assert resonances.entries[0][0] == 10**20  # an int64 cast would wrap it
+        fit = fit_dispersion(resonances)
+        assert all(map(math.isfinite, (fit.omega_0, fit.d1, fit.d2, fit.residual_norm,
+                                       *fit.stderr, *fit.d_int)))
+
+    def test_out_of_range_frequency_is_poor_fit(self):
+        entries = list(self.entries(range(-40, 41, 4)).entries)
+        entries[0] = (entries[0][0], 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy warning on the way
+            with pytest.raises(PoorFit):
+                fit_dispersion(entries)
+
+    def test_singular_normal_matrix_is_rank_deficient(self):
+        with pytest.raises(RankDeficient):
+            characterize._inverse(np.zeros((3, 3)))
 
     def test_stderr_near_zero_when_exact(self):
         se = fit_dispersion(self.entries(range(-40, 41, 4))).stderr

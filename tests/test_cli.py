@@ -310,30 +310,38 @@ _BLOCKED_MAIN = ("import sys; sys.modules[%r] = None; from kerrsqueeze.cli impor
                  "sys.exit(main(sys.argv[1:]))")
 
 
-@pytest.mark.parametrize("code,cmd,config", [
+@pytest.mark.parametrize("code,cmd,config,csv", [
     # no subcommand needs scipy: the fits run on the package's own LM solver
-    ("import sys, kerrsqueeze, kerrsqueeze.cli; assert 'scipy' not in sys.modules", None, None),
+    ("import sys, kerrsqueeze, kerrsqueeze.cli; assert 'scipy' not in sys.modules",
+     None, None, False),
     # the package namespace is lazy, so the CLI can set BLAS threading first
-    ("import sys, kerrsqueeze; assert 'numpy' not in sys.modules", None, None),
+    ("import sys, kerrsqueeze; assert 'numpy' not in sys.modules", None, None, False),
     # the CLI and the closed-form modules import numpy only where they build arrays
     ("import sys, kerrsqueeze.cli, kerrsqueeze.core, kerrsqueeze.spectrum, "
-     "kerrsqueeze.detection; assert 'numpy' not in sys.modules", None, None),
+     "kerrsqueeze.detection; assert 'numpy' not in sys.modules", None, None, False),
     # with scipy unimportable, fit-transmission still writes the pinned bytes
-    (_BLOCKED_MAIN % "scipy", "fit-transmission", "config_fit_transmission.json"),
-    # and with numpy unimportable, so do the closed-form reports
-    (_BLOCKED_MAIN % "numpy", "threshold", "config_threshold.json"),
-    (_BLOCKED_MAIN % "numpy", "report", "config_report.json"),
-    (_BLOCKED_MAIN % "numpy", "losses", "config_losses.json"),
+    (_BLOCKED_MAIN % "scipy", "fit-transmission", "config_fit_transmission.json", False),
+    # and with numpy unimportable, so do the closed-form reports, in both formats
+    (_BLOCKED_MAIN % "numpy", "threshold", "config_threshold.json", False),
+    (_BLOCKED_MAIN % "numpy", "report", "config_report.json", False),
+    (_BLOCKED_MAIN % "numpy", "losses", "config_losses.json", False),
+    (_BLOCKED_MAIN % "numpy", "threshold", "config_threshold.json", True),
+    (_BLOCKED_MAIN % "numpy", "report", "config_report.json", True),
+    (_BLOCKED_MAIN % "numpy", "losses", "config_losses.json", True),
 ], ids=["cli-without-scipy", "package-without-numpy", "cli-without-numpy",
         "fit-transmission-with-scipy-blocked", "threshold-with-numpy-blocked",
-        "report-with-numpy-blocked", "losses-with-numpy-blocked"])
-def test_start_up_does_not_import_scipy(code, cmd, config, sample_dir, tmp_path):
+        "report-with-numpy-blocked", "losses-with-numpy-blocked",
+        "threshold-csv-with-numpy-blocked", "report-csv-with-numpy-blocked",
+        "losses-csv-with-numpy-blocked"])
+def test_start_up_does_not_import_scipy(code, cmd, config, csv, sample_dir, tmp_path):
     out = tmp_path / "out.json"
     args = [] if config is None else [cmd, "--config", str(sample_dir / config), "--out", str(out)]
+    args += ["--format", "csv"] if csv else []
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     if config is not None:
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLE_DIGESTS[config]
+        digests = OTHER_FORMAT_DIGESTS if csv else SAMPLE_DIGESTS
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[config]
 
 
 def test_package_namespace_exports_submodule_objects():
@@ -342,7 +350,7 @@ def test_package_namespace_exports_submodule_objects():
         module = importlib.import_module(f"kerrsqueeze.{kerrsqueeze._EXPORTS[name]}")
         assert getattr(kerrsqueeze, name) is getattr(module, name), name
         assert name in dir(kerrsqueeze), name
-    assert len(kerrsqueeze.__all__) == len(set(kerrsqueeze.__all__)) == 58
+    assert len(kerrsqueeze.__all__) == len(set(kerrsqueeze.__all__)) == 57
     with pytest.raises(AttributeError):
         kerrsqueeze.no_such_name
 

@@ -157,3 +157,100 @@ def test_fuzz_cases_cover_every_sample_config_with_numbers():
     no_numbers = {"config_fit_dispersion.json", "config_losses.json"}
     assert {name for _, name, _ in CASES} == {name for _, name in CONFIGS} - no_numbers
     assert len(CASES) * len(VALUES) == 532
+
+
+def _data_rows(lines):
+    """Indices of the header and of the data rows of an input CSV's lines."""
+    rows = [i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")]
+    return rows[0], rows[1:]
+
+
+def _input_leaves(file):
+    """Where one value can go in a sample input file: each cell of the first,
+    middle and last data rows and each '#' metadata value of a CSV, as
+    (line, column) or (line, key); each 'loss_db' entry of the loss budget."""
+    if file.endswith(".json"):
+        return [(i, "loss_db") for i in range(len(json.loads((SAMPLES / file).read_text())))]
+    lines = (SAMPLES / file).read_text().splitlines()
+    header, rows = _data_rows(lines)
+    meta = [(i, line[1:].partition("=")[0].strip()) for i, line in enumerate(lines)
+            if line.startswith("#") and "=" in line]
+    picked = sorted({rows[0], rows[len(rows) // 2], rows[-1]})
+    return meta + [(i, column) for i in picked for column in lines[header].split(",")]
+
+
+def _with_value(file, leaf, value):
+    """The sample input file's text with ``value`` at ``leaf``."""
+    text = (SAMPLES / file).read_text()
+    i, key = leaf
+    if file.endswith(".json"):
+        entries = json.loads(text)
+        entries[i][key] = value
+        return json.dumps(entries)
+    lines = text.splitlines()
+    if lines[i].startswith("#"):
+        lines[i] = f"# {key}={value!r}"
+    else:
+        columns = lines[_data_rows(lines)[0]].split(",")
+        cells = lines[i].split(",")
+        cells[columns.index(key)] = repr(value)
+        lines[i] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+# each config that reads a sample input file, with every (leaf, value) case of
+# that file; 1e308 is near the float maximum, and a mode number of 1e20 is
+# integral but beyond int64
+INPUT_VALUES = VALUES + (1e308,)
+def _input_files(config):
+    """The sample files a config (with absolute file paths) reads."""
+    if isinstance(config, dict):
+        return [file for v in config.values() for file in _input_files(v)]
+    return [config] if isinstance(config, str) and config.startswith(str(SAMPLES)) else []
+
+
+INPUT_CASES = [(cmd, name, file, leaf, value)
+               for cmd, name in CONFIGS for file in _input_files(_SAMPLE_CONFIGS[name])
+               for leaf in _input_leaves(Path(file).name)
+               for value in INPUT_VALUES + ((1e20,) if leaf[1] == "mu" else ())]
+
+
+def _point_at(config, old, new):
+    """The config with each string equal to ``old`` replaced by ``new``."""
+    if isinstance(config, dict):
+        return {k: _point_at(v, old, new) for k, v in config.items()}
+    return new if config == old else config
+
+
+# all 307 cases take ~12 s on a 2-core host, 100 draws ~5 s
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.sampled_from(INPUT_CASES))
+# the faults first seen in the fits: a NaN residual stopped the solver with a
+# ZeroDivisionError, the covariance with LinAlgError or numpy warnings, and a
+# mode number beyond int64 wrapped
+@example(case=("fit-transmission", "config_fit_transmission.json",
+               str(SAMPLES / "transmission_trace.csv"), (3, "delta_p_rad_s"), -1e300))
+@example(case=("fit-transmission", "config_fit_transmission.json",
+               str(SAMPLES / "transmission_trace.csv"), (3, "transmission"), -1e300))
+@example(case=("fit-transmission", "config_fit_transmission.json",
+               str(SAMPLES / "transmission_trace.csv"), (3, "transmission"), 1e300))
+@example(case=("fit-dispersion", "config_fit_dispersion.json",
+               str(SAMPLES / "resonances.csv"), (1, "mu"), 1e300))
+@example(case=("fit-dispersion", "config_fit_dispersion.json",
+               str(SAMPLES / "resonances.csv"), (1, "omega_rad_s"), 1e300))
+@example(case=("fit-dispersion", "config_fit_dispersion.json",
+               str(SAMPLES / "resonances.csv"), (1, "mu"), 1e20))
+@pytest.mark.filterwarnings("ignore::kerrsqueeze.LinearizationWarning")
+def test_one_extreme_input_file_value_gives_finite_output_or_one_error_line(case):
+    cmd, name, file, leaf, value = case
+    with tempfile.TemporaryDirectory() as workdir:
+        edited = Path(workdir) / Path(file).name
+        edited.write_text(_with_value(edited.name, leaf, value))
+        run_case(cmd, _point_at(_SAMPLE_CONFIGS[name], file, str(edited)), workdir)
+
+
+def test_input_file_cases_cover_every_sample_input():
+    files = {Path(file).name for _, _, file, _, _ in INPUT_CASES}
+    assert files == {"transmission_trace.csv", "resonances.csv", "zero_span_trace.csv",
+                     "zero_span_reference.csv", "loss_budget.json"}
+    assert len(INPUT_CASES) == 307

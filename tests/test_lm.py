@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kerrsqueeze import TransmissionTrace, characterize
+from kerrsqueeze import PoorFit, TransmissionTrace, characterize
 from kerrsqueeze._lm import enorm, least_squares_lm
 
 SAMPLE_TRACE = Path(__file__).resolve().parent.parent / "sample_data" / "transmission_trace.csv"
@@ -85,3 +85,24 @@ def test_random_lineshape_fits_are_the_reference_fits(points, gamma, ratio, offs
 def test_enorm_scales_out_of_range_entries(x):
     # math.hypot scales too, and rounds within an ulp or two of the true norm
     assert enorm(x) == pytest.approx(math.hypot(*x), rel=4e-16, abs=0.0)
+
+
+def _wall(fill):
+    """Residual x - 3 up to x = 2 and ``fill`` beyond: the first step lands past 2."""
+    return lambda x: np.array([fill if x[0] > 2.0 else x[0] - 3.0, 0.0])
+
+
+def test_infinite_residual_mid_run_is_a_rejected_step():
+    x = least_squares_lm(_wall(math.inf), [0.0], [1.0])
+    assert 1.9 < x[0] <= 2.0
+
+
+@pytest.mark.parametrize("fun,x0", [
+    (_wall(math.nan), [0.0]),  # NaN once the first step is taken
+    (lambda x: np.array([math.nan, x[0]]), [1.0]),
+    (lambda x: np.array([math.inf, x[0]]), [1.0]),
+    (lambda x: np.array([x[0], -math.inf]), [1.0]),
+], ids=["nan-mid-run", "nan-at-x0", "inf-at-x0", "minus-inf-at-x0"])
+def test_nan_or_non_finite_start_is_poor_fit(fun, x0):
+    with pytest.raises(PoorFit):
+        least_squares_lm(fun, x0, [1.0])
