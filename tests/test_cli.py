@@ -169,6 +169,26 @@ def test_sample_other_format_bytes_match_recorded_digest(cmd, config, sample_dir
     )
 
 
+def test_detuning_phase_grid_bytes_match_recorded_digest(sample_dir, tmp_path):
+    # off the lock only optimize_phi touched the moments in the samples; this
+    # pins variance_spectrum on swept points across a hysteresis pair, two
+    # efficiencies, both signs of omega and the phase grid's closed ends
+    config = json.loads((sample_dir / "config_spectrum_detuning.json").read_text())
+    config["spectrum"]["optimize_phi"] = False
+    config["pump"] = {"p_in_w": [0.002, 0.004], "direction": ["down", "up"]}
+    config["detection"]["eta"] = [1.0, 0.73]
+    config["grid"]["omega_rad_s"] = [-1e9, 0.0, 3e8]
+    config["grid"]["phi_lo_rad"] = {"start": -math.pi / 2, "stop": math.pi / 2, "points": 5}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 0
+    text = out.read_bytes()
+    assert sum(not line.startswith(b"#") for line in text.splitlines()) == 1 + 3120
+    assert hashlib.sha256(text).hexdigest() == (
+        "ee507f55bb018e21f475dbe222941a02299f9af342350e1ed570d33f98c61b7e")
+
+
 def test_json_format_matches_csv_values(sample_dir, tmp_path):
     _, c = run(sample_dir, "locking", "config_locking.json", tmp_path, name="x.csv")
     _, j = run(sample_dir, "locking", "config_locking.json", tmp_path, name="x.json",
