@@ -548,8 +548,22 @@ def cmd_sweep(cfg: RunConfig) -> Table:
     return list(table), list(table.values()), meta
 
 
+def _db(ratio: np.ndarray) -> np.ndarray:
+    """core.db_from_linear over an array; the first ratio it rejects raises its error."""
+    import numpy as np
+
+    bad = ~((ratio > 0.0) & (ratio < math.inf))
+    if bad.any():
+        core.db_from_linear(float(ratio.flat[bad.argmax()]))
+    # math.log10, not np.log10: the two differ in the last bit on some inputs
+    log = map(math.log10, ratio.ravel().tolist())
+    return 10.0 * np.fromiter(log, float, count=ratio.size).reshape(ratio.shape)
+
+
 def cmd_spectrum(cfg: RunConfig) -> Table:
     """quadrature variance spectra"""
+    import numpy as np
+
     from . import spectrum, steady_state
 
     params = parse_resonator(cfg)
@@ -562,12 +576,13 @@ def cmd_spectrum(cfg: RunConfig) -> Table:
     locked = mode == "locking"
     optimize_phi = bool(sec.get("optimize_phi", False))
     grid_sec = cfg.section("grid")
-    omega_grid = _grid(grid_sec, "omega_rad_s", "grid").tolist()
-    phi_grid = None if optimize_phi else _grid(grid_sec, "phi_lo_rad", "grid").tolist()
+    omega = _grid(grid_sec, "omega_rad_s", "grid")
+    phi = None if optimize_phi else _grid(grid_sec, "phi_lo_rad", "grid")
 
-    # operating points as (leading row cells, eta, branch, sigma_tilde); the
-    # locked closed forms use the last, so detuning mode leaves it unset
-    points: List[Tuple[List[Any], float, steady_state.SteadyStateBranch, Optional[float]]]
+    # operating points as (leading row cells, eta, branch, sigma_tilde): a locked
+    # branch, or a sweep trace whose cells hold one entry per grid point; the
+    # locked closed forms use sigma_tilde, so detuning mode leaves it unset
+    points: List[Tuple[List[Any], float, Any, Optional[float]]]
     if locked:
         head = ["eta", "p_in_w"]
         p_th = core.threshold_power(params, omega_p)
@@ -581,9 +596,8 @@ def cmd_spectrum(cfg: RunConfig) -> Table:
     else:
         head = ["eta", "p_in_w", "direction", "delta_p_rad_s", "n_photons"]
         swept = _sweeps(params, powers, omega_p, dirs, _grid(grid_sec, "delta_p_rad_s", "grid"))
-        points = [([eta, trace.p_in, trace.direction, float(trace.delta_p[i]), branch.n],
-                   eta, branch, None)
-                  for eta in etas for trace in swept for i, branch in enumerate(trace.branches)]
+        points = [([eta, trace.p_in, trace.direction, trace.delta_p, trace.n], eta, trace, None)
+                  for eta in etas for trace in swept]
 
     if optimize_phi:
         columns = head + ["omega_rad_s", "v_s_ratio", "v_s_db", "v_as_ratio", "v_as_db",
@@ -595,28 +609,28 @@ def cmd_spectrum(cfg: RunConfig) -> Table:
         if locked:
             columns.append("v_locked_ratio")
 
-    rows: List[Sequence[Any]] = []
+    # one block of rows per call: a trace's points, then omega, then phi; the
+    # moment checks of a whole block run before its dB and (y, c) checks
+    blocks = []
     for lead, eta, branch, st in points:
-        for w in omega_grid:
-            if optimize_phi:
-                v_min, v_max, phi_min = spectrum.variance_extrema(params, branch, w, eta)
-                row = lead + [w, v_min, core.db_from_linear(v_min),
-                              v_max, core.db_from_linear(v_max), phi_min]
-                if locked:
-                    y, c = spectrum.spectral_numbers(params, w, eta)
-                    row.extend(spectrum.locked_extrema(st, y, c))
-                rows.append(row)
-            else:
-                y_c = None
-                for phi in phi_grid:
-                    v = spectrum.variance_spectrum(params, branch, w, phi, eta)
-                    row = lead + [w, phi, v, core.db_from_linear(v)]
-                    if locked:
-                        # once per omega, after the matrix path has checked its range
-                        y_c = y_c or spectrum.spectral_numbers(params, w, eta)
-                        row.append(spectrum.locked_raw_variance(st, *y_c, phi))
-                    rows.append(row)
-    return columns, list(zip(*rows)), ()
+        if optimize_phi:
+            v_min, v_max, phi_min = spectrum.variance_extrema(params, branch, omega, eta)
+            db = _db(np.stack([v_min, v_max], axis=-1))
+            cells = [omega, v_min, db[..., 0], v_max, db[..., 1], phi_min]
+            if locked:
+                y, c = spectrum.spectral_numbers(params, omega, eta)
+                cells.extend(spectrum.locked_extrema(st, y, c))
+        else:
+            v = spectrum.variance_spectrum(params, branch, omega[:, None], phi, eta)
+            cells = [omega[:, None], phi, v, _db(v)]
+            if locked:
+                y, c = spectrum.spectral_numbers(params, omega, eta)
+                cells.append(spectrum.locked_raw_variance(st, y[:, None], c, phi))
+        shape = np.shape(cells[2])
+        # a leading cell has one entry per point, on the leading axis
+        lead = [np.reshape(x, np.shape(x) + (1,) * (len(shape) - np.ndim(x))) for x in lead]
+        blocks.append([np.broadcast_to(x, shape).ravel() for x in lead + cells])
+    return columns, [np.concatenate(column) for column in zip(*blocks)], ()
 
 
 def cmd_locking(cfg: RunConfig) -> Table:

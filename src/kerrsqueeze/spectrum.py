@@ -25,7 +25,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .core import ResonatorParams, check_eta, drive_ratio, total_loss
 from .errors import (
@@ -37,12 +37,19 @@ from .errors import (
     ZeroPower,
 )
 
-if TYPE_CHECKING:  # annotations only; steady_state loads numpy
-    from .steady_state import SteadyStateBranch
+# numpy is imported inside the array code, so report's locked closed forms
+# load without it
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .steady_state import SteadyStateBranch, SweepTrace
+
+    Branch = Union[SteadyStateBranch, SweepTrace]
 
 # warn once the distance to the critical point exceeds this; the linearized
 # model is known to fail just above it
 _X_GUARD = 0.99
+_UNSTABLE = "the steady-state branch is unstable; its fluctuations do not settle"
 
 
 @dataclass(frozen=True)
@@ -64,119 +71,250 @@ def _warn_if_near_critical(x: float, stacklevel: int) -> None:
         )
 
 
-def spectral_numbers(params: ResonatorParams, omega: float, eta: float) -> Tuple[float, float]:
-    """(y, c) = (1 + (2 omega / Gamma)^2, 4 eta kappa / Gamma)."""
+class _Complex(NamedTuple):
+    """Complex float arrays as (re, im), with the arithmetic of CPython 3.11's
+    complex type, so an expression gives, element by element, the bits the same
+    expression of Python numbers gives: numpy's complex128 rounds apart in the
+    sign of zero, in subnormals and in its quotient. A real operand x enters as
+    (x, 0.0), as Python promotes it, and a product or quotient is
+    _Py_c_prod's or _Py_c_quot's (Smith, CACM 5(8), 1962)."""
+
+    re: Any
+    im: Any
+    __array_ufunc__ = None  # an array operand hands the operation to these methods
+
+    def __add__(a, b: Any) -> _Complex:
+        b = _complex(b)
+        return _Complex(a.re + b.re, a.im + b.im)
+
+    def __sub__(a, b: Any) -> _Complex:
+        b = _complex(b)
+        return _Complex(a.re - b.re, a.im - b.im)
+
+    def __rsub__(a, b: Any) -> _Complex:
+        return _complex(b) - a
+
+    def __mul__(a, b: Any) -> _Complex:
+        b = _complex(b)
+        return _Complex(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+
+    # IEEE sums and products commute, so b + a and b * a are a + b and a * b
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __truediv__(a, b: Any) -> _Complex:
+        import numpy as np
+
+        if isinstance(b, float) and b:  # Smith's first branch, with b.imag = 0.0
+            ratio = 0.0 / b
+            return _Complex((a.re + a.im * ratio) / b, (a.im - a.re * ratio) / b)
+        b_re, b_im = (np.asarray(part, dtype=float) for part in _complex(b))
+        by_re = np.abs(b_re) >= np.abs(b_im)  # a NaN in b gives NaN either way
+        ratio = np.where(by_re, b_im / b_re, b_re / b_im)
+        denom = np.where(by_re, b_re + b_im * ratio, b_re * ratio + b_im)
+        return _Complex(np.where(by_re, a.re + a.im * ratio, a.re * ratio + a.im) / denom,
+                        np.where(by_re, a.im - a.re * ratio, a.im * ratio - a.re) / denom)
+
+    def __neg__(a) -> _Complex:
+        return _Complex(-a.re, -a.im)
+
+    def __abs__(a) -> np.ndarray:
+        import numpy as np
+
+        return np.hypot(a.re, a.im)
+
+    def conjugate(a) -> _Complex:
+        return _Complex(a.re, -a.im)
+
+
+def _complex(z: Any) -> _Complex:
+    return z if isinstance(z, _Complex) else _Complex(z.real, z.imag)
+
+
+_J = _Complex(0.0, 1.0)
+
+
+def _map(fn: Any, *args: Any, dtype: type = float) -> np.ndarray:
+    """``fn`` of Python numbers elementwise over the broadcast arguments."""
+    import numpy as np
+
+    args = np.broadcast_arrays(*args)
+    out = map(fn, *(a.ravel().tolist() for a in args))
+    return np.fromiter(out, dtype, count=args[0].size).reshape(args[0].shape)
+
+
+def _pow2(x: Any) -> np.ndarray:
+    """``x ** 2`` of Python floats (C pow, which x * x rounds apart from on
+    some inputs) elementwise, and inf where Python raises OverflowError."""
+    import numpy as np
+
+    # sqrt(DBL_MAX) rounded down: the largest float whose square is finite
+    return _map(pow, np.where(np.abs(x) > 1.3407807929942596e154, math.inf, x), 2.0)
+
+
+def _first_failure(checks: Sequence[Any]) -> Optional[Tuple[int, int]]:
+    """(element, check) of the first element in C order that fails any of the
+    boolean arrays, and the first of them it fails; None if none fails."""
+    import numpy as np
+
+    bad = np.stack(np.broadcast_arrays(*checks)).reshape(len(checks), -1)
+    rows = np.flatnonzero(bad.any(axis=0))
+    return (int(rows[0]), int(bad[:, rows[0]].argmax())) if rows.size else None
+
+
+def _scalar(a: np.ndarray) -> Union[float, np.ndarray]:
+    """A 0-d result as a float, so scalars in give floats out."""
+    return float(a) if a.ndim == 0 else a
+
+
+def spectral_numbers(params: ResonatorParams, omega: Any, eta: float) -> Tuple[Any, float]:
+    """(y, c) = (1 + (2 omega / Gamma)^2, 4 eta kappa / Gamma), y over ``omega``.
+
+    Raises ModelError naming the first omega whose y is not finite.
+    """
+    import numpy as np
+
     loss = total_loss(params)
-    return 1.0 + (2.0 * omega / loss) ** 2, 4.0 * eta * params.kappa / loss
+    omega = np.asarray(omega, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = 1.0 + _pow2(2.0 * omega / loss)
+    bad = ~np.isfinite(y)
+    if bad.any():
+        raise ModelError(f"y = 1 + (2w/Gamma)^2 out of float range at omega = "
+                         f"{float(omega.flat[bad.argmax()])!r} rad/s")
+    return _scalar(y), 4.0 * eta * params.kappa / loss
 
 
 def _output_moments(
-    params: ResonatorParams, branch: SteadyStateBranch, omega: float, eta: float
-) -> Tuple[complex, float, float]:
-    """Detected doublet second moments (G11, G12, G21) at (omega, -omega).
+    params: ResonatorParams, branch: Branch, omega: Any, eta: float
+) -> Tuple[_Complex, np.ndarray, np.ndarray]:
+    """Detected doublet second moments (G11, G12, G21) at (omega, -omega), each
+    of shape np.shape(branch.n) + np.shape(omega): operating point, then omega.
 
     G22 = conj(G11) by the doublet reality conditions, so it is not returned.
     G12 and G21 are real; their difference is exactly 1 (commutator
     preservation), which the reduced forms below inherit from the identities
-    M22(-w) = conj(M11(w)) and M21(w) = conj(M12(-w)). Checks ``eta``, warns
-    near the critical point and rejects an unstable branch on behalf of the
-    public callers; a system matrix out of the float range is reported first,
-    then a singular one. Raises ModelError when a moment is not finite.
+    M22(-w) = conj(M11(w)) and M21(w) = conj(M12(-w)). Checks ``eta``, then
+    every (point, omega) in C order for a system matrix out of the float
+    range, then a singular one, an unstable point and moments that are not
+    finite. The first failure raises, after a LinearizationWarning for each
+    point near the critical point that has a row past the range check.
 
     One solve of Q(w) serves both frequencies: Q11(-w) = conj Q22(w),
     Q22(-w) = conj Q11(w) and Q12 Q21 is real, so det Q(-w) = conj det Q(w)
     and M12(-w) = kappa Q12 / conj det Q(w), bit for bit.
     """
+    import numpy as np
+
     check_eta(eta)
-    sigma_c = 2.0 * params.g_opt * branch.n * cmath.exp(2j * branch.alpha_phase)
-    half_loss = total_loss(params) / 2.0
-    q11 = half_loss - 1j * (omega + branch.delta_f)
-    q22 = half_loss - 1j * (omega - branch.delta_f)
-    q12 = -1j * sigma_c / 2.0
-    q21 = 1j * sigma_c.conjugate() / 2.0
-    det = q11 * q22 - q12 * q21
-    try:
+    omega = np.asarray(omega, dtype=float)
+    at = np.shape(branch.n) + (1,) * omega.ndim  # point axes lead, omega axes follow
+    n, delta_f, alpha, stable = (np.reshape(getattr(branch, key), at) for key in
+                                 ("n", "delta_f", "alpha_phase", "stable"))
+    with np.errstate(all="ignore"):
+        sigma = 2.0 * params.g_opt * n
+        sigma_c = sigma * _complex(_map(lambda a: cmath.exp(2j * a), alpha, dtype=complex))
+        half_loss = total_loss(params) / 2.0
+        q11 = half_loss - _J * (omega + delta_f)
+        q22 = half_loss - _J * (omega - delta_f)
+        q12 = -_J * sigma_c / 2.0
+        q21 = _J * sigma_c.conjugate() / 2.0
+        det = q11 * q22 - q12 * q21
         absdet = abs(det)
-        fro2 = abs(q11) ** 2 + abs(q12) ** 2 + abs(q21) ** 2 + abs(q22) ** 2
-    except OverflowError:  # abs and ** of Python numbers raise out of range
-        fro2 = math.inf
-    if not fro2 < math.inf:
-        raise NonPositive(f"fluctuation system matrix out of float range at omega = {omega!r} rad/s")
-    _warn_if_near_critical(_critical_distance(params, branch), stacklevel=4)
-    # exact 2-norm condition number of a 2x2, s_max^2 / |det|, in its
-    # scale-free form (1 + sqrt(1 - 4 r^2)) / (2 r) with r = |det| / fro2,
-    # so squaring fro2 cannot overflow for large |Q|
-    r = absdet / fro2 if absdet else 0.0
-    if r == 0.0 or (1.0 + math.sqrt(max(1.0 - 4.0 * r * r, 0.0))) / (2.0 * r) > 1e12:
-        raise SingularMatrix(
-            "fluctuation system matrix is ill-conditioned; the operating "
-            "point sits at a marginally stable branch fold"
-        )
-    _check_stable(branch)
-    k = params.kappa
-    m11_p = 1.0 - k * q22 / det
-    m12_m = k * q12 / det.conjugate()
-    loss_ratio = params.gamma / params.kappa
+        fro2 = _pow2(abs(q11)) + _pow2(abs(q12)) + _pow2(abs(q21)) + _pow2(abs(q22))
+        # Python's abs also raises where a finite complex has no finite modulus
+        out_of_range = ~(fro2 < math.inf) | (np.isfinite(det.re) & np.isfinite(det.im)
+                                              & ~(absdet < math.inf))
+        # exact 2-norm condition number of a 2x2, s_max^2 / |det|, in its
+        # scale-free form (1 + sqrt(1 - 4 r^2)) / (2 r) with r = |det| / fro2,
+        # so squaring fro2 cannot overflow for large |Q|
+        r = np.where(absdet != 0.0, absdet / fro2, 0.0)
+        singular = (r == 0.0) | ((1.0 + np.sqrt(np.maximum(1.0 - 4.0 * r * r, 0.0)))
+                                 / (2.0 * r) > 1e12)
+        k = params.kappa
+        m11_p = 1.0 - k * q22 / det
+        m12_m = k * q12 / det.conjugate()
+        loss_ratio = params.gamma / params.kappa
 
-    s11 = m12_m * (m11_p + loss_ratio * (m11_p - 1.0))
-    s12 = abs(m11_p) ** 2 + loss_ratio * abs(m11_p - 1.0) ** 2
-    s21 = (1.0 + loss_ratio) * abs(m12_m) ** 2
+        s11 = m12_m * (m11_p + loss_ratio * (m11_p - 1.0))
+        s12 = _pow2(abs(m11_p)) + loss_ratio * _pow2(abs(m11_p - 1.0))
+        s21 = (1.0 + loss_ratio) * _pow2(abs(m12_m))
 
-    g11 = eta * s11
-    g12 = eta * s12 + (1.0 - eta)
-    g21 = eta * s21
-    if not (cmath.isfinite(g11) and math.isfinite(g12) and math.isfinite(g21)):
-        raise ModelError(f"fluctuation moments not finite at omega = {omega!r} rad/s")
+        g11 = eta * s11
+        g12 = eta * s12 + (1.0 - eta)
+        g21 = eta * s21
+        finite = np.isfinite(g11.re) & np.isfinite(g11.im) & np.isfinite(g12) & np.isfinite(g21)
+        fail = _first_failure([out_of_range, singular, ~stable, ~finite])
+        x = (sigma / 2.0) / _map(math.hypot, delta_f, half_loss)
+
+    reached = g12.size if fail is None else fail[0] + (fail[1] > 0)  # rows past the range check
+    near = x.ravel()[(np.arange(g12.size) < reached).reshape(x.size, -1).any(axis=1)]
+    for x_point in near.tolist():
+        _warn_if_near_critical(x_point, stacklevel=4)
+    if fail is not None:
+        at_omega = float(np.broadcast_to(omega, g12.shape).flat[fail[0]])
+        raise [NonPositive(f"fluctuation system matrix out of float range at omega = "
+                           f"{at_omega!r} rad/s"),
+               SingularMatrix("fluctuation system matrix is ill-conditioned; the operating "
+                              "point sits at a marginally stable branch fold"),
+               UnstablePoint(_UNSTABLE),
+               ModelError(f"fluctuation moments not finite at omega = {at_omega!r} rad/s"),
+               ][fail[1]]
     return g11, g12, g21
 
 
-def _check_stable(branch: SteadyStateBranch) -> None:
-    if not branch.stable:
-        raise UnstablePoint("the steady-state branch is unstable; its fluctuations do not settle")
+def _lo_factor(phi_lo: Any) -> _Complex:
+    """e^{-2i phi_lo}, one cmath.exp per phase. V is pi-periodic in the LO
+    phase, so it is first reduced by math.remainder(phi_lo, pi), which leaves
+    |phi_lo| <= pi/2 as it is and any finite phase in the range of exp."""
+    import numpy as np
 
-
-def _critical_distance(params: ResonatorParams, branch: SteadyStateBranch) -> float:
-    sigma = 2.0 * params.g_opt * branch.n
-    return (sigma / 2.0) / math.hypot(branch.delta_f, total_loss(params) / 2.0)
+    phi_lo = np.asarray(phi_lo, dtype=float)
+    if not np.isfinite(phi_lo).all():
+        bad = float(phi_lo.flat[(~np.isfinite(phi_lo)).argmax()])
+        raise ModelError(f"LO phase must be finite, got {bad!r} rad")
+    return _complex(_map(lambda phi: cmath.exp(-2j * math.remainder(phi, math.pi)), phi_lo,
+                         dtype=complex))
 
 
 def variance_spectrum(
-    params: ResonatorParams,
-    branch: SteadyStateBranch,
-    omega: float,
-    phi_lo: float,
-    eta: float = 1.0,
-) -> float:
-    """Variance ratio V/V_vac at one sideband frequency and LO phase.
+    params: ResonatorParams, branch: Branch, omega: Any, phi_lo: Any, eta: float = 1.0
+) -> Union[float, np.ndarray]:
+    """Variance ratio V/V_vac at sideband frequencies ``omega`` and LO phases
+    ``phi_lo``, which broadcast together.
 
-    Valid at any steady-state branch, locked or not. Detection efficiency
-    mixes in extra vacuum as (1 - eta) + eta * V.
+    Valid at any steady-state branch, locked or not: one SteadyStateBranch, or
+    every point of a SweepTrace, whose axis leads the result; all scalars give a
+    float. Detection efficiency mixes in extra vacuum as (1 - eta) + eta * V.
     """
-    g11, g12, g21 = _output_moments(params, branch, omega, eta)
-    return 2.0 * (cmath.exp(-2j * phi_lo) * g11).real + g12 + g21
+    import numpy as np
+
+    omega = np.asarray(omega, dtype=float)
+    lead = len(np.broadcast_shapes(omega.shape, np.shape(phi_lo))) - omega.ndim
+    g11, g12, g21 = _output_moments(params, branch, omega.reshape((1,) * lead + omega.shape), eta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _scalar(2.0 * (_lo_factor(phi_lo) * g11).re + g12 + g21)
 
 
 def variance_extrema(
-    params: ResonatorParams,
-    branch: SteadyStateBranch,
-    omega: float,
-    eta: float = 1.0,
-) -> Tuple[float, float, float]:
-    """(v_min, v_max, phi_min) over the LO phase at one sideband frequency.
+    params: ResonatorParams, branch: Branch, omega: Any, eta: float = 1.0
+) -> Tuple[Any, Any, Any]:
+    """(v_min, v_max, phi_min) over the LO phase at sideband frequencies
+    ``omega``, each of shape np.shape(branch.n) + np.shape(omega).
 
     The phase dependence is a pure second harmonic, so the extrema follow
     directly from the moments: v = base +/- 2|G11|, with the minimum at
-    phi = (arg G11 - pi) / 2 wrapped into (-pi/2, pi/2].
+    phi = (arg G11 - pi) / 2 wrapped into (-pi/2, pi/2], or 0 where G11 = 0.
     """
+    import numpy as np
+
     g11, g12, g21 = _output_moments(params, branch, omega, eta)
-    base = g12 + g21
-    amp = 2.0 * abs(g11)
-    if amp == 0.0:
-        return base, base, 0.0
-    phi_min = (cmath.phase(g11) - math.pi) / 2.0
-    if phi_min <= -math.pi / 2.0:
-        phi_min += math.pi
-    return base - amp, base + amp, phi_min
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = g12 + g21
+        amp = 2.0 * abs(g11)
+        phi_min = (_map(math.atan2, g11.im, g11.re) - math.pi) / 2.0
+        phi_min = np.where(phi_min <= -math.pi / 2.0, phi_min + math.pi, phi_min)
+        return _scalar(base - amp), _scalar(base + amp), _scalar(np.where(amp == 0.0, 0.0, phi_min))
 
 
 def locked_variances(
@@ -220,42 +358,50 @@ def optimal_phase(p_in: float, p_th: float) -> float:
     return 0.5 * math.atan(-p_th / p_in / 2.0)
 
 
-def _check_locked_numbers(sigma_tilde: float, y: float, c: float) -> None:
-    if y < 1.0:
-        raise NonPositive(f"y = 1 + (2w/Gamma)^2 must be >= 1, got {y}")
-    if c < 0.0:
-        raise NonPositive(f"c must be >= 0, got {c}")
-    if sigma_tilde < 0.0:
-        raise NonPositive(f"sigma_tilde must be >= 0, got {sigma_tilde}")
+def _check_locked_numbers(sigma_tilde: Any, y: Any, c: Any) -> Tuple[Any, Any, Any]:
+    """The three numbers as arrays; the first element that breaks a rule raises."""
+    import numpy as np
+
+    st, y, c = (np.asarray(a, dtype=float) for a in (sigma_tilde, y, c))
+    fail = _first_failure([y < 1.0, c < 0.0, st < 0.0])
+    if fail is not None:
+        rule, value = [("y = 1 + (2w/Gamma)^2 must be >= 1", y), ("c must be >= 0", c),
+                       ("sigma_tilde must be >= 0", st)][fail[1]]
+        shape = np.broadcast_shapes(st.shape, y.shape, c.shape)
+        raise NonPositive(f"{rule}, got {float(np.broadcast_to(value, shape).flat[fail[0]])}")
+    return st, y, c
 
 
-def locked_raw_variance(
-    sigma_tilde: float, y: float, c: float, phi_lo: float
-) -> float:
+def locked_raw_variance(sigma_tilde: Any, y: Any, c: Any, phi_lo: Any) -> Union[float, np.ndarray]:
     """Locked-point variance ratio as an explicit function of the
-    dimensionless drive, frequency and coupling numbers.
+    dimensionless drive, frequency and coupling numbers, which broadcast
+    with the LO phase; all scalars give a float.
 
     Evaluated through the complex-exponential form; the result is real by
     construction (the two phase terms are conjugates).
     """
-    _check_locked_numbers(sigma_tilde, y, c)
-    st = sigma_tilde
-    z = (0.5j * st) * (y + 2j * st) * cmath.exp(-2j * phi_lo)
-    bracket = 2.0 * z.real + 2.0 * st * st
-    return 1.0 + c / (y * y) * bracket
+    import numpy as np
+
+    st, y, c = _check_locked_numbers(sigma_tilde, y, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (_Complex(0.0, 0.5) * st) * (y + _Complex(0.0, 2.0) * st) * _lo_factor(phi_lo)
+        bracket = 2.0 * z.re + 2.0 * st * st
+        return _scalar(1.0 + c / (y * y) * bracket)
 
 
-def locked_extrema(sigma_tilde: float, y: float, c: float) -> Tuple[float, float]:
+def locked_extrema(sigma_tilde: Any, y: Any, c: Any) -> Tuple[Any, Any]:
     """(v_min, v_max) of locked_raw_variance over the LO phase, in closed form.
 
     The phase term is a second harmonic of amplitude (c st / y^2) *
     sqrt(y^2 + 4 st^2) around 1 + 2 c st^2 / y^2.
     """
-    _check_locked_numbers(sigma_tilde, y, c)
-    st = sigma_tilde
-    base = 1.0 + 2.0 * c * st * st / (y * y)
-    amp = (c * st / y) * math.sqrt(1.0 + 4.0 * st * st / (y * y))
-    return base - amp, base + amp
+    import numpy as np
+
+    st, y, c = _check_locked_numbers(sigma_tilde, y, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = 1.0 + 2.0 * c * st * st / (y * y)
+        amp = (c * st / y) * np.sqrt(1.0 + 4.0 * st * st / (y * y))
+        return _scalar(base - amp), _scalar(base + amp)
 
 
 def fluctuation_flux(
@@ -269,7 +415,8 @@ def fluctuation_flux(
     reported by drive_state is kept separate on purpose.
     """
     check_eta(eta)
-    _check_stable(branch)
+    if not branch.stable:
+        raise UnstablePoint(_UNSTABLE)
     loss = total_loss(params)
     sigma = 2.0 * params.g_opt * branch.n
     den = 4.0 * branch.delta_f**2 + loss * loss - sigma * sigma

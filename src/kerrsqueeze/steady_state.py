@@ -75,11 +75,6 @@ class SweepTrace:
     p_in: float
     omega_p: float
 
-    @property
-    def branches(self) -> Tuple[SteadyStateBranch, ...]:
-        """The columns as one read-only :class:`SteadyStateBranch` per grid point."""
-        return _zip_branches(self.n, self.delta_cl, self.delta_f, self.stable, self.alpha_phase)
-
 
 def _zip_branches(n: np.ndarray, delta_cl: np.ndarray, delta_f: np.ndarray,
                   stable: np.ndarray, alpha_phase: np.ndarray) -> Tuple[SteadyStateBranch, ...]:

@@ -314,6 +314,28 @@ def test_spectrum_locking_grid_matches_closed_forms(sample_dir, tmp_path):
             assert worst < 1e-9, (config, col)
 
 
+def test_locked_spectrum_takes_any_finite_lo_phase(sample_dir, tmp_path):
+    # V is pi-periodic, so each phase is reduced by math.remainder(phi, pi)
+    # before cmath.exp; above about 9e307 rad, -2 phi itself is not finite
+    reduced = math.remainder(1e300, math.pi)
+    phases = sorted([0.0, reduced, 1e300, 1.7e308])
+    config = json.loads((sample_dir / "config_spectrum_locking.json").read_text())
+    config["grid"]["phi_lo_rad"] = phases
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == len(config["pump"]["p_in_w"]) * len(phases)
+    for row in rows:
+        assert float(row["v_ratio"]) == pytest.approx(float(row["v_locked_ratio"]), rel=1e-12)
+    by_phase = {(row["p_in_w"], float(row["phi_lo_rad"])): row for row in rows}
+    for p_in in {row["p_in_w"] for row in rows}:
+        far, near = by_phase[p_in, 1e300], by_phase[p_in, reduced]
+        assert {k: v for k, v in far.items() if k != "phi_lo_rad"} == {
+            k: v for k, v in near.items() if k != "phi_lo_rad"}
+
+
 def test_module_invocation_smoke(sample_dir, tmp_path):
     out = tmp_path / "s.csv"
     proc = subprocess.run(
@@ -574,6 +596,14 @@ _RANGE_CASES = [(cmd, _sample_with(name, section, key, value), expected)
 _RANGE_IDS = [f"{name}-{key}-{value!r}" for _, name, _, key, value, _ in _RANGE]
 _ILL_CONDITIONED = _sample_with("spectrum_optimized", "pump", "p_in_w", [1.144e147])
 _ILL_CONDITIONED["resonator"].update(kappa_rad_s=1e80, gamma_rad_s=0.0)
+# with kappa = gamma = 0.5 rad/s, (2 omega / Gamma)**2 leaves the float range at
+# omega = 8e153 rad/s, where the system matrix is still finite and Python's float
+# ** raises OverflowError; both locked layouts compute it
+_OMEGA_RANGE = {name: _sample_with(name, "grid", "omega_rad_s", [8e153])
+                for name in ("spectrum_locking", "spectrum_optimized")}
+for _config in _OMEGA_RANGE.values():
+    _config["resonator"].update(kappa_rad_s=0.5, gamma_rad_s=0.5)
+_Y_RANGE = "y = 1 + (2w/Gamma)^2 out of float range at omega = 8e+153 rad/s"
 
 
 @pytest.mark.parametrize("cmd,config,expected", [
@@ -610,12 +640,16 @@ _ILL_CONDITIONED["resonator"].update(kappa_rad_s=1e80, gamma_rad_s=0.0)
     # |Q|^4 overflows; the condition check must still fire
     pytest.param("spectrum", _ILL_CONDITIONED, "fluctuation system matrix is ill-conditioned",
                  marks=pytest.mark.filterwarnings("ignore::kerrsqueeze.LinearizationWarning")),
+    ("spectrum", _OMEGA_RANGE["spectrum_locking"], _Y_RANGE),
+    pytest.param("spectrum", _OMEGA_RANGE["spectrum_optimized"], _Y_RANGE,
+                 marks=pytest.mark.filterwarnings("ignore::kerrsqueeze.LinearizationWarning")),
 ] + _RANGE_CASES, ids=["grid-1e300", "g_opt-1e300", "spectrum-grid-1e300", "fit.input",
                        "dispersion.input", "trace.input", "trace.reference",
                        "detection.budget_path", "losses.budget_path", "points-10_000_001",
                        "points-10**400", "grid-1e155", "sweep-lambda_m-1e-300",
                        "sweep-n_eff-1e-300", "sweep-p_in_w--1", "report-p_in_w--1",
-                       "spectrum_optimized-kappa-1e80"] + _RANGE_IDS)
+                       "spectrum_optimized-kappa-1e80", "spectrum_locking-omega-8e153",
+                       "spectrum_optimized-omega-8e153"] + _RANGE_IDS)
 def test_out_of_range_configs_are_one_line_errors(cmd, config, expected, tmp_path, capsys):
     # inputs whose steady state, transmission, locked point, threshold, path
     # or grid size the program cannot use end in one typed error, not a

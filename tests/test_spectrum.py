@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import warnings
 
@@ -8,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from kerrsqueeze import (
     InvalidEfficiency,
     LinearizationWarning,
+    ModelError,
     NonPositive,
+    PumpConfig,
     ResonatorParams,
     SingularMatrix,
     SteadyStateBranch,
@@ -23,6 +27,7 @@ from kerrsqueeze import (
     omega_from_wavelength,
     optimal_phase,
     steady_roots,
+    sweep,
     threshold_power,
     total_loss,
     variance_extrema,
@@ -450,8 +455,112 @@ def test_one_solve_moments_match_two_solves(kappa, gamma, g_opt, g_th, p_in, fra
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinearizationWarning)
             try:
-                got = _output_moments(params, b, omega, eta)
+                (g11_re, g11_im), g12, g21 = _output_moments(params, b, omega, eta)
             except SingularMatrix:
                 continue
+        got = (complex(float(g11_re), float(g11_im)), float(g12), float(g21))
         assert repr(got) == repr(two_call_moments(params, b, omega, eta))
 
+
+def _outcome(call):
+    """("ok", value) of call(), or ("raised", type, text) of the ModelError it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinearizationWarning)
+        try:
+            return "ok", call()
+        except ModelError as e:
+            return "raised", type(e), str(e)
+
+
+def _loop(fn, *axes):
+    """fn over the product of the axes, the first axis outermost: ("ok", [values])
+    or the first ("raised", type, text), as a Python loop sees them."""
+    values = []
+    for args in itertools.product(*axes):
+        outcome = _outcome(lambda: fn(*args))
+        if outcome[0] == "raised":
+            return outcome
+        values.append(outcome[1])
+    return "ok", values
+
+
+def _same(array_outcome, loop_outcome):
+    """Equal errors, or equal values bit for bit (int64 views: -0.0 != 0.0)."""
+    if array_outcome[0] == "raised" or loop_outcome[0] == "raised":
+        return array_outcome == loop_outcome
+    value = array_outcome[1]  # a tuple of arrays is compared element by element
+    got = np.stack(np.broadcast_arrays(*value), axis=-1) if isinstance(value, tuple) else value
+    got = np.asarray(got, dtype=float).ravel()
+    want = np.array(loop_outcome[1], dtype=float).ravel()
+    return got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def _points(trace):
+    """A sweep's columns as one branch per grid point."""
+    return [SteadyStateBranch(n=n, delta_cl=d_cl, delta_f=d_f, stable=stable, alpha_phase=a)
+            for n, d_cl, d_f, stable, a in zip(trace.n.tolist(), trace.delta_cl.tolist(),
+                                               trace.delta_f.tolist(), trace.stable.tolist(),
+                                               trace.alpha_phase.tolist())]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kappa=st.floats(min_value=1e6, max_value=1e11),
+    gamma=st.floats(min_value=0.0, max_value=1e11),
+    g_opt=st.floats(min_value=0.0, max_value=1e3),
+    g_th=st.sampled_from([0.0, 50.0]),
+    p_in=st.floats(min_value=0.0, max_value=0.1),
+    lo=st.floats(min_value=-40.0, max_value=5.0),
+    points=st.integers(min_value=1, max_value=9),
+    direction=st.sampled_from(["up", "down"]),
+    w_rel=st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0)),
+                   min_size=1, max_size=3),
+    phi=st.lists(st.one_of(st.floats(-1.6, 1.6), st.floats(-1e300, 1e300)),
+                 min_size=1, max_size=3),
+    eta=st.floats(min_value=0.0, max_value=1.0),
+    defect=st.sampled_from([None, "unstable", "singular", "both"]),
+)
+def test_array_calls_match_the_per_element_scalar_calls(kappa, gamma, g_opt, g_th, p_in, lo,
+                                                        points, direction, w_rel, phi, eta,
+                                                        defect):
+    # one call over a sweep's points or a locked point, its omega and its LO
+    # phases gives what a loop of scalar calls gives: the same bits, or the
+    # error of the first element that fails, by today's check order
+    params = ResonatorParams(kappa=kappa, gamma=gamma, g_opt=g_opt, g_th=g_th,
+                             lambda_r=1550e-9)
+    loss = total_loss(params)
+    grid = np.linspace(lo * loss, (lo + 3.0) * loss, points)
+    trace = sweep(params, PumpConfig(p_in=p_in, delta_p=grid, omega_p=OM, direction=direction))
+    omega = np.array(w_rel) * loss
+    index = np.arange(points)
+    if defect in ("singular", "both") and g_opt > 0.0:
+        # mid-trace, a fold flagged unstable: 4 delta_f^2 + Gamma^2 = sigma^2 at omega = 0,
+        # where the condition check comes before the stability check
+        mid = index == points // 2
+        trace = dataclasses.replace(
+            trace, n=np.where(mid, loss / g_opt, trace.n), stable=trace.stable & ~mid,
+            delta_f=np.where(mid, -math.sqrt(3.0) * loss / 2.0, trace.delta_f))
+        omega = np.append(0.0, omega)
+    if defect in ("unstable", "both"):
+        trace = dataclasses.replace(trace, stable=trace.stable & (index != points - 1))
+    phi = np.array(phi)
+    locked = lock(params, p_in)
+    for branch, per_point in ((trace, _points(trace)), (locked, [locked])):
+        spectrum = _outcome(lambda: variance_spectrum(params, branch, omega[:, None], phi, eta))
+        assert _same(spectrum, _loop(lambda b, w, f: variance_spectrum(params, b, w, f, eta),
+                                     per_point, omega.tolist(), phi.tolist()))
+        extrema = _outcome(lambda: variance_extrema(params, branch, omega, eta))
+        assert _same(extrema, _loop(lambda b, w: variance_extrema(params, b, w, eta),
+                                    per_point, omega.tolist()))
+    if defect in ("unstable", "both") or defect == "singular" and g_opt > 0.0:
+        assert _outcome(lambda: variance_extrema(params, trace, omega, eta))[0] == "raised"
+
+    sigma_tilde = np.array([0.0, 0.3, 1.7]) * (1.0 + p_in)
+    y, c = spectral_numbers(params, omega, eta)
+    assert _same(("ok", y), _loop(lambda w: spectral_numbers(params, w, eta)[0], omega.tolist()))
+    assert _same(_outcome(lambda: locked_raw_variance(sigma_tilde[:, None, None], y[:, None],
+                                                      c, phi)),
+                 _loop(lambda s, y_, f: locked_raw_variance(s, y_, c, f),
+                       sigma_tilde.tolist(), y.tolist(), phi.tolist()))
+    assert _same(_outcome(lambda: locked_extrema(sigma_tilde[:, None], y, c)),
+                 _loop(lambda s, y_: locked_extrema(s, y_, c), sigma_tilde.tolist(), y.tolist()))

@@ -9,6 +9,7 @@ from kerrsqueeze import (
     HBAR,
     PumpConfig,
     ResonatorParams,
+    SteadyStateBranch,
     injection_locking_point,
     omega_from_wavelength,
     steady_roots,
@@ -44,6 +45,13 @@ def params_for_scaled(g: float, kappa=500e6, gamma=50e6, p_in=4e-3, th_frac=0.0)
         g_th=th_frac * g_sum,
         lambda_r=1550e-9,
     ), p_in, n_lock
+
+
+def _point(trace, i):
+    """Entry i of a sweep's columns as one branch."""
+    return SteadyStateBranch(n=float(trace.n[i]), delta_cl=float(trace.delta_cl[i]),
+                             delta_f=float(trace.delta_f[i]), stable=bool(trace.stable[i]),
+                             alpha_phase=float(trace.alpha_phase[i]))
 
 
 def resid(params, p_in, delta_p, n):
@@ -153,7 +161,8 @@ class TestSweep:
         grid = self.grid(loss)
         tr = sweep(strong_params, PumpConfig(p_in=4e-3, delta_p=grid, direction="down"))
         assert np.array_equal(tr.delta_p, grid)
-        assert len(tr.branches) == grid.size
+        for name in ("n", "delta_cl", "delta_f", "stable", "alpha_phase", "transmission"):
+            assert getattr(tr, name).shape == grid.shape, name
         assert tr.direction == "down"
         assert tr.n.shape == grid.shape
 
@@ -182,7 +191,7 @@ class TestSweep:
         grid = self.grid(loss)
         for direction in ("down", "up"):
             tr = sweep(strong_params, PumpConfig(p_in=4e-3, delta_p=grid, direction=direction))
-            assert all(b.stable for b in tr.branches)
+            assert tr.stable.dtype == bool and tr.stable.all()
 
     def test_zero_power_sweep_flat(self, strong_params):
         grid = np.linspace(-1e9, 1e9, 21)
@@ -200,7 +209,7 @@ class TestSweep:
         tr = sweep(strong_params, PumpConfig(p_in=4e-3, delta_p=grid, direction="down"))
         for i in (0, 100, 200, 400):
             assert tr.transmission[i] == pytest.approx(
-                transmission(strong_params, tr.branches[i]), rel=1e-12
+                transmission(strong_params, _point(tr, i)), rel=1e-12
             )
 
 
@@ -295,7 +304,7 @@ def test_sweep_matches_two_step_rule(tenth_g, th_frac, zero_power, lo, width, po
     ref = [scalar_branch(params, grid[i], u[i, j] * n_lock, bool(stable[i, j]))
            for i, j in enumerate(chosen)]
     assert tr.n.tobytes() == np.array([b.n for b in ref]).tobytes()
-    assert [b.stable for b in tr.branches] == [b.stable for b in ref]
+    assert tr.stable.tolist() == [b.stable for b in ref]
     assert tr.transmission.tobytes() == np.array([transmission(params, b) for b in ref]).tobytes()
 
 
@@ -374,8 +383,8 @@ def test_sweep_alpha_phase_is_math_atan2(strong_params):
     grid = np.linspace(-60.0 * loss, 10.0 * loss, 2001)
     for direction in ("up", "down"):
         tr = sweep(strong_params, PumpConfig(p_in=4e-3, delta_p=grid, direction=direction))
-        for i, b in enumerate(tr.branches):
-            assert b.alpha_phase == math.atan2(tr.delta_cl[i], loss / 2.0)
+        for alpha_phase, delta_cl in zip(tr.alpha_phase.tolist(), tr.delta_cl.tolist()):
+            assert alpha_phase == math.atan2(delta_cl, loss / 2.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -402,9 +411,9 @@ def test_sweep_transmission_is_the_scalar_lineshape(kappa, gamma, tenth_g, zero_
     grid = np.linspace(lo * span, (lo + width) * span, points)
     tr = sweep(params, PumpConfig(p_in=p_in, delta_p=grid, direction=direction))
 
-    scalar = np.array([transmission(params, b) for b in tr.branches])
+    scalar = np.array([transmission(params, _point(tr, i)) for i in range(points)])
     assert tr.transmission.tobytes() == scalar.tobytes()
-    ref = np.array([pow_lineshape(b.delta_cl, kappa, gamma) for b in tr.branches])
+    ref = np.array([pow_lineshape(d, kappa, gamma) for d in tr.delta_cl.tolist()])
     ulps = np.abs(tr.transmission.view(np.int64) - ref.view(np.int64))
     assert ulps.max() <= 4, (ulps.max(), tr.transmission[ulps.argmax()])
 
