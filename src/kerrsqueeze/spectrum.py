@@ -25,6 +25,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .core import ResonatorParams, check_eta, drive_ratio, total_loss
@@ -134,13 +135,15 @@ def _complex(z: Any) -> _Complex:
 _J = _Complex(0.0, 1.0)
 
 
-def _map(fn: Any, *args: Any, dtype: type = float) -> np.ndarray:
-    """``fn`` of Python numbers elementwise over the broadcast arguments."""
+def _map(fn: Any, x: Any, *rest: Any, dtype: type = float) -> np.ndarray:
+    """``fn`` of Python numbers over the elements of ``x`` and of ``rest``,
+    each a number or an array of ``x``'s shape."""
     import numpy as np
 
-    args = np.broadcast_arrays(*args)
-    out = map(fn, *(a.ravel().tolist() for a in args))
-    return np.fromiter(out, dtype, count=args[0].size).reshape(args[0].shape)
+    x = np.asarray(x)
+    rest = [a.ravel().tolist() if np.ndim(a) else repeat(a) for a in rest]
+    out = map(fn, x.ravel().tolist(), *rest)
+    return np.fromiter(out, dtype, count=x.size).reshape(x.shape)
 
 
 def _pow2(x: Any) -> np.ndarray:
