@@ -525,7 +525,7 @@ def test_array_calls_match_the_per_element_scalar_calls(kappa, gamma, g_opt, g_t
                                                         defect):
     # one call over a sweep's points or a locked point, its omega and its LO
     # phases gives what a loop of scalar calls gives: the same bits, or the
-    # error of the first element that fails, by today's check order
+    # error of the first element that fails, in the kernel's check order
     params = ResonatorParams(kappa=kappa, gamma=gamma, g_opt=g_opt, g_th=g_th,
                              lambda_r=1550e-9)
     loss = total_loss(params)
