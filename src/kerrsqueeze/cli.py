@@ -16,10 +16,11 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import core
-from .errors import ModelError, SchemaError
+from .errors import LinearizationWarning, ModelError, SchemaError
 
 # numpy and the physics modules are imported inside the functions that use
 # them, so a subcommand loads only what it runs: threshold, report and losses
@@ -280,6 +281,8 @@ def _cells(name: str, column: Sequence[Any], quote: Callable[[Any], str] = str) 
     np = sys.modules.get("numpy")
     if np is not None and isinstance(column, np.ndarray):
         if column.dtype.kind == "f":
+            from ._floatrepr import reprs
+
             # repr once per distinct value; keyed on the bits, so -0.0 keeps its sign
             bits, inverse = np.unique(column.astype(np.float64, copy=False).view(np.int64),
                                       return_inverse=True)
@@ -288,7 +291,7 @@ def _cells(name: str, column: Sequence[Any], quote: Callable[[Any], str] = str) 
             if bad.any():
                 row = int(np.flatnonzero(bad[inverse])[0])
                 raise _not_finite(name, row, column[row])
-            text = list(map(repr, values.tolist()))
+            text = reprs(values)
             return list(map(text.__getitem__, inverse.tolist()))
         if column.dtype.kind == "b":
             return ["true" if v else "false" for v in column.tolist()]
@@ -548,16 +551,44 @@ def cmd_sweep(cfg: RunConfig) -> Table:
     return list(table), list(table.values()), meta
 
 
-def _db(ratio: np.ndarray) -> np.ndarray:
-    """core.db_from_linear over an array; the first ratio it rejects raises its error."""
+def _db(ratio: np.ndarray, per_row: int) -> np.ndarray:
+    """core.db_from_linear over an array; the first ratio it rejects raises its
+    error, at its flat index over ``per_row``, the ratios of one kernel row."""
     import numpy as np
 
     bad = ~((ratio > 0.0) & (ratio < math.inf))
     if bad.any():
-        core.db_from_linear(float(ratio.flat[bad.argmax()]))
+        at = int(bad.argmax())
+        try:
+            core.db_from_linear(float(ratio.flat[at]))
+        except ModelError as err:
+            raise err.at(at // per_row)
     # math.log10, not np.log10: the two differ in the last bit on some inputs
     log = map(math.log10, ratio.ravel().tolist())
     return 10.0 * np.fromiter(log, float, count=ratio.size).reshape(ratio.shape)
+
+
+def _first_row_error(run: Callable[[Any, np.ndarray], Any], branch: Any, omega: np.ndarray,
+                     err: ModelError) -> ModelError:
+    """The error of the first failing row of ``run(branch, omega)``, which raised
+    ``err``: run checks all its rows for one thing at a time, so a row before
+    ``err.row`` may fail a later check. For the error path only."""
+    import numpy as np
+
+    cols = {k: np.atleast_1d(getattr(branch, k)) for k in ("n", "delta_f", "alpha_phase", "stable")}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinearizationWarning)  # warned on the first run
+        while err.row:
+            point, w = divmod(err.row, omega.size)
+            try:  # the (point, omega) rows before err.row: whole points, then part of one
+                for a, b, om in ((0, point, omega), (point, point + 1, omega[:w])):
+                    if a < b and om.size:
+                        run(SimpleNamespace(**{k: c[a:b] for k, c in cols.items()}), om)
+            except ModelError as earlier:
+                err = earlier.at((earlier.row or 0) + a * omega.size)
+            else:
+                return err
+    return err
 
 
 def cmd_spectrum(cfg: RunConfig) -> Table:
@@ -609,23 +640,29 @@ def cmd_spectrum(cfg: RunConfig) -> Table:
         if locked:
             columns.append("v_locked_ratio")
 
-    # one block of rows per call: a trace's points, then omega, then phi; the
-    # moment checks of a whole block run before its dB and (y, c) checks
-    blocks = []
-    for lead, eta, branch, st in points:
+    def block_cells(branch: Any, omega: np.ndarray, eta: float, st: Optional[float]) -> List[Any]:
+        """One kernel call's cells after the leading ones: points, then omega, then phi."""
         if optimize_phi:
             v_min, v_max, phi_min = spectrum.variance_extrema(params, branch, omega, eta)
-            db = _db(np.stack([v_min, v_max], axis=-1))
+            db = _db(np.stack([v_min, v_max], axis=-1), 2)
             cells = [omega, v_min, db[..., 0], v_max, db[..., 1], phi_min]
             if locked:
                 y, c = spectrum.spectral_numbers(params, omega, eta)
                 cells.extend(spectrum.locked_extrema(st, y, c))
         else:
             v = spectrum.variance_spectrum(params, branch, omega[:, None], phi, eta)
-            cells = [omega[:, None], phi, v, _db(v)]
+            cells = [omega[:, None], phi, v, _db(v, phi.size)]
             if locked:
                 y, c = spectrum.spectral_numbers(params, omega, eta)
                 cells.append(spectrum.locked_raw_variance(st, y[:, None], c, phi))
+        return cells
+
+    blocks = []
+    for lead, eta, branch, st in points:
+        try:
+            cells = block_cells(branch, omega, eta, st)
+        except ModelError as err:
+            raise _first_row_error(lambda b, w: block_cells(b, w, eta, st), branch, omega, err)
         shape = np.shape(cells[2])
         # a leading cell has one entry per point, on the leading axis
         lead = [np.reshape(x, np.shape(x) + (1,) * (len(shape) - np.ndim(x))) for x in lead]

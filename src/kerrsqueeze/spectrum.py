@@ -173,7 +173,7 @@ def _scalar(a: np.ndarray) -> Union[float, np.ndarray]:
 def spectral_numbers(params: ResonatorParams, omega: Any, eta: float) -> Tuple[Any, float]:
     """(y, c) = (1 + (2 omega / Gamma)^2, 4 eta kappa / Gamma), y over ``omega``.
 
-    Raises ModelError naming the first omega whose y is not finite.
+    Raises ModelError naming the first omega whose y is not finite, at its index.
     """
     import numpy as np
 
@@ -183,8 +183,9 @@ def spectral_numbers(params: ResonatorParams, omega: Any, eta: float) -> Tuple[A
         y = 1.0 + _pow2(2.0 * omega / loss)
     bad = ~np.isfinite(y)
     if bad.any():
+        at = int(bad.argmax())
         raise ModelError(f"y = 1 + (2w/Gamma)^2 out of float range at omega = "
-                         f"{float(omega.flat[bad.argmax()])!r} rad/s")
+                         f"{float(omega.flat[at])!r} rad/s").at(at)
     return _scalar(y), 4.0 * eta * params.kappa / loss
 
 
@@ -200,8 +201,9 @@ def _output_moments(
     M22(-w) = conj(M11(w)) and M21(w) = conj(M12(-w)). Checks ``eta``, then
     every (point, omega) in C order for a system matrix out of the float
     range, then a singular one, an unstable point and moments that are not
-    finite. The first failure raises, after a LinearizationWarning for each
-    point near the critical point that has a row past the range check.
+    finite. The first failure raises, at its (point, omega) index, after a
+    LinearizationWarning for each point near the critical point that has a
+    row past the range check.
 
     One solve of Q(w) serves both frequencies: Q11(-w) = conj Q22(w),
     Q22(-w) = conj Q11(w) and Q12 Q21 is real, so det Q(-w) = conj det Q(w)
@@ -262,7 +264,7 @@ def _output_moments(
                               "point sits at a marginally stable branch fold"),
                UnstablePoint(_UNSTABLE),
                ModelError(f"fluctuation moments not finite at omega = {at_omega!r} rad/s"),
-               ][fail[1]]
+               ][fail[1]].at(fail[0])
     return g11, g12, g21
 
 

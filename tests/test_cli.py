@@ -7,11 +7,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from kerrsqueeze import ModelError, steady_state
+from kerrsqueeze import ModelError, cli, steady_state
 from kerrsqueeze.cli import main, render_json
 
 CONFIGS = [
@@ -358,9 +359,11 @@ _BLOCKED_MAIN = ("import sys; sys.modules[%r] = None; from kerrsqueeze.cli impor
      None, None, False),
     # the package namespace is lazy, so the CLI can set BLAS threading first
     ("import sys, kerrsqueeze; assert 'numpy' not in sys.modules", None, None, False),
-    # the CLI and the closed-form modules import numpy only where they build arrays
+    # the CLI and the closed-form modules import numpy only where they build arrays,
+    # and the float-array cell writer only where it writes a float array
     ("import sys, kerrsqueeze.cli, kerrsqueeze.core, kerrsqueeze.spectrum, "
-     "kerrsqueeze.detection; assert 'numpy' not in sys.modules", None, None, False),
+     "kerrsqueeze.detection; assert 'numpy' not in sys.modules; "
+     "assert 'kerrsqueeze._floatrepr' not in sys.modules", None, None, False),
     # with scipy unimportable, fit-transmission still writes the pinned bytes
     (_BLOCKED_MAIN % "scipy", "fit-transmission", "config_fit_transmission.json", False),
     # and with numpy unimportable, so do the closed-form reports, in both formats
@@ -604,6 +607,13 @@ _OMEGA_RANGE = {name: _sample_with(name, "grid", "omega_rad_s", [8e153])
 for _config in _OMEGA_RANGE.values():
     _config["resonator"].update(kappa_rad_s=0.5, gamma_rad_s=0.5)
 _Y_RANGE = "y = 1 + (2w/Gamma)^2 out of float range at omega = 8e+153 rad/s"
+# locked at 476207.6 P_th with gamma = 0, v_min cancels below 0 at omega = 0, a
+# dB error, and omega = 1e160 is out of the matrix's range: the first row's wins
+_DB_FIRST = {"resonator": {"kappa_rad_s": 5e8, "gamma_rad_s": 0.0, "g_opt_rad_s": 1.5,
+                           "lambda_m": 1.55e-6},
+             "pump": {"p_in_w": [1271.4524376118627]},
+             "spectrum": {"mode": "locking", "optimize_phi": True},
+             "grid": {"omega_rad_s": [0.0, 1e160]}}
 
 
 @pytest.mark.parametrize("cmd,config,expected", [
@@ -643,13 +653,17 @@ _Y_RANGE = "y = 1 + (2w/Gamma)^2 out of float range at omega = 8e+153 rad/s"
     ("spectrum", _OMEGA_RANGE["spectrum_locking"], _Y_RANGE),
     pytest.param("spectrum", _OMEGA_RANGE["spectrum_optimized"], _Y_RANGE,
                  marks=pytest.mark.filterwarnings("ignore::kerrsqueeze.LinearizationWarning")),
+    pytest.param("spectrum", _DB_FIRST,
+                 "ratio must be finite and > 0 for dB conversion, got -0.000244140625",
+                 marks=pytest.mark.filterwarnings("ignore::kerrsqueeze.LinearizationWarning")),
 ] + _RANGE_CASES, ids=["grid-1e300", "g_opt-1e300", "spectrum-grid-1e300", "fit.input",
                        "dispersion.input", "trace.input", "trace.reference",
                        "detection.budget_path", "losses.budget_path", "points-10_000_001",
                        "points-10**400", "grid-1e155", "sweep-lambda_m-1e-300",
                        "sweep-n_eff-1e-300", "sweep-p_in_w--1", "report-p_in_w--1",
                        "spectrum_optimized-kappa-1e80", "spectrum_locking-omega-8e153",
-                       "spectrum_optimized-omega-8e153"] + _RANGE_IDS)
+                       "spectrum_optimized-omega-8e153", "spectrum_optimized-db-before-1e160"]
+                      + _RANGE_IDS)
 def test_out_of_range_configs_are_one_line_errors(cmd, config, expected, tmp_path, capsys):
     # inputs whose steady state, transmission, locked point, threshold, path
     # or grid size the program cannot use end in one typed error, not a
@@ -664,6 +678,28 @@ def test_out_of_range_configs_are_one_line_errors(cmd, config, expected, tmp_pat
     assert "Traceback" not in err
     assert expected in err, err
     assert not out.exists()
+
+
+def test_first_row_error_reruns_the_rows_before_the_raised_one():
+    # a sweep trace of 3 points x 4 omegas, each row named by its (point, omega);
+    # a check run first fails at row (2, 1), one run after it at (1, 1) and (2, 3)
+    def run(branch, omega):
+        rows = [(p, w) for p in branch.n.tolist() for w in omega.tolist()]
+        for name, failing in [("first", {(2, 1)}), ("later", {(1, 1), (2, 3)})]:
+            bad = [i for i, row in enumerate(rows) if row in failing]
+            if bad:
+                raise ModelError(name).at(bad[0])
+
+    trace = SimpleNamespace(n=np.arange(3.0), delta_f=np.zeros(3), alpha_phase=np.zeros(3),
+                            stable=np.ones(3, bool))
+    omega = np.arange(4.0)
+    with pytest.raises(ModelError) as err:
+        run(trace, omega)
+    assert (str(err.value), err.value.row) == ("first", 9)
+    first = cli._first_row_error(run, trace, omega, err.value)
+    assert (str(first), first.row) == ("later", 5)
+    # an error with no row is reported as it is
+    assert cli._first_row_error(run, trace, omega, ModelError("eta")).row is None
 
 
 def test_overflowing_grid_span_is_one_line_in_a_subprocess(tmp_path):

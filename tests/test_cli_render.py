@@ -61,6 +61,45 @@ def test_float32_cells_match_repr_per_cell(pool, picks):
     assert cli._cells("x", column) == repr_cells(column)
 
 
+def _edge_values():
+    """Every power of two and of ten a double holds, the extremes and the
+    limits of the positional layout, each with its neighbours one ulp away,
+    then 1 .. 10^4; both signs."""
+    centres = [math.ldexp(1.0, k) for k in range(-1074, 1024)]
+    centres += [float(f"1e{k}") for k in range(-323, 309)]
+    centres += [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                1e16, 9999999999999998.0, 1e-4, 1e-5]
+    values = [v for c in centres for v in (math.nextafter(c, -math.inf), c,
+                                            math.nextafter(c, math.inf))]
+    values += [float(i) for i in range(1, 10**4 + 1)]
+    column = np.array(values)
+    column = column[np.isfinite(column)]
+    return np.concatenate([column, -column])
+
+
+def test_float_kernel_matches_repr_on_the_edges():
+    from kerrsqueeze._floatrepr import reprs
+
+    column = _edge_values()
+    # 2098 powers of two, 632 of ten, 8 more, with neighbours (but the inf past
+    # DBL_MAX) and 10^4 integers, in both signs
+    assert column.size == 2 * (3 * (2098 + 632 + 8) - 1 + 10**4)
+    assert reprs(column) == repr_cells(column)
+    # the layout switches: positional from 1e-4 up to below 1e16
+    assert reprs(np.array([1e16, 9999999999999998.0, 1e-4, 1e-5, -0.0, 5e-324])) == [
+        "1e+16", "9999999999999998.0", "0.0001", "1e-05", "-0.0", "5e-324"]
+
+
+def test_float_kernel_matches_repr_on_random_bit_patterns():
+    from kerrsqueeze._floatrepr import reprs
+
+    bits = np.random.default_rng(17).integers(0, 2**64, size=200_000, dtype=np.uint64)
+    column = bits.view(np.float64)
+    column = column[np.isfinite(column)]
+    assert reprs(column) == repr_cells(column)
+    assert reprs(np.array([], dtype=np.float64)) == []
+
+
 def test_signed_zeros_keep_their_own_cells():
     column = np.array([0.0, -0.0, 0.0, -0.0, 1.5, 1.5])
     assert cli._cells("x", column) == ["0.0", "-0.0", "0.0", "-0.0", "1.5", "1.5"]
