@@ -28,12 +28,14 @@ _EXPORTS = {
     "C_VACUUM": "core",
     "HBAR": "core",
     "DriveState": "core",
-    "PumpConfig": "core",
     "ResonatorParams": "core",
+    "SqueezingResult": "core",
     "db_from_linear": "core",
     "drive_state": "core",
     "linear_from_db": "core",
+    "locked_variances": "core",
     "omega_from_wavelength": "core",
+    "optimal_phase": "core",
     "quality_factor": "core",
     "threshold_power": "core",
     "total_loss": "core",
@@ -57,14 +59,12 @@ _EXPORTS = {
     "SingularMatrix": "errors",
     "UnstablePoint": "errors",
     "ZeroPower": "errors",
-    "SqueezingResult": "spectrum",
     "fluctuation_flux": "spectrum",
     "locked_extrema": "spectrum",
     "locked_raw_variance": "spectrum",
-    "locked_variances": "spectrum",
-    "optimal_phase": "spectrum",
     "variance_extrema": "spectrum",
     "variance_spectrum": "spectrum",
+    "PumpConfig": "steady_state",
     "SteadyStateBranch": "steady_state",
     "SweepTrace": "steady_state",
     "injection_locking_point": "steady_state",

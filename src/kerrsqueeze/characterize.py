@@ -20,8 +20,7 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import (HBAR, PumpConfig, ResonatorParams, check_axis, locked_photon_number,
-                   omega_from_wavelength)
+from .core import HBAR, ResonatorParams, locked_photon_number, omega_from_wavelength
 from .errors import (
     Degenerate,
     MetadataMismatch,
@@ -31,7 +30,7 @@ from .errors import (
     PoorFit,
     RankDeficient,
 )
-from .steady_state import lineshape, sweep
+from .steady_state import PumpConfig, check_axis, lineshape, sweep
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .errors import LinearizationWarning, ModelError, SchemaError
 if TYPE_CHECKING:
     import numpy as np
 
-    from . import characterize, detection, spectrum, steady_state
+    from . import characterize, detection, steady_state
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +112,14 @@ def _num(sec: Dict[str, Any], key: str, path: str, *, required: bool = True,
     return _number(sec[key], f"config key '{path}.{key}'")
 
 
+def _flag(sec: Dict[str, Any], key: str, path: str) -> bool:
+    """A JSON true or false; an absent key is false."""
+    value = sec.get(key, False)
+    if not isinstance(value, bool):
+        raise SchemaError(f"config key '{path}.{key}': expected true or false, got {value!r}")
+    return value
+
+
 def _num_list(sec: Dict[str, Any], key: str, path: str) -> List[float]:
     v = sec.get(key)
     if v is None:
@@ -129,9 +137,9 @@ _MAX_GRID_POINTS = 10_000_000
 def _grid(sec: Dict[str, Any], key: str, path: str) -> np.ndarray:
     import numpy as np
 
+    from . import steady_state
+
     v = sec.get(key)
-    if v is None:
-        raise SchemaError(f"config key '{path}.{key}': missing")
     if isinstance(v, dict):
         start = _num(v, "start", f"{path}.{key}")
         stop = _num(v, "stop", f"{path}.{key}")
@@ -143,13 +151,9 @@ def _grid(sec: Dict[str, Any], key: str, path: str) -> np.ndarray:
         # a span that overflows comes out non-finite, which the axis rule reports
         with np.errstate(over="ignore", invalid="ignore"):
             grid = np.linspace(start, stop, points)
-    elif isinstance(v, list):
-        if not v:
-            raise SchemaError(f"config key '{path}.{key}': must not be empty")
-        grid = np.array([_number(x, f"config key '{path}.{key}'") for x in v])
     else:
-        grid = np.array([_num(sec, key, path)])
-    return _schema(f"config key '{path}.{key}'", core.check_axis, grid, "grid")
+        grid = np.array(_num_list(sec, key, path))
+    return _schema(f"config key '{path}.{key}'", steady_state.check_axis, grid, "grid")
 
 
 # optional 'resonator' config keys and the ResonatorParams fields they set
@@ -510,7 +514,7 @@ def _sweeps(params: core.ResonatorParams, powers: List[float], omega_p: float, d
     """One sweep for each pump power and then each direction."""
     from . import steady_state
 
-    return [steady_state.sweep(params, core.PumpConfig(
+    return [steady_state.sweep(params, steady_state.PumpConfig(
                 p_in=p_in, delta_p=delta_p, omega_p=omega_p, direction=direction))
             for p_in in powers for direction in dirs]
 
@@ -605,7 +609,7 @@ def cmd_spectrum(cfg: RunConfig) -> Table:
     if mode not in ("locking", "detuning"):
         raise SchemaError(f"config key 'spectrum.mode': expected 'locking' or 'detuning', got {mode!r}")
     locked = mode == "locking"
-    optimize_phi = bool(sec.get("optimize_phi", False))
+    optimize_phi = _flag(sec, "optimize_phi", "spectrum")
     grid_sec = cfg.section("grid")
     omega = _grid(grid_sec, "omega_rad_s", "grid")
     phi = None if optimize_phi else _grid(grid_sec, "phi_lo_rad", "grid")
@@ -712,8 +716,6 @@ def cmd_threshold(cfg: RunConfig) -> Dict[str, Any]:
 
 def cmd_report(cfg: RunConfig) -> Dict[str, Any]:
     """end-to-end operating point summary"""
-    from . import spectrum
-
     params = parse_resonator(cfg)
     powers, omega_p, _ = parse_pump(cfg, params)
     p_in = powers[0]
@@ -729,16 +731,16 @@ def cmd_report(cfg: RunConfig) -> Dict[str, Any]:
         warnings.simplefilter("always")
         drv = core.drive_state(params, p_in, omega_p, eta=eta, p_th=p_th_used)
         if math.isfinite(p_th_used):
-            chip = spectrum.locked_variances(p_in, p_th_used, params.kappa,
-                                             params.gamma, eta=1.0)
-            measured = spectrum.locked_variances(p_in, p_th_used, params.kappa,
-                                                 params.gamma, eta=eta)
+            chip = core.locked_variances(p_in, p_th_used, params.kappa,
+                                         params.gamma, eta=1.0)
+            measured = core.locked_variances(p_in, p_th_used, params.kappa,
+                                             params.gamma, eta=eta)
         else:
             chip = measured = None
     for w in wlist:
         caught.append(str(w.message))
 
-    def _block(res: Optional[spectrum.SqueezingResult]) -> Optional[Dict[str, float]]:
+    def _block(res: Optional[core.SqueezingResult]) -> Optional[Dict[str, float]]:
         if res is None:
             return None
         return {
@@ -840,7 +842,7 @@ def cmd_reduce_trace(cfg: RunConfig) -> Dict[str, Any]:
     r_path = cfg.resolve("trace.reference", sec.get("reference"))
     low = _num(sec, "low_percentile", "trace", required=False, default=1.0)
     high = _num(sec, "high_percentile", "trace", required=False, default=99.0)
-    detrend = bool(sec.get("detrend", False))
+    detrend = _flag(sec, "detrend", "trace")
     trace = read_zero_span_csv(t_path)
     reference = read_zero_span_csv(r_path)
     v_s_db, v_as_db = characterize.reduce_homodyne_trace(

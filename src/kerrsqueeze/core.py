@@ -2,7 +2,8 @@
 
 Holds the parameter records shared by every other module and the closed-form
 scalar quantities derived from them: total loss rate, loaded quality factor,
-parametric threshold power, the dimensionless drive numbers, and dB helpers.
+parametric threshold power, the dimensionless drive numbers, the locked-point
+variances, and dB helpers.
 
 Unit convention
 ---------------
@@ -16,15 +17,11 @@ package refuses to guess anything else. Powers are watts, wavelengths metres.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import Optional
 
-from .errors import EmptyTrace, InvalidEfficiency, ModelError, NonPositive
-
-# numpy is imported only where an axis is built, so the scalar formulas load
-# without it
-if TYPE_CHECKING:
-    import numpy as np
+from .errors import InvalidEfficiency, LinearizationWarning, ModelError, NonPositive, ZeroPower
 
 # CODATA values; fixed rather than imported so results are bit-stable.
 HBAR = 1.054571817e-34   # reduced Planck constant [J s]
@@ -110,31 +107,6 @@ class ResonatorParams:
 
 
 @dataclass(frozen=True)
-class PumpConfig:
-    """Pump drive: power, frequency placement, and sweep direction.
-
-    ``delta_p`` is the cold-cavity detuning omega_p - omega_r [rad/s], a scalar
-    (one point) or a grid, stored as :func:`check_axis` returns it. ``direction``
-    is the frequency sweep direction: "down" means decreasing pump frequency.
-    """
-
-    p_in: float
-    delta_p: Union[float, Sequence[float], np.ndarray]
-    omega_p: Optional[float] = None
-    direction: str = "down"
-
-    def __post_init__(self) -> None:
-        import numpy as np
-
-        check_power(self.p_in)
-        object.__setattr__(self, "delta_p", check_axis(np.atleast_1d(self.delta_p), "delta_p"))
-        if self.omega_p is not None:
-            check_omega_p(self.omega_p)
-        if self.direction not in ("up", "down"):
-            raise ModelError(f"direction must be 'up' or 'down', got {self.direction!r}")
-
-
-@dataclass(frozen=True)
 class DriveState:
     """Dimensionless drive numbers at the injection-locked operating point."""
 
@@ -142,6 +114,15 @@ class DriveState:
     x: float             # distance to the critical point, always < 1
     n_fluct_out: float   # detected fluctuation photon flux factor
     r: float             # squeezing parameter, asinh(n_fluct_out)
+
+
+@dataclass(frozen=True)
+class SqueezingResult:
+    """Locked-point closed-form variances, both normalized to vacuum."""
+
+    v_s: float       # squeezed quadrature ratio, <= 1
+    v_as: float      # anti-squeezed quadrature ratio, >= 1
+    phi_opt: float   # LO phase of the variance minimum [rad], in [-pi/4, 0]
 
 
 def total_loss(params: ResonatorParams) -> float:
@@ -158,25 +139,6 @@ def check_eta(eta: float) -> None:
     """Raise InvalidEfficiency unless 0 <= eta <= 1."""
     if not 0.0 <= eta <= 1.0:
         raise InvalidEfficiency(f"eta must be in [0, 1], got {eta}")
-
-
-def check_axis(values: Union[Sequence[float], np.ndarray], name: str) -> np.ndarray:
-    """``values`` as a float64 sample axis: 1-d, non-empty (else EmptyTrace), finite
-    and strictly monotone (else ModelError). Finiteness is tested before the
-    steps are taken, so numpy never warns."""
-    import numpy as np
-
-    axis = np.asarray(values, dtype=float)
-    if axis.ndim != 1:
-        raise ModelError(f"{name} must be 1-d")
-    if axis.size == 0:
-        raise EmptyTrace(f"{name} has no samples")
-    if not np.isfinite(axis).all():
-        raise ModelError(f"{name} must be finite")
-    steps = np.diff(axis)
-    if not ((steps > 0).all() or (steps < 0).all()):
-        raise ModelError(f"{name} must be strictly monotone")
-    return axis
 
 
 def check_power(p_in: float) -> None:
@@ -270,6 +232,62 @@ def drive_state(
         n_fluct_out=n_fluct,
         r=math.asinh(n_fluct),
     )
+
+
+# warn once the distance to the critical point exceeds this; the linearized
+# model is known to fail just above it
+_X_GUARD = 0.99
+
+
+def _warn_if_near_critical(x: float, stacklevel: int) -> None:
+    if x > _X_GUARD:
+        warnings.warn(
+            f"distance to critical point x = {x:.4f} > {_X_GUARD}: "
+            "linearized fluctuation model is unreliable here",
+            LinearizationWarning,
+            stacklevel=stacklevel,
+        )
+
+
+def locked_variances(
+    p_in: float,
+    p_th: float,
+    kappa: float,
+    gamma: float,
+    eta: float = 1.0,
+) -> SqueezingResult:
+    """Closed-form extremal variances at the injection-locked point, w = 0.
+
+    The squeezed ratio tends to 1 - eta*kappa/Gamma from above as the pump
+    power grows; the anti-squeezed ratio diverges. The squeezing term is
+    evaluated in a cancellation-free form so the large-drive limit is exact.
+    """
+    check_eta(eta)
+    ResonatorParams(kappa=kappa, gamma=gamma)  # the loss-rate rules
+    st = drive_ratio(p_in, p_th)
+    _warn_if_near_critical(st / math.sqrt(1.0 + st * st), stacklevel=3)
+    loss = kappa + gamma
+    c = 4.0 * eta * kappa / loss
+    root = math.sqrt(st * st + 0.25)
+    # st*root - st^2 == st/(4*(root + st)), exact also for st >> 1
+    v_s = 1.0 - 2.0 * c * st * 0.25 / (root + st) if st > 0 else 1.0
+    v_as = 1.0 + 2.0 * c * (st * root + st * st)
+    phi = optimal_phase(p_in, p_th) if st > 0 else 0.0
+    return SqueezingResult(v_s=v_s, v_as=v_as, phi_opt=phi)
+
+
+def optimal_phase(p_in: float, p_th: float) -> float:
+    """LO phase minimizing the locked variance; in [-pi/4, 0).
+
+    Tends to -pi/4 as the drive ratio p_in / p_th goes to 0, and rounds to it
+    once the ratio is below about 1e-16. Raises ZeroPower at drive ratio 0:
+    zero power, an absent (inf) threshold or a ratio that underflows.
+    """
+    if drive_ratio(p_in, p_th) == 0.0:
+        raise ZeroPower(f"optimal phase undefined at drive ratio 0: p_in = {p_in!r} W, "
+                        f"p_th = {p_th!r} W")
+    # halving after the division, not doubling p_in, which overflows above ~9e307
+    return 0.5 * math.atan(-p_th / p_in / 2.0)
 
 
 def db_from_linear(v: float) -> float:

@@ -23,53 +23,18 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
-from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .core import ResonatorParams, check_eta, drive_ratio, total_loss
-from .errors import (
-    LinearizationWarning,
-    ModelError,
-    NonPositive,
-    SingularMatrix,
-    UnstablePoint,
-    ZeroPower,
-)
+import numpy as np
 
-# numpy is imported inside the array code, so report's locked closed forms
-# load without it
-if TYPE_CHECKING:
-    import numpy as np
+from .core import ResonatorParams, _warn_if_near_critical, check_eta, total_loss
+from .errors import ModelError, NonPositive, SingularMatrix, UnstablePoint
+from .steady_state import SteadyStateBranch, SweepTrace
 
-    from .steady_state import SteadyStateBranch, SweepTrace
+Branch = Union[SteadyStateBranch, SweepTrace]
 
-    Branch = Union[SteadyStateBranch, SweepTrace]
-
-# warn once the distance to the critical point exceeds this; the linearized
-# model is known to fail just above it
-_X_GUARD = 0.99
 _UNSTABLE = "the steady-state branch is unstable; its fluctuations do not settle"
-
-
-@dataclass(frozen=True)
-class SqueezingResult:
-    """Locked-point closed-form variances, both normalized to vacuum."""
-
-    v_s: float       # squeezed quadrature ratio, <= 1
-    v_as: float      # anti-squeezed quadrature ratio, >= 1
-    phi_opt: float   # LO phase of the variance minimum [rad], in [-pi/4, 0]
-
-
-def _warn_if_near_critical(x: float, stacklevel: int) -> None:
-    if x > _X_GUARD:
-        warnings.warn(
-            f"distance to critical point x = {x:.4f} > {_X_GUARD}: "
-            "linearized fluctuation model is unreliable here",
-            LinearizationWarning,
-            stacklevel=stacklevel,
-        )
 
 
 class _Complex(NamedTuple):
@@ -104,8 +69,6 @@ class _Complex(NamedTuple):
     __rmul__ = __mul__
 
     def __truediv__(a, b: Any) -> _Complex:
-        import numpy as np
-
         if isinstance(b, float) and b:  # Smith's first branch, with b.imag = 0.0
             ratio = 0.0 / b
             return _Complex((a.re + a.im * ratio) / b, (a.im - a.re * ratio) / b)
@@ -120,8 +83,6 @@ class _Complex(NamedTuple):
         return _Complex(-a.re, -a.im)
 
     def __abs__(a) -> np.ndarray:
-        import numpy as np
-
         return np.hypot(a.re, a.im)
 
     def conjugate(a) -> _Complex:
@@ -138,8 +99,6 @@ _J = _Complex(0.0, 1.0)
 def _map(fn: Any, x: Any, *rest: Any, dtype: type = float) -> np.ndarray:
     """``fn`` of Python numbers over the elements of ``x`` and of ``rest``,
     each a number or an array of ``x``'s shape."""
-    import numpy as np
-
     x = np.asarray(x)
     rest = [a.ravel().tolist() if np.ndim(a) else repeat(a) for a in rest]
     out = map(fn, x.ravel().tolist(), *rest)
@@ -149,8 +108,6 @@ def _map(fn: Any, x: Any, *rest: Any, dtype: type = float) -> np.ndarray:
 def _pow2(x: Any) -> np.ndarray:
     """``x ** 2`` of Python floats (C pow, which x * x rounds apart from on
     some inputs) elementwise, and inf where Python raises OverflowError."""
-    import numpy as np
-
     # sqrt(DBL_MAX) rounded down: the largest float whose square is finite
     return _map(pow, np.where(np.abs(x) > 1.3407807929942596e154, math.inf, x), 2.0)
 
@@ -158,8 +115,6 @@ def _pow2(x: Any) -> np.ndarray:
 def _first_failure(checks: Sequence[Any]) -> Optional[Tuple[int, int]]:
     """(element, check) of the first element in C order that fails any of the
     boolean arrays, and the first of them it fails; None if none fails."""
-    import numpy as np
-
     bad = np.stack(np.broadcast_arrays(*checks)).reshape(len(checks), -1)
     rows = np.flatnonzero(bad.any(axis=0))
     return (int(rows[0]), int(bad[:, rows[0]].argmax())) if rows.size else None
@@ -175,8 +130,6 @@ def spectral_numbers(params: ResonatorParams, omega: Any, eta: float) -> Tuple[A
 
     Raises ModelError naming the first omega whose y is not finite, at its index.
     """
-    import numpy as np
-
     loss = total_loss(params)
     omega = np.asarray(omega, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -209,8 +162,6 @@ def _output_moments(
     Q22(-w) = conj Q11(w) and Q12 Q21 is real, so det Q(-w) = conj det Q(w)
     and M12(-w) = kappa Q12 / conj det Q(w), bit for bit.
     """
-    import numpy as np
-
     check_eta(eta)
     omega = np.asarray(omega, dtype=float)
     at = np.shape(branch.n) + (1,) * omega.ndim  # point axes lead, omega axes follow
@@ -272,8 +223,6 @@ def _lo_factor(phi_lo: Any) -> _Complex:
     """e^{-2i phi_lo}, one cmath.exp per phase. V is pi-periodic in the LO
     phase, so it is first reduced by math.remainder(phi_lo, pi), which leaves
     |phi_lo| <= pi/2 as it is and any finite phase in the range of exp."""
-    import numpy as np
-
     phi_lo = np.asarray(phi_lo, dtype=float)
     if not np.isfinite(phi_lo).all():
         bad = float(phi_lo.flat[(~np.isfinite(phi_lo)).argmax()])
@@ -292,8 +241,6 @@ def variance_spectrum(
     every point of a SweepTrace, whose axis leads the result; all scalars give a
     float. Detection efficiency mixes in extra vacuum as (1 - eta) + eta * V.
     """
-    import numpy as np
-
     omega = np.asarray(omega, dtype=float)
     lead = len(np.broadcast_shapes(omega.shape, np.shape(phi_lo))) - omega.ndim
     g11, g12, g21 = _output_moments(params, branch, omega.reshape((1,) * lead + omega.shape), eta)
@@ -311,8 +258,6 @@ def variance_extrema(
     directly from the moments: v = base +/- 2|G11|, with the minimum at
     phi = (arg G11 - pi) / 2 wrapped into (-pi/2, pi/2], or 0 where G11 = 0.
     """
-    import numpy as np
-
     g11, g12, g21 = _output_moments(params, branch, omega, eta)
     with np.errstate(over="ignore", invalid="ignore"):
         base = g12 + g21
@@ -322,51 +267,8 @@ def variance_extrema(
         return _scalar(base - amp), _scalar(base + amp), _scalar(np.where(amp == 0.0, 0.0, phi_min))
 
 
-def locked_variances(
-    p_in: float,
-    p_th: float,
-    kappa: float,
-    gamma: float,
-    eta: float = 1.0,
-) -> SqueezingResult:
-    """Closed-form extremal variances at the injection-locked point, w = 0.
-
-    The squeezed ratio tends to 1 - eta*kappa/Gamma from above as the pump
-    power grows; the anti-squeezed ratio diverges. The squeezing term is
-    evaluated in a cancellation-free form so the large-drive limit is exact.
-    """
-    check_eta(eta)
-    ResonatorParams(kappa=kappa, gamma=gamma)  # the loss-rate rules
-    st = drive_ratio(p_in, p_th)
-    _warn_if_near_critical(st / math.sqrt(1.0 + st * st), stacklevel=3)
-    loss = kappa + gamma
-    c = 4.0 * eta * kappa / loss
-    root = math.sqrt(st * st + 0.25)
-    # st*root - st^2 == st/(4*(root + st)), exact also for st >> 1
-    v_s = 1.0 - 2.0 * c * st * 0.25 / (root + st) if st > 0 else 1.0
-    v_as = 1.0 + 2.0 * c * (st * root + st * st)
-    phi = optimal_phase(p_in, p_th) if st > 0 else 0.0
-    return SqueezingResult(v_s=v_s, v_as=v_as, phi_opt=phi)
-
-
-def optimal_phase(p_in: float, p_th: float) -> float:
-    """LO phase minimizing the locked variance; in [-pi/4, 0).
-
-    Tends to -pi/4 as the drive ratio p_in / p_th goes to 0, and rounds to it
-    once the ratio is below about 1e-16. Raises ZeroPower at drive ratio 0:
-    zero power, an absent (inf) threshold or a ratio that underflows.
-    """
-    if drive_ratio(p_in, p_th) == 0.0:
-        raise ZeroPower(f"optimal phase undefined at drive ratio 0: p_in = {p_in!r} W, "
-                        f"p_th = {p_th!r} W")
-    # halving after the division, not doubling p_in, which overflows above ~9e307
-    return 0.5 * math.atan(-p_th / p_in / 2.0)
-
-
 def _check_locked_numbers(sigma_tilde: Any, y: Any, c: Any) -> Tuple[Any, Any, Any]:
     """The three numbers as arrays; the first element that breaks a rule raises."""
-    import numpy as np
-
     st, y, c = (np.asarray(a, dtype=float) for a in (sigma_tilde, y, c))
     fail = _first_failure([y < 1.0, c < 0.0, st < 0.0])
     if fail is not None:
@@ -385,8 +287,6 @@ def locked_raw_variance(sigma_tilde: Any, y: Any, c: Any, phi_lo: Any) -> Union[
     Evaluated through the complex-exponential form; the result is real by
     construction (the two phase terms are conjugates).
     """
-    import numpy as np
-
     st, y, c = _check_locked_numbers(sigma_tilde, y, c)
     with np.errstate(over="ignore", invalid="ignore"):
         z = (_Complex(0.0, 0.5) * st) * (y + _Complex(0.0, 2.0) * st) * _lo_factor(phi_lo)
@@ -400,8 +300,6 @@ def locked_extrema(sigma_tilde: Any, y: Any, c: Any) -> Tuple[Any, Any]:
     The phase term is a second harmonic of amplitude (c st / y^2) *
     sqrt(y^2 + 4 st^2) around 1 + 2 c st^2 / y^2.
     """
-    import numpy as np
-
     st, y, c = _check_locked_numbers(sigma_tilde, y, c)
     with np.errstate(over="ignore", invalid="ignore"):
         base = 1.0 + 2.0 * c * st * st / (y * y)

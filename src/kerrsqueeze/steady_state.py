@@ -1,4 +1,5 @@
-"""Classical steady states of the driven Kerr ring: bistability and sweeps.
+"""Classical steady states of the driven Kerr ring: the pump record, bistability
+and sweeps.
 
 The intracavity photon number N at cold detuning d solves the real cubic
 
@@ -25,17 +26,58 @@ import math
 import struct
 from dataclasses import dataclass
 from itertools import repeat
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import PumpConfig, ResonatorParams, locked_photon_number, total_loss
-from .errors import ModelError
+from .core import (ResonatorParams, check_omega_p, check_power, locked_photon_number,
+                   total_loss)
+from .errors import EmptyTrace, ModelError
 
 # Below this nonlinearity ratio the cubic terms are under 1e-8 of the linear
 # ones for every u in (0, 1]; the closed form would lose the root to
 # cancellation, while one Newton step from the linear solution is exact.
 _LINEAR_RATIO = 1e-8
+
+
+def check_axis(values: Union[Sequence[float], np.ndarray], name: str) -> np.ndarray:
+    """``values`` as a float64 sample axis: 1-d, non-empty (else EmptyTrace), finite
+    and strictly monotone (else ModelError). Finiteness is tested before the
+    steps are taken, so numpy never warns."""
+    axis = np.asarray(values, dtype=float)
+    if axis.ndim != 1:
+        raise ModelError(f"{name} must be 1-d")
+    if axis.size == 0:
+        raise EmptyTrace(f"{name} has no samples")
+    if not np.isfinite(axis).all():
+        raise ModelError(f"{name} must be finite")
+    steps = np.diff(axis)
+    if not ((steps > 0).all() or (steps < 0).all()):
+        raise ModelError(f"{name} must be strictly monotone")
+    return axis
+
+
+@dataclass(frozen=True)
+class PumpConfig:
+    """Pump drive: power, frequency placement, and sweep direction.
+
+    ``delta_p`` is the cold-cavity detuning omega_p - omega_r [rad/s], a scalar
+    (one point) or a grid, stored as :func:`check_axis` returns it. ``direction``
+    is the frequency sweep direction: "down" means decreasing pump frequency.
+    """
+
+    p_in: float
+    delta_p: Union[float, Sequence[float], np.ndarray]
+    omega_p: Optional[float] = None
+    direction: str = "down"
+
+    def __post_init__(self) -> None:
+        check_power(self.p_in)
+        object.__setattr__(self, "delta_p", check_axis(np.atleast_1d(self.delta_p), "delta_p"))
+        if self.omega_p is not None:
+            check_omega_p(self.omega_p)
+        if self.direction not in ("up", "down"):
+            raise ModelError(f"direction must be 'up' or 'down', got {self.direction!r}")
 
 
 @dataclass(frozen=True)
@@ -74,12 +116,6 @@ class SweepTrace:
     direction: str
     p_in: float
     omega_p: float
-
-
-def _zip_branches(n: np.ndarray, delta_cl: np.ndarray, delta_f: np.ndarray,
-                  stable: np.ndarray, alpha_phase: np.ndarray) -> Tuple[SteadyStateBranch, ...]:
-    return tuple(map(SteadyStateBranch, n.tolist(), delta_cl.tolist(), delta_f.tolist(),
-                     stable.tolist(), alpha_phase.tolist()))
 
 
 def _operating_columns(
@@ -223,7 +259,8 @@ def steady_roots(
     live = ~np.isnan(u[0])
     n = u[0, live] * n_lock
     delta_cl, delta_f, alpha_phase = _operating_columns(params, grid, n)
-    return list(_zip_branches(n, delta_cl, delta_f, stable[0, live], alpha_phase))
+    return list(map(SteadyStateBranch, n.tolist(), delta_cl.tolist(), delta_f.tolist(),
+                    stable[0, live].tolist(), alpha_phase.tolist()))
 
 
 def lineshape(delta: float | np.ndarray, kappa: float, gamma: float) -> float | np.ndarray:
@@ -325,7 +362,7 @@ def injection_locking_point(
     delta_p_lock = -(params.g_opt + params.g_th) * n_lock
     if not math.isfinite(delta_p_lock):
         raise ModelError(f"locking detuning is not finite at p_in = {p_in}")
-    n = np.array([n_lock])
-    delta_cl, delta_f, alpha_phase = _operating_columns(params, np.array([delta_p_lock]), n)
-    (branch,) = _zip_branches(n, delta_cl, delta_f, np.array([True]), alpha_phase)
-    return delta_p_lock, branch
+    delta_cl = delta_p_lock + (params.g_opt + params.g_th) * n_lock
+    delta_f = delta_cl + params.g_opt * n_lock
+    alpha_phase = math.atan2(delta_cl, total_loss(params) / 2.0)
+    return delta_p_lock, SteadyStateBranch(n_lock, delta_cl, delta_f, True, alpha_phase)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import importlib
@@ -359,9 +360,9 @@ _BLOCKED_MAIN = ("import sys; sys.modules[%r] = None; from kerrsqueeze.cli impor
      None, None, False),
     # the package namespace is lazy, so the CLI can set BLAS threading first
     ("import sys, kerrsqueeze; assert 'numpy' not in sys.modules", None, None, False),
-    # the CLI and the closed-form modules import numpy only where they build arrays,
-    # and the float-array cell writer only where it writes a float array
-    ("import sys, kerrsqueeze.cli, kerrsqueeze.core, kerrsqueeze.spectrum, "
+    # the CLI imports numpy only where it builds arrays, the closed-form modules
+    # never, and the float-array cell writer only where it writes a float array
+    ("import sys, kerrsqueeze.cli, kerrsqueeze.core, "
      "kerrsqueeze.detection; assert 'numpy' not in sys.modules; "
      "assert 'kerrsqueeze._floatrepr' not in sys.modules", None, None, False),
     # with scipy unimportable, fit-transmission still writes the pinned bytes
@@ -387,6 +388,44 @@ def test_start_up_does_not_import_scipy(code, cmd, config, csv, sample_dir, tmp_
     if config is not None:
         digests = OTHER_FORMAT_DIGESTS if csv else SAMPLE_DIGESTS
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[config]
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src" / "kerrsqueeze"
+
+
+def _numpy_imports(tree):
+    """The ``import numpy`` and ``from numpy ...`` nodes under an AST node."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy"
+                                                    for a in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"]
+
+
+def test_only_the_cli_imports_numpy_inside_functions():
+    # an array module imports numpy once at its top; only the CLI, which must
+    # start without it, imports it inside functions
+    in_functions = {}
+    for path in sorted(_SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _numpy_imports(fn):
+                in_functions.setdefault(path.name, []).append(fn.name)
+        if path.name in ("core.py", "errors.py", "detection.py"):
+            assert not _numpy_imports(tree), path.name
+    assert set(in_functions) == {"cli.py"}, in_functions
+
+
+def test_report_loads_no_array_module(sample_dir, tmp_path):
+    # the locked closed forms live in core, so report never reaches spectrum
+    code = ("import sys; sys.modules['numpy'] = None; from kerrsqueeze.cli import main; "
+            "assert main(sys.argv[1:]) == 0; "
+            "print(sorted(m for m in sys.modules if m.startswith('kerrsqueeze.')))")
+    proc = subprocess.run([sys.executable, "-c", code, "report", "--config",
+                           str(sample_dir / "config_report.json"), "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert not loaded & {"kerrsqueeze.spectrum", "kerrsqueeze.steady_state"}, loaded
 
 
 def test_package_namespace_exports_submodule_objects():
@@ -597,6 +636,18 @@ _RANGE = (
 _RANGE_CASES = [(cmd, _sample_with(name, section, key, value), expected)
                 for cmd, name, section, key, value, expected in _RANGE]
 _RANGE_IDS = [f"{name}-{key}-{value!r}" for _, name, _, key, value, _ in _RANGE]
+# a boolean key takes a JSON true or false only, not a string, a number or null
+_FLAGS = [(cmd, config, section, key, value)
+          for cmd, config, section, key in [
+              ("spectrum", json.loads((_SAMPLES / "config_spectrum_optimized.json").read_text()),
+               "spectrum", "optimize_phi"),
+              ("reduce-trace", {"trace": {"input": _ZERO_SPAN, "reference": _ZERO_SPAN}},
+               "trace", "detrend")]
+          for value in ["false", 0, None]]
+_FLAG_CASES = [(cmd, {**config, section: {**config[section], key: value}},
+                f"config key '{section}.{key}': expected true or false, got {value!r}")
+               for cmd, config, section, key, value in _FLAGS]
+_FLAG_IDS = [f"{key}-{value!r}" for _, _, _, key, value in _FLAGS]
 _ILL_CONDITIONED = _sample_with("spectrum_optimized", "pump", "p_in_w", [1.144e147])
 _ILL_CONDITIONED["resonator"].update(kappa_rad_s=1e80, gamma_rad_s=0.0)
 # with kappa = gamma = 0.5 rad/s, (2 omega / Gamma)**2 leaves the float range at
@@ -656,14 +707,14 @@ _DB_FIRST = {"resonator": {"kappa_rad_s": 5e8, "gamma_rad_s": 0.0, "g_opt_rad_s"
     pytest.param("spectrum", _DB_FIRST,
                  "ratio must be finite and > 0 for dB conversion, got -0.000244140625",
                  marks=pytest.mark.filterwarnings("ignore::kerrsqueeze.LinearizationWarning")),
-] + _RANGE_CASES, ids=["grid-1e300", "g_opt-1e300", "spectrum-grid-1e300", "fit.input",
+] + _RANGE_CASES + _FLAG_CASES, ids=["grid-1e300", "g_opt-1e300", "spectrum-grid-1e300", "fit.input",
                        "dispersion.input", "trace.input", "trace.reference",
                        "detection.budget_path", "losses.budget_path", "points-10_000_001",
                        "points-10**400", "grid-1e155", "sweep-lambda_m-1e-300",
                        "sweep-n_eff-1e-300", "sweep-p_in_w--1", "report-p_in_w--1",
                        "spectrum_optimized-kappa-1e80", "spectrum_locking-omega-8e153",
                        "spectrum_optimized-omega-8e153", "spectrum_optimized-db-before-1e160"]
-                      + _RANGE_IDS)
+                      + _RANGE_IDS + _FLAG_IDS)
 def test_out_of_range_configs_are_one_line_errors(cmd, config, expected, tmp_path, capsys):
     # inputs whose steady state, transmission, locked point, threshold, path
     # or grid size the program cannot use end in one typed error, not a

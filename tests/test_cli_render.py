@@ -119,7 +119,7 @@ def test_non_finite_float_array_cell_names_column_and_row(bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_generic_cell_names_column_and_row(bad):
-    # tuple columns (the spectrum and locking tables) go through _fmt
+    # tuple columns (the locking table) go through _fmt
     columns = [(1e-3, 2e-3, 3e-3), ("x", np.float64(1.0), bad)]
     for out_format in ("csv", "json"):
         with pytest.raises(ModelError) as err:
@@ -188,7 +188,7 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 _finite32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
 # quotes, backslashes, control and non-ASCII characters all need JSON escapes
 _text = st.text(max_size=6)
-# what a tuple column of the spectrum or locking tables may hold
+# what a tuple column of the locking table may hold
 _scalar = st.one_of(_finite, _finite.map(np.float64), _finite32.map(np.float32),
                     st.sampled_from([0.0, -0.0]), st.booleans(), st.integers(-2**70, 2**70),
                     st.integers(-2**63, 2**63 - 1).map(np.int64), _text, st.none())

@@ -37,7 +37,8 @@ from kerrsqueeze import (
     variance_extrema,
     variance_spectrum,
 )
-from kerrsqueeze.core import check_axis, locked_photon_number
+from kerrsqueeze.core import locked_photon_number
+from kerrsqueeze.steady_state import check_axis
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kerrsqueeze"
 PARAMS = ResonatorParams(kappa=515e6, gamma=192e6, g_opt=1.4, lambda_r=1550e-9)
