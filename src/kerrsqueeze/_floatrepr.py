@@ -1,10 +1,10 @@
 """``repr`` of every value of a float64 array, with numpy integer arithmetic.
 
-``reprs(values)`` equals ``list(map(repr, values.tolist()))`` for finite
-values. The digits are Schubfach's (R. Giulietti, "The Schubfach way to
-render doubles", 2020) in its shortest form: the shortest decimal that
-reads back as the double, the closest one if there are several, which is
-what CPython's ``dtoa`` finds with bignums. The layout is CPython's
+``repr_rows(values)`` holds ``repr(v)`` of each finite value ``v`` as a
+NUL-padded row of 32 bytes. The digits are Schubfach's (R. Giulietti, "The
+Schubfach way to render doubles", 2020) in its shortest form: the shortest
+decimal that reads back as the double, the closest one if there are several,
+which is what CPython's ``dtoa`` finds with bignums. The layout is CPython's
 ``format_float_short``. uint64 and int64 operands never meet in one
 operation: numpy would promote the pair to float64 and drop bits.
 """
@@ -84,7 +84,7 @@ def _shortest(mag):
 
 
 def _tables():
-    """A value's text is built in a row of 32 bytes, spaces around it: the
+    """A value's text is built in a row of 32 bytes, NULs around it: the
     digits of x = d 10^z right-aligned in the first 24, the last ``width``
     of them kept, and those after the first ``after`` moved one byte right
     for the point (after = 0: no point, all move); the exponent follows.
@@ -92,7 +92,7 @@ def _tables():
     Returns the digits of 0 .. 9999 as 4 bytes; for each layout
     2 (18 (clip(point, -4, 17) + 4) + n) + sign, with n digits in d (0: the
     value is zero), 10^z and the masks of the bytes that stay, that move
-    and that are put (point, sign, spaces); and the suffixes "e-324" ..
+    and that are put (point, sign, padding); and the suffixes "e-324" ..
     "e+308", then none, as the last 8 bytes."""
     point, n = np.ogrid[-4:18, :18]
     use_exp = (point <= -4) | (point > 16)
@@ -104,23 +104,24 @@ def _tables():
     sign, col = np.ogrid[:2, :32]
     at = np.where(after > 0, 24 - width + after, -1)  # of the point
     first = np.where(after > 0, 24 - width, 25 - width)  # of the digits, after the move
-    put = np.where(col < first, 32, np.where(col == at, 46, 0))
+    put = np.where(col == at, 46, 0)
     put = np.where((col == first - 1) & (sign == 1), 45, put)
     stay = np.where((col >= first) & (col < at), 255, 0)
     move = np.where((col >= first) & (col > at) & (col < 25), 255, 0)
     pack = np.ascontiguousarray(np.indices((10,) * 4).reshape(4, -1).T + 48, dtype=np.uint8)
-    suffix = b"".join(b"\0" + f"e{x:+03d}".ljust(7).encode() for x in range(-324, 309))
+    suffix = b"".join(b"\0" + f"e{x:+03d}".encode().ljust(7, b"\0") for x in range(-324, 309))
     return (pack.view(np.uint32)[:, 0], _POW.take(z.ravel()),
             *(np.broadcast_to(m, (22, 18, 2, 32)).astype(np.uint8).reshape(-1, 32).view("<u8")
               for m in (stay, move, put)),
-            np.frombuffer(suffix + b"\0" + b" " * 7, dtype="<u8"))
+            np.frombuffer(suffix + b"\0" * 8, dtype="<u8"))
 
 
 _PACK, _SCALE, _STAY, _MOVE, _PUT, _SUFFIX = _tables()
 
 
-def _render(bits):
-    """The text of the finite doubles with these uint64 bits."""
+def _render(bits, rows):
+    """Writes the text of the finite doubles with these uint64 bits into
+    ``rows``, zeros of shape (len(bits), 4) and type "<u8"."""
     mag = bits & _M63
     d, e = _shortest(mag)
     zero = mag == _U(0)
@@ -130,7 +131,6 @@ def _render(bits):
     x = d * _SCALE.take(layout)
     layout = 2 * layout + (bits >> _U(63)).astype(np.intp)
     hi, lo = (half.astype(np.uint32) for half in np.divmod(x, _U(10**8)))
-    rows = np.zeros((len(d), 4), dtype="<u8")
     digits = rows.view(np.uint32)
     top, hi = np.divmod(hi, 10**4)  # top < 10^5, as x < 10^17
     for col, group in enumerate((0, *np.divmod(top, 10**4), hi, *np.divmod(lo, 10**4))):
@@ -142,13 +142,13 @@ def _render(bits):
     rows |= moved.reshape(-1, 4) & _MOVE.take(layout, axis=0)
     rows |= _PUT.take(layout, axis=0)
     rows[:, 3] |= _SUFFIX.take(np.where((point <= -4) | (point > 16), point + 323, 633))
-    return rows.tobytes().decode("ascii").split()
 
 
-def reprs(values: np.ndarray) -> list:
-    """``repr`` of each value of a 1-D array of finite float64s."""
+def repr_rows(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each value of a 1-D array of finite float64s, as the uint8
+    rows of a (len(values), 32) array: the ASCII text with NULs around it."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    out: list = []
+    rows = np.zeros((len(bits), 4), dtype="<u8")
     for start in range(0, len(bits), _CHUNK):
-        out += _render(bits[start:start + _CHUNK])
-    return out
+        _render(bits[start:start + _CHUNK], rows[start:start + _CHUNK])
+    return rows.view(np.uint8)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Tuple, Union
+from typing import NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 

@@ -17,7 +17,8 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from . import core
 from .errors import LinearizationWarning, ModelError, SchemaError
@@ -278,37 +279,14 @@ def _not_finite(name: str, row: int, value: Any) -> ModelError:
 
 
 def _cells(name: str, column: Sequence[Any], quote: Callable[[Any], str] = str) -> List[str]:
-    """One column's cells, the same in CSV and JSON: floats by repr, bools as
-    true/false, strings and other non-numbers by ``quote`` (once per distinct
-    value in a string array). A NaN or an infinity is a ModelError naming the
-    column and its row (counted from 1)."""
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            from ._floatrepr import reprs
-
-            # repr once per distinct value; keyed on the bits, so -0.0 keeps its sign
-            bits, inverse = np.unique(column.astype(np.float64, copy=False).view(np.int64),
-                                      return_inverse=True)
-            values = bits.view(np.float64)
-            bad = ~np.isfinite(values)
-            if bad.any():
-                row = int(np.flatnonzero(bad[inverse])[0])
-                raise _not_finite(name, row, column[row])
-            text = reprs(values)
-            return list(map(text.__getitem__, inverse.tolist()))
-        if column.dtype.kind == "b":
-            return ["true" if v else "false" for v in column.tolist()]
-        if column.dtype.kind == "U":
-            text = {s: quote(s) for s in set(column.tolist())}
-            return list(map(text.__getitem__, column.tolist()))
-    try:
-        return [_fmt(v, quote) for v in column]
-    except ModelError:
-        floats = float if np is None else (float, np.floating)
-        row = next(i for i, v in enumerate(column)
-                   if isinstance(v, floats) and not math.isfinite(v))
-        raise _not_finite(name, row, column[row]) from None
+    """``_fmt`` of each cell; a NaN or an infinity names the column and row."""
+    cells = []
+    for row, v in enumerate(column):
+        try:
+            cells.append(_fmt(v, quote))
+        except ModelError:
+            raise _not_finite(name, row, v) from None
+    return cells
 
 
 def _csv_quote(v: Any) -> str:
@@ -319,27 +297,100 @@ def _csv_quote(v: Any) -> str:
     return text
 
 
+def _distinct(name: str, column: Sequence[Any], csv: bool) -> Tuple[np.ndarray, np.ndarray, int]:
+    """(texts, inverse, pad): a column's distinct cells as the rows of a uint8
+    array, each padded with ``pad``, and each cell's row in it. Floats are repr,
+    padded with NUL; other cells are ``_fmt`` text quoted for the format, in
+    UTF-8 and padded with 0xFF, a byte that UTF-8 never holds."""
+    import numpy as np
+
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+    if kind == "f":
+        from ._floatrepr import repr_rows
+
+        # repr once per distinct value; keyed on the bits, so -0.0 keeps its sign
+        bits, inverse = np.unique(column.astype(np.float64, copy=False).view(np.int64),
+                                  return_inverse=True)
+        bad = ~np.isfinite(bits.view(np.float64))
+        if bad.any():
+            row = int(np.flatnonzero(bad[inverse])[0])
+            raise _not_finite(name, row, column[row])
+        texts = repr_rows(bits.view(np.float64))
+        reach = texts.any(axis=0)  # the bytes some text reaches
+        texts = texts[:, reach.argmax():reach.size - reach[::-1].argmax()]
+        return np.ascontiguousarray(texts), inverse, 0
+    quote = _csv_quote if csv else json.dumps
+    if kind in "bU":  # bools and strings: once per distinct value
+        distinct, inverse = ((np.array([False, True]), column.astype(np.intp)) if kind == "b"
+                             else np.unique(column, return_inverse=True))
+        cells = _cells(name, distinct.tolist(), quote)
+    else:
+        cells, inverse = _cells(name, column, quote), np.arange(len(column))
+    data = [c.encode() for c in cells]
+    width = max(map(len, data), default=0)
+    padded = b"".join(d.ljust(width, b"\xff") for d in data)
+    return np.frombuffer(padded, np.uint8).reshape(len(data), width), inverse, 0xFF
+
+
+_ROWS_PER_BLOCK = 4096  # the block and its mask stay in the cache
+
+
+def _table(names: Sequence[str], columns: Sequence[Sequence[Any]],
+           meta: Sequence[Tuple[int, str]], csv: bool) -> bytes:
+    """A table's CSV or JSON bytes, assembled in blocks of rows: a uint8 block
+    holds each row's fixed bytes and, in each cell's slot, its column's padded
+    text gathered by row; the block is then written without the padding."""
+    import numpy as np
+
+    cols = [_distinct(name, column, csv) for name, column in zip(names, columns)]
+    n = min((len(inverse) for _, inverse, _ in cols), default=0)
+    lead, sep, tail = (b"", b",", b"\n") if csv else (b"    [\n      ", b",\n      ", b"\n    ],\n")
+    layout, slots = bytearray(lead), []
+    for texts, _, _ in cols:
+        layout += sep if slots else b""
+        slots.append(slice(len(layout), len(layout) + texts.shape[1]))
+        layout += bytes(texts.shape[1])
+    layout = np.frombuffer(layout + tail, np.uint8)
+
+    def rows(start: int, stop: int) -> Iterator[np.ndarray]:
+        for a in range(start, stop, _ROWS_PER_BLOCK):
+            block = np.tile(layout, (min(stop - a, _ROWS_PER_BLOCK), 1))
+            for (texts, inverse, _), slot in zip(cols, slots):
+                block[:, slot] = texts.take(inverse[a:a + len(block)], axis=0)
+            keep = block != 0
+            for (_, _, pad), slot in zip(cols, slots):
+                if pad:
+                    keep[:, slot] = block[:, slot] != pad
+            yield block[keep]
+
+    if not csv:  # no comma after the last row
+        body = [*rows(0, n)]
+        body = [b"[\n", *body[:-1], body[-1][:-2], b"\n  ]"] if body else [b"[]"]
+        head = json.dumps({"columns": list(names)}, indent=2)[:-2].encode()
+        return b"".join([head, b',\n  "rows": ', *body, b"\n}\n"])
+    # a '#' line goes before the row of its index (-1: the header); lines that
+    # share an index keep their order
+    lines = sorted(((min(i, n), f"# {line}\n".encode()) for i, line in meta), key=lambda m: m[0])
+    parts, start = [line for i, line in lines if i < 0] + [",".join(names).encode() + b"\n"], 0
+    for i, line in lines:
+        if i >= 0:
+            parts += [*rows(start, i), line]
+            start = i
+    return b"".join([*parts, *rows(start, n)])
+
+
 def render_csv(names: Sequence[str], columns: Sequence[Sequence[Any]],
-               meta: Sequence[Tuple[int, str]] = ()) -> str:
-    """CSV text from equal-length columns, with '#' metadata lines inserted
+               meta: Sequence[Tuple[int, str]] = ()) -> bytes:
+    """CSV bytes from equal-length columns, with '#' metadata lines inserted
     before the given row indices (-1: before the header)."""
-    cells = (_cells(name, column, _csv_quote) for name, column in zip(names, columns))
-    lines = [",".join(names), *map(",".join, zip(*cells))]
-    # from the last index back, so the earlier ones still point at their rows;
-    # lines that share an index keep their order
-    for idx, line in reversed(sorted(meta, key=lambda m: m[0])):
-        lines.insert(idx + 1, f"# {line}")
-    return "\n".join(lines) + "\n"
+    return _table(names, columns, meta, csv=True)
 
 
-def render_json(obj: Any) -> str:
-    return _dumps(obj, indent=2) + "\n"
-
-
-def _json_list(items: Sequence[str], indent: str) -> str:
-    """Encoded items laid out as render_json lays out a list that closes at ``indent``."""
-    inner = "\n" + indent + "  "
-    return f"[{inner}{(',' + inner).join(items)}\n{indent}]" if items else "[]"
+def render_json(obj: Any) -> bytes:
+    """JSON bytes of a report, or of a table as {"columns": names, "rows": rows}."""
+    if isinstance(obj, dict):
+        return (_dumps(obj, indent=2) + "\n").encode()
+    return _table(obj[0], obj[1], (), csv=False)
 
 
 def _flatten(obj: Any, prefix: str = "") -> List[Tuple[str, Any]]:
@@ -356,19 +407,16 @@ Table = Tuple[Sequence[str], Sequence[Sequence[Any]], Sequence[Tuple[int, str]]]
 Result = Union[Dict[str, Any], Table]
 
 
-def _render(result: Result, out_format: Optional[str]) -> str:
+def _render(result: Result, out_format: Optional[str]) -> bytes:
     """Reports default to JSON (flattened key,value CSV on request), tables to CSV."""
-    if isinstance(result, dict):
-        if out_format == "csv":
-            return render_csv(("key", "value"), list(zip(*_flatten(result))))
+    if isinstance(result, dict) and out_format == "csv":  # no numpy: a cell at a time
+        pairs = _flatten(result)
+        keys = _cells("key", [k for k, _ in pairs], _csv_quote)
+        values = _cells("value", [v for _, v in pairs], _csv_quote)
+        return "".join(f"{k},{v}\n" for k, v in [("key", "value"), *zip(keys, values)]).encode()
+    if isinstance(result, dict) or out_format == "json":
         return render_json(result)
-    names, columns, meta = result
-    if out_format == "json":
-        cells = zip(*(_cells(name, column, json.dumps) for name, column in zip(names, columns)))
-        rows = _json_list([_json_list(row, "    ") for row in cells], "  ")
-        head = _json_list([*map(json.dumps, names)], "  ")
-        return f'{{\n  "columns": {head},\n  "rows": {rows}\n}}\n'
-    return render_csv(names, columns, meta)
+    return render_csv(*result)
 
 
 def _sha256(path: Path) -> str:
@@ -915,11 +963,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         result = _DISPATCH[args.command](load_config(args.config))
-        text = _render(result, args.out_format)
+        data = _render(result, args.out_format)
         if args.out is None:
-            sys.stdout.write(text)
+            sys.stdout.buffer.write(data)
         else:
-            Path(args.out).write_text(text)
+            Path(args.out).write_bytes(data)
     except (ModelError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -43,7 +43,7 @@ _LINEAR_RATIO = 1e-8
 def check_axis(values: Union[Sequence[float], np.ndarray], name: str) -> np.ndarray:
     """``values`` as a float64 sample axis: 1-d, non-empty (else EmptyTrace), finite
     and strictly monotone (else ModelError). Finiteness is tested before the
-    steps are taken, so numpy never warns."""
+    steps are taken; a step beyond the float range is an infinity of its sign."""
     axis = np.asarray(values, dtype=float)
     if axis.ndim != 1:
         raise ModelError(f"{name} must be 1-d")
@@ -51,7 +51,8 @@ def check_axis(values: Union[Sequence[float], np.ndarray], name: str) -> np.ndar
         raise EmptyTrace(f"{name} has no samples")
     if not np.isfinite(axis).all():
         raise ModelError(f"{name} must be finite")
-    steps = np.diff(axis)
+    with np.errstate(over="ignore"):
+        steps = np.diff(axis)
     if not ((steps > 0).all() or (steps < 0).all()):
         raise ModelError(f"{name} must be strictly monotone")
     return axis

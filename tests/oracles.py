@@ -336,3 +336,30 @@ def py_tree(obj):
     if isinstance(obj, np.integer):
         return int(obj)
     return obj
+
+
+def csv_cell(value):
+    """A CSV cell by the rules the writer states: a float by repr, a bool as
+    true/false, an int in decimal and anything else as its text, quoted as
+    RFC 4180 asks when it holds ',', '"', CR or LF."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_table(names, columns, meta=()):
+    """CSV bytes of a table, one cell and one line at a time, with each
+    '# line' of ``meta`` inserted before the row of its index (-1: before the
+    header) as the writer did before it assembled tables in numpy."""
+    cells = [column.tolist() if isinstance(column, np.ndarray) else column for column in columns]
+    lines = [",".join(names), *(",".join(map(csv_cell, row)) for row in zip(*cells))]
+    for idx, line in reversed(sorted(meta, key=lambda m: m[0])):
+        lines.insert(idx + 1, f"# {line}")
+    return ("\n".join(lines) + "\n").encode()

@@ -171,6 +171,18 @@ def test_sample_other_format_bytes_match_recorded_digest(cmd, config, sample_dir
     )
 
 
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+@pytest.mark.parametrize("cmd,config", CONFIGS)
+def test_stdout_holds_the_bytes_of_out(cmd, config, out_format, sample_dir, tmp_path,
+                                       capsysbinary):
+    # stdout is written through sys.stdout.buffer, as UTF-8 bytes
+    rc, out = run(sample_dir, cmd, config, tmp_path, extra=("--format", out_format))
+    assert rc == 0
+    assert main([cmd, "--config", str(sample_dir / config), "--format", out_format]) == 0
+    captured = capsysbinary.readouterr()
+    assert captured.out == out.read_bytes() and captured.err == b""
+
+
 def test_detuning_phase_grid_bytes_match_recorded_digest(sample_dir, tmp_path):
     # off the lock only optimize_phi touched the moments in the samples; this
     # pins variance_spectrum on swept points across a hysteresis pair, two

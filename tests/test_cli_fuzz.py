@@ -152,6 +152,23 @@ def test_one_unset_config_key_gives_finite_output_or_one_error_line(cmd, name, s
         run_case(cmd, config, workdir)
 
 
+# a grid axis whose span is beyond the float range: numpy's step overflowed,
+# and its RuntimeWarning came before the error line
+SPAN_CASES = [(cmd, name, key, axis) for cmd, name, key in (
+                  ("spectrum", "config_spectrum_locking.json", "omega_rad_s"),
+                  ("spectrum", "config_spectrum_detuning.json", "delta_p_rad_s"),
+                  ("sweep", "config_sweep.json", "delta_p_rad_s"))
+              for axis in ([-1e308, 1e308], [1.7e308, -1.7e308])]
+
+
+@pytest.mark.parametrize("cmd,name,key,axis", SPAN_CASES,
+                         ids=[f"{name}-{key}-{axis[0]:g}" for _, name, key, axis in SPAN_CASES])
+def test_grid_axis_spanning_beyond_the_float_range_gives_one_error_line(cmd, name, key, axis):
+    config = _SAMPLE_CONFIGS[name]
+    with tempfile.TemporaryDirectory() as workdir:
+        run_case(cmd, {**config, "grid": {**config["grid"], key: axis}}, workdir)
+
+
 def test_fuzz_cases_cover_every_sample_config_with_numbers():
     # these two configs hold only file paths
     no_numbers = {"config_fit_dispersion.json", "config_losses.json"}

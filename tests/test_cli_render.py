@@ -1,20 +1,20 @@
-"""CLI output rendering. CSV and JSON tables share one cell writer, ``_cells``:
-it formats each distinct float once, quotes JSON strings once per distinct
-value, and never lets a NaN or an infinity into a cell of either format.
-Reports go through one JSON encoder, whose ``default`` hook converts numpy
-arrays and scalars with ``tolist()``. The old per-cell renderers live in
-``oracles`` and must give the same bytes."""
+"""CLI output rendering. CSV and JSON tables share one assembler, which
+writes each distinct float, bool or string once as bytes, gathers the texts
+by row in numpy and never lets a NaN or an infinity into a cell of either
+format. Reports go through one JSON encoder, whose ``default`` hook converts
+numpy arrays and scalars with ``tolist()``. The old per-cell renderers live
+in ``oracles`` and must give the same bytes."""
 
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kerrsqueeze import ModelError, cli
 
-from oracles import py_tree, repr_cells
+from oracles import csv_table, py_tree, repr_cells
 
 
 # signed zeros, subnormals, the extremes and a few everyday values, as bit patterns
@@ -45,10 +45,9 @@ _picks = st.lists(st.integers(min_value=0, max_value=10**6), max_size=200)
        picks=_picks)
 def test_float64_cells_match_repr_per_cell(pool, picks):
     column = _column(pool, picks, np.float64)
-    assert cli._cells("x", column) == repr_cells(column)
     rendered = cli.render_csv(["x", "y"], [column, column[::-1]])
     lines = ["x,y", *map(",".join, zip(repr_cells(column), repr_cells(column[::-1])))]
-    assert rendered == "\n".join(lines) + "\n"
+    assert rendered == ("\n".join(lines) + "\n").encode()
 
 
 @settings(max_examples=200, deadline=None)
@@ -58,7 +57,7 @@ def test_float64_cells_match_repr_per_cell(pool, picks):
 def test_float32_cells_match_repr_per_cell(pool, picks):
     # tolist() widens float32 to the same double the cast gives
     column = _column(pool, picks, np.float32)
-    assert cli._cells("x", column) == repr_cells(column)
+    assert cli.render_csv(["x"], [column]) == _csv_lines("x", *repr_cells(column))
 
 
 def _edge_values():
@@ -77,32 +76,43 @@ def _edge_values():
     return np.concatenate([column, -column])
 
 
+def _texts(rows):
+    """The text of each row of the float kernel: its bytes within the NULs."""
+    assert rows.dtype == np.uint8 and rows.shape[1:] == (32,)
+    return [row.tobytes().strip(b"\0").decode("ascii") for row in rows]
+
+
+def _csv_lines(*lines):
+    return "".join(line + "\n" for line in lines).encode()
+
+
 def test_float_kernel_matches_repr_on_the_edges():
-    from kerrsqueeze._floatrepr import reprs
+    from kerrsqueeze._floatrepr import repr_rows
 
     column = _edge_values()
     # 2098 powers of two, 632 of ten, 8 more, with neighbours (but the inf past
     # DBL_MAX) and 10^4 integers, in both signs
     assert column.size == 2 * (3 * (2098 + 632 + 8) - 1 + 10**4)
-    assert reprs(column) == repr_cells(column)
+    assert _texts(repr_rows(column)) == repr_cells(column)
     # the layout switches: positional from 1e-4 up to below 1e16
-    assert reprs(np.array([1e16, 9999999999999998.0, 1e-4, 1e-5, -0.0, 5e-324])) == [
+    assert _texts(repr_rows(np.array([1e16, 9999999999999998.0, 1e-4, 1e-5, -0.0, 5e-324]))) == [
         "1e+16", "9999999999999998.0", "0.0001", "1e-05", "-0.0", "5e-324"]
 
 
 def test_float_kernel_matches_repr_on_random_bit_patterns():
-    from kerrsqueeze._floatrepr import reprs
+    from kerrsqueeze._floatrepr import repr_rows
 
     bits = np.random.default_rng(17).integers(0, 2**64, size=200_000, dtype=np.uint64)
     column = bits.view(np.float64)
     column = column[np.isfinite(column)]
-    assert reprs(column) == repr_cells(column)
-    assert reprs(np.array([], dtype=np.float64)) == []
+    assert _texts(repr_rows(column)) == repr_cells(column)
+    assert repr_rows(np.array([], dtype=np.float64)).shape == (0, 32)
 
 
 def test_signed_zeros_keep_their_own_cells():
     column = np.array([0.0, -0.0, 0.0, -0.0, 1.5, 1.5])
-    assert cli._cells("x", column) == ["0.0", "-0.0", "0.0", "-0.0", "1.5", "1.5"]
+    assert cli.render_csv(["x"], [column]) == _csv_lines("x", "0.0", "-0.0", "0.0", "-0.0",
+                                                         "1.5", "1.5")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -130,10 +140,10 @@ def test_non_finite_generic_cell_names_column_and_row(bad):
         cli._render({"a": 1.0, "b": {"c": bad}}, "csv")
 
 
-def _assert_same_text(got: str, want: str) -> None:
+def _assert_same_bytes(got: bytes, want: bytes) -> None:
     """got == want, reported as the first line that differs: pytest's diff of
     two strings of megabytes runs for minutes before it reports anything."""
-    got_lines, want_lines = got.split("\n"), want.split("\n")
+    got_lines, want_lines = got.split(b"\n"), want.split(b"\n")
     i = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b), None)
     assert i is None, f"line {i} differs: {got_lines[i]!r} != {want_lines[i]!r}"
     assert len(got_lines) == len(want_lines), (len(got_lines), len(want_lines))
@@ -156,11 +166,11 @@ def test_sweep_table_renders_the_per_cell_bytes(tmp_path):
         lines.append(",".join(row))
     for idx, line in reversed(sorted(meta, key=lambda m: m[0])):
         lines.insert(idx + 1, f"# {line}")
-    _assert_same_text(cli._render((names, columns, meta), None), "\n".join(lines) + "\n")
+    _assert_same_bytes(cli._render((names, columns, meta), None), ("\n".join(lines) + "\n").encode())
     # JSON: the per-element recursion
     rows = list(zip(*map(py_tree, columns)))
     old = json.dumps(py_tree({"columns": names, "rows": rows}), allow_nan=False, indent=2) + "\n"
-    _assert_same_text(cli._render((names, columns, meta), "json"), old)
+    _assert_same_bytes(cli._render((names, columns, meta), "json"), old.encode())
 
 
 def test_json_encodes_numpy_arrays_and_scalars_with_tolist():
@@ -169,7 +179,7 @@ def test_json_encodes_numpy_arrays_and_scalars_with_tolist():
     for a in arrays:
         assert cli._dumps(a) == json.dumps(py_tree(a))
         assert cli._dumps(a[0]) == json.dumps(a.tolist()[0])  # a numpy scalar
-        assert cli.render_json({"a": a}) == json.dumps(py_tree({"a": a}), indent=2) + "\n"
+        assert cli.render_json({"a": a}) == (json.dumps(py_tree({"a": a}), indent=2) + "\n").encode()
     mixed = np.array([np.float64(0.5), np.int64(2), "x"], dtype=object)
     assert cli._dumps(mixed) == json.dumps(py_tree(mixed)) == '[0.5, 2, "x"]'
     with pytest.raises(TypeError, match="not JSON serializable"):
@@ -180,8 +190,8 @@ def test_report_holding_a_numpy_bool_renders_in_both_formats():
     # the old element-wise conversion left np.bool_ as it was, so JSON raised TypeError
     report = {"ok": np.bool_(True), "flags": np.array([False, True]), "n": np.int64(3)}
     assert cli._render(report, None) == (
-        '{\n  "ok": true,\n  "flags": [\n    false,\n    true\n  ],\n  "n": 3\n}\n')
-    assert cli._render(report, "csv") == 'key,value\nok,true\nflags,"[false, true]"\nn,3\n'
+        b'{\n  "ok": true,\n  "flags": [\n    false,\n    true\n  ],\n  "n": 3\n}\n')
+    assert cli._render(report, "csv") == b'key,value\nok,true\nflags,"[false, true]"\nn,3\n'
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -198,6 +208,9 @@ _array_elements = {"f8": st.one_of(_finite, st.sampled_from([0.0, -0.0])), "f4":
 
 @st.composite
 def _tables(draw):
+    """(names, columns, meta): up to 4 columns of one kind each, 0 to 5 rows,
+    and '#' lines at indices from -1 (before the header) to the row count, in
+    any order and with repeats."""
     rows = draw(st.integers(min_value=0, max_value=5))
     names, columns = [], []
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
@@ -206,13 +219,37 @@ def _tables(draw):
         element = _scalar if kind == "tuple" else _array_elements[kind]
         cells = draw(st.lists(element, min_size=rows, max_size=rows))
         columns.append(tuple(cells) if kind == "tuple" else np.array(cells, dtype=kind))
-    return names, columns
+    end = rows if columns else 0  # a table without columns has no rows
+    meta = draw(st.lists(st.tuples(st.integers(min_value=-1, max_value=end), _text), max_size=4))
+    return names, columns, meta
 
 
 @settings(max_examples=300, deadline=None)
 @given(table=_tables())
 def test_json_table_matches_json_dumps_of_the_old_tree(table):
-    names, columns = table
+    names, columns, meta = table
     rows = list(zip(*map(py_tree, columns)))
     old = json.dumps(py_tree({"columns": names, "rows": rows}), indent=2, allow_nan=False)
-    assert cli._render((names, columns, ()), "json") == old + "\n"
+    # a JSON table carries no '#' lines
+    assert cli._render((names, columns, meta), "json") == (old + "\n").encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables())
+# a NUL inside a string cell, which st.text seldom draws
+@example(table=(["u", "t"], [np.array(["a\x00b"]), ("\x00",)], [(1, "\x00")]))
+def test_csv_table_matches_the_per_cell_writer(table):
+    assert cli._render(table, "csv") == cli._render(table, None) == csv_table(*table)
+
+
+def test_csv_string_cells_keep_every_byte():
+    # NUL pads the float texts, but a NUL inside a string cell is written
+    texts = ["\x00", "a\x00b", "\x00,", "é", "日本", ",", '"', 'x,"y"', "", "\r\n"]
+    columns = [np.array(texts), tuple(texts), np.array([0.5] * len(texts))]
+    assert cli.render_csv(["u", "t", "f"], columns) == csv_table(["u", "t", "f"], columns)
+    # numpy drops a string's trailing NULs; a tuple keeps them
+    assert cli.render_csv(["u", "t"], [np.array(["\x00"]), ("\x00",)]) == b"u,t\n,\x00\n"
+    assert cli.render_csv(["t"], [("é,\x00", "\x00\x00")]) == _csv_lines(
+        "t", '"é,\x00"', "\x00\x00")
+    assert cli._render((["t"], [("\x00",)], ()), "json") == (
+        b'{\n  "columns": [\n    "t"\n  ],\n  "rows": [\n    [\n      "\\u0000"\n    ]\n  ]\n}\n')
