@@ -16,12 +16,11 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
 from . import core
-from .errors import LinearizationWarning, ModelError, SchemaError
+from .errors import ModelError, SchemaError
 
 # numpy and the physics modules are imported inside the functions that use
 # them, so a subcommand loads only what it runs: threshold, report and losses
@@ -61,26 +60,46 @@ class RunConfig:
         if not isinstance(rel, str):
             raise SchemaError(f"config key '{name}': expected a file path string, got {rel!r}")
         p = (self.base_dir / rel).resolve() if not Path(rel).is_absolute() else Path(rel)
-        if not p.is_file():
-            raise SchemaError(f"config key '{name}': file not found: {rel}")
-        return p
+        return _regular_file(p, f"config key '{name}': file", rel)
+
+
+def _regular_file(path: Path, what: str, shown: str) -> Path:
+    """``path``, or a SchemaError that says whether it is missing or not a regular file."""
+    if not path.is_file():
+        raise SchemaError(f"{what} {'is not a regular file' if path.exists() else 'not found'}: "
+                          f"{shown}")
+    return path
+
+
+def _read_text(path: Path, where: str) -> str:
+    """A file's text, decoded as UTF-8 whatever the locale."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{where}: not UTF-8: {e.reason} at byte {e.start}") from None
 
 
 def _read_json(path: Path, where: str) -> Any:
-    """Parsed JSON file; syntax errors and NaN/Infinity literals are SchemaErrors."""
+    """Parsed JSON file; syntax errors, NaN/Infinity literals, nesting deeper than
+    the interpreter's recursion limit and integers longer than its int-string
+    digit limit are SchemaErrors."""
     def reject(literal: str) -> Any:
         raise SchemaError(f"{where}: {literal} is not a finite number")
 
     try:
-        return json.loads(path.read_text(), parse_constant=reject)
+        return json.loads(_read_text(path, where), parse_constant=reject)
     except json.JSONDecodeError as e:
         raise SchemaError(f"{where}: line {e.lineno}: {e.msg}") from e
+    except RecursionError:
+        raise SchemaError(f"{where}: nested too deeply") from None
+    except ModelError:  # from _read_text or reject
+        raise
+    except ValueError as e:  # an int longer than the int-string conversion limit
+        raise SchemaError(f"{where}: {str(e).partition(';')[0]}") from None
 
 
 def load_config(path: str) -> RunConfig:
-    p = Path(path)
-    if not p.is_file():
-        raise SchemaError(f"config file not found: {path}")
+    p = _regular_file(Path(path), "config file", path)
     raw = _read_json(p, f"config {path}")
     if not isinstance(raw, dict):
         raise SchemaError(f"config {path}: top level must be an object")
@@ -433,7 +452,7 @@ def _read_table(path: Path) -> Tuple[Dict[str, str], List[str], List[List[str]],
     columns: List[str] = []
     rows: List[List[str]] = []
     lineno_of_row: List[int] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path, path.name).splitlines(), start=1):
         text = line.strip()
         if not text:
             continue
@@ -603,44 +622,13 @@ def cmd_sweep(cfg: RunConfig) -> Table:
     return list(table), list(table.values()), meta
 
 
-def _db(ratio: np.ndarray, per_row: int) -> np.ndarray:
-    """core.db_from_linear over an array; the first ratio it rejects raises its
-    error, at its flat index over ``per_row``, the ratios of one kernel row."""
+def _db(ratio: np.ndarray) -> np.ndarray:
+    """10 log10 of ratios that the spectrum kernels checked are in (0, inf)."""
     import numpy as np
 
-    bad = ~((ratio > 0.0) & (ratio < math.inf))
-    if bad.any():
-        at = int(bad.argmax())
-        try:
-            core.db_from_linear(float(ratio.flat[at]))
-        except ModelError as err:
-            raise err.at(at // per_row)
     # math.log10, not np.log10: the two differ in the last bit on some inputs
     log = map(math.log10, ratio.ravel().tolist())
     return 10.0 * np.fromiter(log, float, count=ratio.size).reshape(ratio.shape)
-
-
-def _first_row_error(run: Callable[[Any, np.ndarray], Any], branch: Any, omega: np.ndarray,
-                     err: ModelError) -> ModelError:
-    """The error of the first failing row of ``run(branch, omega)``, which raised
-    ``err``: run checks all its rows for one thing at a time, so a row before
-    ``err.row`` may fail a later check. For the error path only."""
-    import numpy as np
-
-    cols = {k: np.atleast_1d(getattr(branch, k)) for k in ("n", "delta_f", "alpha_phase", "stable")}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinearizationWarning)  # warned on the first run
-        while err.row:
-            point, w = divmod(err.row, omega.size)
-            try:  # the (point, omega) rows before err.row: whole points, then part of one
-                for a, b, om in ((0, point, omega), (point, point + 1, omega[:w])):
-                    if a < b and om.size:
-                        run(SimpleNamespace(**{k: c[a:b] for k, c in cols.items()}), om)
-            except ModelError as earlier:
-                err = earlier.at((earlier.row or 0) + a * omega.size)
-            else:
-                return err
-    return err
 
 
 def cmd_spectrum(cfg: RunConfig) -> Table:
@@ -692,29 +680,28 @@ def cmd_spectrum(cfg: RunConfig) -> Table:
         if locked:
             columns.append("v_locked_ratio")
 
-    def block_cells(branch: Any, omega: np.ndarray, eta: float, st: Optional[float]) -> List[Any]:
-        """One kernel call's cells after the leading ones: points, then omega, then phi."""
-        if optimize_phi:
-            v_min, v_max, phi_min = spectrum.variance_extrema(params, branch, omega, eta)
-            db = _db(np.stack([v_min, v_max], axis=-1), 2)
-            cells = [omega, v_min, db[..., 0], v_max, db[..., 1], phi_min]
-            if locked:
-                y, c = spectrum.spectral_numbers(params, omega, eta)
-                cells.extend(spectrum.locked_extrema(st, y, c))
-        else:
-            v = spectrum.variance_spectrum(params, branch, omega[:, None], phi, eta)
-            cells = [omega[:, None], phi, v, _db(v, phi.size)]
-            if locked:
-                y, c = spectrum.spectral_numbers(params, omega, eta)
-                cells.append(spectrum.locked_raw_variance(st, y[:, None], c, phi))
-        return cells
-
     blocks = []
     for lead, eta, branch, st in points:
-        try:
-            cells = block_cells(branch, omega, eta, st)
-        except ModelError as err:
-            raise _first_row_error(lambda b, w: block_cells(b, w, eta, st), branch, omega, err)
+        # one kernel call's cells after the leading ones: points, then omega, then phi
+        w = omega
+        if locked:
+            y, c = spectrum.spectral_numbers(params, omega, eta)
+            overflow = np.flatnonzero(~np.isfinite(y))
+            if overflow.size:  # a kernel failure at a row up to the first overflow comes first
+                w = omega[:overflow[0] + 1]
+        if optimize_phi:
+            v_min, v_max, phi_min = spectrum.variance_extrema(params, branch, w, eta)
+            cells = [w, v_min, _db(v_min), v_max, _db(v_max), phi_min]
+        else:
+            v = spectrum.variance_spectrum(params, branch, w[:, None], phi, eta)
+            cells = [w[:, None], phi, v, _db(v)]
+        if w is not omega:
+            raise ModelError(f"y = 1 + (2w/Gamma)^2 out of float range at omega = "
+                             f"{float(w[-1])!r} rad/s")
+        if locked and optimize_phi:
+            cells.extend(spectrum.locked_extrema(st, y, c))
+        elif locked:
+            cells.append(spectrum.locked_raw_variance(st, y[:, None], c, phi))
         shape = np.shape(cells[2])
         # a leading cell has one entry per point, on the leading axis
         lead = [np.reshape(x, np.shape(x) + (1,) * (len(shape) - np.ndim(x))) for x in lead]

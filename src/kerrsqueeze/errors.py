@@ -6,14 +6,7 @@ can catch domain failures without swallowing programming errors.
 
 
 class ModelError(ValueError):
-    """Base class for all domain errors raised by this package. An array
-    call's error about one element carries its flat index as ``row``."""
-
-    row = None
-
-    def at(self, row: int) -> "ModelError":
-        self.row = row
-        return self
+    """Base class for all domain errors raised by this package."""
 
 
 class NonPositive(ModelError):

@@ -24,11 +24,11 @@ from __future__ import annotations
 import cmath
 import math
 from itertools import repeat
-from typing import Any, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import ResonatorParams, _warn_if_near_critical, check_eta, total_loss
+from .core import ResonatorParams, _warn_if_near_critical, check_eta, db_from_linear, total_loss
 from .errors import ModelError, NonPositive, SingularMatrix, UnstablePoint
 from .steady_state import SteadyStateBranch, SweepTrace
 
@@ -126,37 +126,30 @@ def _scalar(a: np.ndarray) -> Union[float, np.ndarray]:
 
 
 def spectral_numbers(params: ResonatorParams, omega: Any, eta: float) -> Tuple[Any, float]:
-    """(y, c) = (1 + (2 omega / Gamma)^2, 4 eta kappa / Gamma), y over ``omega``.
-
-    Raises ModelError naming the first omega whose y is not finite, at its index.
-    """
+    """(y, c) = (1 + (2 omega / Gamma)^2, 4 eta kappa / Gamma), y over ``omega``;
+    y is inf where it leaves the float range."""
     loss = total_loss(params)
-    omega = np.asarray(omega, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = 1.0 + _pow2(2.0 * omega / loss)
-    bad = ~np.isfinite(y)
-    if bad.any():
-        at = int(bad.argmax())
-        raise ModelError(f"y = 1 + (2w/Gamma)^2 out of float range at omega = "
-                         f"{float(omega.flat[at])!r} rad/s").at(at)
+        y = 1.0 + _pow2(2.0 * np.asarray(omega, dtype=float) / loss)
     return _scalar(y), 4.0 * eta * params.kappa / loss
 
 
 def _output_moments(
     params: ResonatorParams, branch: Branch, omega: Any, eta: float
-) -> Tuple[_Complex, np.ndarray, np.ndarray]:
+) -> Tuple[_Complex, np.ndarray, np.ndarray, List[np.ndarray]]:
     """Detected doublet second moments (G11, G12, G21) at (omega, -omega), each
-    of shape np.shape(branch.n) + np.shape(omega): operating point, then omega.
+    of shape np.shape(branch.n) + np.shape(omega): operating point, then omega,
+    and their checks.
 
     G22 = conj(G11) by the doublet reality conditions, so it is not returned.
     G12 and G21 are real; their difference is exactly 1 (commutator
     preservation), which the reduced forms below inherit from the identities
-    M22(-w) = conj(M11(w)) and M21(w) = conj(M12(-w)). Checks ``eta``, then
-    every (point, omega) in C order for a system matrix out of the float
-    range, then a singular one, an unstable point and moments that are not
-    finite. The first failure raises, at its (point, omega) index, after a
-    LinearizationWarning for each point near the critical point that has a
-    row past the range check.
+    M22(-w) = conj(M11(w)) and M21(w) = conj(M12(-w)). Checks ``eta``; the
+    checks returned are four masks over (point, omega) that broadcast to the
+    moments' shape: a system matrix out of the float range, a singular one, an
+    unstable point and moments that are not finite. Each point near the
+    critical point that has a row past the range check, up to the first row
+    in C order that fails a check, gives a LinearizationWarning.
 
     One solve of Q(w) serves both frequencies: Q11(-w) = conj Q22(w),
     Q22(-w) = conj Q11(w) and Q12 Q21 is real, so det Q(-w) = conj det Q(w)
@@ -200,23 +193,35 @@ def _output_moments(
         g12 = eta * s12 + (1.0 - eta)
         g21 = eta * s21
         finite = np.isfinite(g11.re) & np.isfinite(g11.im) & np.isfinite(g12) & np.isfinite(g21)
-        fail = _first_failure([out_of_range, singular, ~stable, ~finite])
+        checks = [out_of_range, singular, ~stable, ~finite]
+        fail = _first_failure(checks)
         x = (sigma / 2.0) / _map(math.hypot, delta_f, half_loss)
 
     reached = g12.size if fail is None else fail[0] + (fail[1] > 0)  # rows past the range check
     near = x.ravel()[(np.arange(g12.size) < reached).reshape(x.size, -1).any(axis=1)]
     for x_point in near.tolist():
         _warn_if_near_critical(x_point, stacklevel=4)
-    if fail is not None:
-        at_omega = float(np.broadcast_to(omega, g12.shape).flat[fail[0]])
-        raise [NonPositive(f"fluctuation system matrix out of float range at omega = "
-                           f"{at_omega!r} rad/s"),
-               SingularMatrix("fluctuation system matrix is ill-conditioned; the operating "
-                              "point sits at a marginally stable branch fold"),
-               UnstablePoint(_UNSTABLE),
-               ModelError(f"fluctuation moments not finite at omega = {at_omega!r} rad/s"),
-               ][fail[1]].at(fail[0])
-    return g11, g12, g21
+    return g11, g12, g21, checks
+
+
+def _raise_first(omega: np.ndarray, checks: List[np.ndarray], ratios: List[np.ndarray]) -> None:
+    """Raises for the first element in C order that fails one of _output_moments'
+    ``checks`` or whose ratio, in ``ratios`` order, db_from_linear rejects; an
+    element's checks come before its ratios. ``omega`` broadcasts to the ratios."""
+    fail = _first_failure([*checks, *(~((v > 0.0) & (v < math.inf)) for v in ratios)])
+    if fail is None:
+        return
+    at, check = fail
+    if check >= len(checks):
+        db_from_linear(float(np.ravel(ratios[check - len(checks)])[at]))
+    at_omega = float(np.broadcast_to(omega, np.shape(ratios[0])).flat[at])
+    raise [NonPositive(f"fluctuation system matrix out of float range at omega = "
+                       f"{at_omega!r} rad/s"),
+           SingularMatrix("fluctuation system matrix is ill-conditioned; the operating "
+                          "point sits at a marginally stable branch fold"),
+           UnstablePoint(_UNSTABLE),
+           ModelError(f"fluctuation moments not finite at omega = {at_omega!r} rad/s"),
+           ][check]
 
 
 def _lo_factor(phi_lo: Any) -> _Complex:
@@ -240,12 +245,17 @@ def variance_spectrum(
     Valid at any steady-state branch, locked or not: one SteadyStateBranch, or
     every point of a SweepTrace, whose axis leads the result; all scalars give a
     float. Detection efficiency mixes in extra vacuum as (1 - eta) + eta * V.
+    A phase that is not finite raises; then the first element that fails a
+    moment check or whose ratio has no dB value (0 < V < inf) raises.
     """
     omega = np.asarray(omega, dtype=float)
     lead = len(np.broadcast_shapes(omega.shape, np.shape(phi_lo))) - omega.ndim
-    g11, g12, g21 = _output_moments(params, branch, omega.reshape((1,) * lead + omega.shape), eta)
+    omega = omega.reshape((1,) * lead + omega.shape)
+    g11, g12, g21, checks = _output_moments(params, branch, omega, eta)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _scalar(2.0 * (_lo_factor(phi_lo) * g11).re + g12 + g21)
+        v = 2.0 * (_lo_factor(phi_lo) * g11).re + g12 + g21
+    _raise_first(omega, checks, [v])
+    return _scalar(v)
 
 
 def variance_extrema(
@@ -257,14 +267,18 @@ def variance_extrema(
     The phase dependence is a pure second harmonic, so the extrema follow
     directly from the moments: v = base +/- 2|G11|, with the minimum at
     phi = (arg G11 - pi) / 2 wrapped into (-pi/2, pi/2], or 0 where G11 = 0.
+    The first element that fails a moment check, or whose v_min and then v_max
+    has no dB value (0 < v < inf), raises.
     """
-    g11, g12, g21 = _output_moments(params, branch, omega, eta)
+    g11, g12, g21, checks = _output_moments(params, branch, omega, eta)
     with np.errstate(over="ignore", invalid="ignore"):
         base = g12 + g21
         amp = 2.0 * abs(g11)
+        v_min, v_max = base - amp, base + amp
         phi_min = (_map(math.atan2, g11.im, g11.re) - math.pi) / 2.0
         phi_min = np.where(phi_min <= -math.pi / 2.0, phi_min + math.pi, phi_min)
-        return _scalar(base - amp), _scalar(base + amp), _scalar(np.where(amp == 0.0, 0.0, phi_min))
+    _raise_first(omega, checks, [v_min, v_max])
+    return _scalar(v_min), _scalar(v_max), _scalar(np.where(amp == 0.0, 0.0, phi_min))
 
 
 def _check_locked_numbers(sigma_tilde: Any, y: Any, c: Any) -> Tuple[Any, Any, Any]:

@@ -8,12 +8,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from kerrsqueeze import ModelError, cli, steady_state
+from kerrsqueeze import ModelError, steady_state
 from kerrsqueeze.cli import main, render_json
 
 CONFIGS = [
@@ -56,6 +55,59 @@ def test_missing_config_is_runtime_error(tmp_path, capsys):
     rc = main(["sweep", "--config", str(tmp_path / "nope.json")])
     assert rc == 1
     assert "not found" in capsys.readouterr().err
+
+
+def _one_line_error(argv, capsys):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_a_path_that_is_not_a_regular_file_is_named_so(tmp_path, capsys):
+    # a directory or a device exists, so it is not reported as missing
+    cfg = tmp_path / "c.json"
+    for path in (str(tmp_path), os.devnull):
+        err = _one_line_error(["threshold", "--config", path], capsys)
+        assert err == f"error: config file is not a regular file: {path}\n"
+        cfg.write_text(json.dumps({"losses": {"budget_path": path}}))
+        err = _one_line_error(["losses", "--config", str(cfg)], capsys)
+        assert err == (f"error: config key 'losses.budget_path': file is not a regular "
+                       f"file: {path}\n")
+    cfg.write_text(json.dumps({"losses": {"budget_path": "ghost.json"}}))
+    err = _one_line_error(["losses", "--config", str(cfg)], capsys)
+    assert err == "error: config key 'losses.budget_path': file not found: ghost.json\n"
+
+
+def test_input_that_is_not_utf8_names_the_file_and_the_byte(tmp_path, capsys):
+    # inputs are UTF-8 whatever the locale; a Latin-1 e-acute (0xE9) is not
+    cfg, budget, table = tmp_path / "c.json", tmp_path / "b.json", tmp_path / "t.csv"
+    for cmd, path, data, name, config in [
+        ("losses", cfg, b'{"losses": {"entries": []}, "note": "caf\xe9"}', str(cfg), None),
+        ("losses", budget, b'[{"label": "caf\xe9", "loss_db": -1.0}]', "b.json",
+         {"losses": {"budget_path": "b.json"}}),
+        ("fit-transmission", table, b"# note=caf\xe9\ndelta_p_rad_s,transmission\n0.0,0.5\n",
+         "t.csv", {"fit": {"input": "t.csv"}}),
+    ]:
+        path.write_bytes(data)
+        if config is not None:
+            cfg.write_text(json.dumps(config))
+        err = _one_line_error([cmd, "--config", str(cfg)], capsys)
+        assert err.endswith(f"{name}: not UTF-8: invalid continuation byte at byte "
+                            f"{data.index(0xE9)}\n"), err
+
+
+@pytest.mark.parametrize("text,expected", [
+    ('{"a": ' + "[" * 200_000 + "]" * 200_000 + "}", "nested too deeply"),
+    ('{"resonator": {"kappa_rad_s": ' + "7" * 5000 + "}}",
+     "Exceeds the limit (4300 digits) for integer string conversion"),
+], ids=["nested-200000", "int-5000-digits"])
+def test_json_beyond_the_interpreter_limits_is_one_line_error(text, expected, tmp_path, capsys):
+    # json.loads raises RecursionError and CPython's int-digit ValueError here
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    err = _one_line_error(["threshold", "--config", str(cfg)], capsys)
+    assert err.startswith(f"error: config {cfg}: {expected}"), err
 
 
 def test_bad_json_reports_line(tmp_path, capsys):
@@ -111,20 +163,11 @@ def test_rerun_is_byte_identical(sample_dir, tmp_path):
 
 # SHA-256 of each sample config's default output, recorded with Python 3.11.7,
 # numpy 2.4.6 and scipy 1.17.1; the fits now run on the package's own LM
-# solver, which reproduces scipy 1.17.1's least_squares(method="lm") bit for bit
-SAMPLE_DIGESTS = {
-    "config_sweep.json": "cd184f7debc98fd1db151ff2e826ff47d15f56f4480df085a7bfc65ce1eeb31b",
-    "config_spectrum_locking.json": "8683b2d7ec8be754256f6d0e7c28e5274275f4830abe2b8f3a8a2e5357a975b1",
-    "config_spectrum_optimized.json": "93e60b7438c33a50a3d2c2aec21ea624ecbc1fb9d3d1d46da416bc0b84546a8d",
-    "config_spectrum_detuning.json": "904252e859fbb789ab4f8027077758f7c8dd33bdc6c3b212b8a113d339e26588",
-    "config_locking.json": "04deeae6ebea6b6616f4188482c8bdab9436a87e7169b277efc90cb31c4b402e",
-    "config_threshold.json": "632a9c5ac4acb69f3456bd5fc5a37d2f107c04d6ab430d72040f3f6aa480553f",
-    "config_report.json": "2ccf6b4306986edb80b9393894f576d50cabe7a065397482d3ec330fbaf8a3f5",
-    "config_fit_transmission.json": "598ce3ec12c0e44abf535eb86c99d059a7672524318180e875a54d58b842bce7",
-    "config_fit_dispersion.json": "cc95b1e80f7ac396c5af66e050dda68bc48fdb96d7e56017814cc92c2023fb8c",
-    "config_reduce_trace.json": "5388d5344dbcb48f82da915aeea9afb8c98ca4f8a5dcade43e65013a4b09d1c6",
-    "config_losses.json": "5ffefbea18593125cf7e3b9df6098f6969494c536465197648cb2fb54903573e",
-}
+# solver, which reproduces scipy 1.17.1's least_squares(method="lm") bit for bit.
+# The benchmark's digest file is the one record of them
+SAMPLE_DIGESTS = {name: entry["sha256"] for name, entry in json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "sample_digests.json").read_text()
+).items()}
 
 
 # SHA-256 of each sample config's output in the other format (--format json
@@ -677,6 +720,17 @@ _DB_FIRST = {"resonator": {"kappa_rad_s": 5e8, "gamma_rad_s": 0.0, "g_opt_rad_s"
              "pump": {"p_in_w": [1271.4524376118627]},
              "spectrum": {"mode": "locking", "optimize_phi": True},
              "grid": {"omega_rad_s": [0.0, 1e160]}}
+# locked with kappa = 1 rad/s and gamma = 0, v_min rounds to 0.0 at omega = 0, a
+# dB error, and y overflows at omega = 8e153 rad/s: the row that comes first
+# in the output wins, and at a phase grid's omega = 0 no ratio fails
+_CANCELLING = {"resonator": {"kappa_rad_s": 1.0, "gamma_rad_s": 0.0, "g_opt_rad_s": 1.5,
+                             "lambda_m": 1.55e-6},
+               "pump": {"p_in_w": [5.0835926205566366e-15]}}
+_OPTIMIZED = {"mode": "locking", "optimize_phi": True}
+_DB_BEFORE_Y = {**_CANCELLING, "spectrum": _OPTIMIZED, "grid": {"omega_rad_s": [0.0, 8e153]}}
+_Y_BEFORE_DB = {**_CANCELLING, "spectrum": _OPTIMIZED, "grid": {"omega_rad_s": [8e153, 0.0]}}
+_Y_PHASE_GRID = {**_CANCELLING, "spectrum": {"mode": "locking"},
+                 "grid": {"omega_rad_s": [0.0, 8e153], "phi_lo_rad": [-0.7, 0.0, 0.3]}}
 
 
 @pytest.mark.parametrize("cmd,config,expected", [
@@ -719,13 +773,19 @@ _DB_FIRST = {"resonator": {"kappa_rad_s": 5e8, "gamma_rad_s": 0.0, "g_opt_rad_s"
     pytest.param("spectrum", _DB_FIRST,
                  "ratio must be finite and > 0 for dB conversion, got -0.000244140625",
                  marks=pytest.mark.filterwarnings("ignore::kerrsqueeze.LinearizationWarning")),
+] + [pytest.param("spectrum", config, expected,
+                  marks=pytest.mark.filterwarnings("ignore::kerrsqueeze.LinearizationWarning"))
+      for config, expected in [
+          (_DB_BEFORE_Y, "ratio must be finite and > 0 for dB conversion, got 0.0"),
+          (_Y_BEFORE_DB, _Y_RANGE), (_Y_PHASE_GRID, _Y_RANGE)]
 ] + _RANGE_CASES + _FLAG_CASES, ids=["grid-1e300", "g_opt-1e300", "spectrum-grid-1e300", "fit.input",
                        "dispersion.input", "trace.input", "trace.reference",
                        "detection.budget_path", "losses.budget_path", "points-10_000_001",
                        "points-10**400", "grid-1e155", "sweep-lambda_m-1e-300",
                        "sweep-n_eff-1e-300", "sweep-p_in_w--1", "report-p_in_w--1",
                        "spectrum_optimized-kappa-1e80", "spectrum_locking-omega-8e153",
-                       "spectrum_optimized-omega-8e153", "spectrum_optimized-db-before-1e160"]
+                       "spectrum_optimized-omega-8e153", "spectrum_optimized-db-before-1e160",
+                       "db-before-y", "y-before-db", "phase-grid-y"]
                       + _RANGE_IDS + _FLAG_IDS)
 def test_out_of_range_configs_are_one_line_errors(cmd, config, expected, tmp_path, capsys):
     # inputs whose steady state, transmission, locked point, threshold, path
@@ -741,28 +801,6 @@ def test_out_of_range_configs_are_one_line_errors(cmd, config, expected, tmp_pat
     assert "Traceback" not in err
     assert expected in err, err
     assert not out.exists()
-
-
-def test_first_row_error_reruns_the_rows_before_the_raised_one():
-    # a sweep trace of 3 points x 4 omegas, each row named by its (point, omega);
-    # a check run first fails at row (2, 1), one run after it at (1, 1) and (2, 3)
-    def run(branch, omega):
-        rows = [(p, w) for p in branch.n.tolist() for w in omega.tolist()]
-        for name, failing in [("first", {(2, 1)}), ("later", {(1, 1), (2, 3)})]:
-            bad = [i for i, row in enumerate(rows) if row in failing]
-            if bad:
-                raise ModelError(name).at(bad[0])
-
-    trace = SimpleNamespace(n=np.arange(3.0), delta_f=np.zeros(3), alpha_phase=np.zeros(3),
-                            stable=np.ones(3, bool))
-    omega = np.arange(4.0)
-    with pytest.raises(ModelError) as err:
-        run(trace, omega)
-    assert (str(err.value), err.value.row) == ("first", 9)
-    first = cli._first_row_error(run, trace, omega, err.value)
-    assert (str(first), first.row) == ("later", 5)
-    # an error with no row is reported as it is
-    assert cli._first_row_error(run, trace, omega, ModelError("eta")).row is None
 
 
 def test_overflowing_grid_span_is_one_line_in_a_subprocess(tmp_path):

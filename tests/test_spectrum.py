@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -326,7 +327,8 @@ class TestCommutatorInvariant:
             (strong_params, steady_roots(strong_params, -8e9, 2e-3)[-1], 3e8, 1.0),
         ]
         for params, b, w, eta in cases:
-            g11, g12, g21 = _output_moments(params, b, w, eta)
+            g11, g12, g21, checks = _output_moments(params, b, w, eta)
+            assert not any(map(np.any, checks))
             assert g12 - g21 == pytest.approx(1.0, rel=1e-12)
 
 
@@ -454,10 +456,11 @@ def test_one_solve_moments_match_two_solves(kappa, gamma, g_opt, g_th, p_in, fra
     for b in branches:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinearizationWarning)
-            try:
-                (g11_re, g11_im), g12, g21 = _output_moments(params, b, omega, eta)
-            except SingularMatrix:
-                continue
+            (g11_re, g11_im), g12, g21, checks = _output_moments(params, b, omega, eta)
+        out_of_range, singular = checks[:2]
+        if singular and not out_of_range:  # the first check it fails is the condition
+            continue
+        assert not any(map(np.any, checks))
         got = (complex(float(g11_re), float(g11_im)), float(g12), float(g21))
         assert repr(got) == repr(two_call_moments(params, b, omega, eta))
 
@@ -564,3 +567,22 @@ def test_array_calls_match_the_per_element_scalar_calls(kappa, gamma, g_opt, g_t
                        sigma_tilde.tolist(), y.tolist(), phi.tolist()))
     assert _same(_outcome(lambda: locked_extrema(sigma_tilde[:, None], y, c)),
                  _loop(lambda s, y_: locked_extrema(s, y_, c), sigma_tilde.tolist(), y.tolist()))
+
+
+@pytest.mark.filterwarnings("ignore::kerrsqueeze.LinearizationWarning")
+def test_a_ratio_without_a_db_value_raises_in_element_order():
+    # locked at kappa = 1 rad/s with gamma = 0, v_min rounds to 0.0 at omega = 0
+    # (the true value is about 1/3.6e12), which has no dB value; beside an
+    # unstable point, whichever element comes first in C order raises
+    params = ResonatorParams(kappa=1.0, gamma=0.0, g_opt=1.5, lambda_r=1.55e-6)
+    cancelling = lock(params, 5.0835926205566366e-15)
+    no_db = "ratio must be finite and > 0 for dB conversion, got 0.0"
+    with pytest.raises(NonPositive, match=no_db):
+        variance_extrema(params, cancelling, 0.0)
+    for stable, expected, text in [([True, False], NonPositive, no_db),
+                                   ([False, True], UnstablePoint, "unstable")]:
+        branch = SimpleNamespace(**{key: np.full(2, getattr(cancelling, key))
+                                    for key in ("n", "delta_f", "alpha_phase")},
+                                 stable=np.array(stable))
+        with pytest.raises(expected, match=text):
+            variance_extrema(params, branch, [0.0])
