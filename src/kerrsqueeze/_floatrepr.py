@@ -13,7 +13,7 @@ import numpy as np
 
 _U = np.uint64
 _M32, _M63 = _U(2**32 - 1), _U(2**63 - 1)
-_CHUNK = 4096  # values per pass: the temporaries stay in the cache
+_CHUNK = 16384  # values per pass: bounds the temporaries, 128 KiB each
 
 
 def _g_table() -> np.ndarray:

@@ -16,8 +16,8 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from . import core
 from .errors import ModelError, SchemaError
@@ -201,6 +201,8 @@ def parse_pump(cfg: RunConfig,
     omega_p = _num(sec, "omega_p_rad_s", "pump", required=False)
     dirs = sec.get("direction", "down")
     dirs = dirs if isinstance(dirs, list) else [dirs]
+    if not dirs:
+        raise SchemaError("config key 'pump.direction': must not be empty")
     for d in dirs:
         if d not in ("up", "down"):
             raise SchemaError(f"config key 'pump.direction': expected 'up' or 'down', got {d!r}")
@@ -316,39 +318,56 @@ def _csv_quote(v: Any) -> str:
     return text
 
 
+class Coded(NamedTuple):
+    """A table column as a float, bool or str array ``values``, which may repeat
+    or hold values no row uses, and the rows ``values[codes]``: it spares the
+    writer the sort that finds a plain column's distinct values."""
+
+    values: np.ndarray
+    codes: np.ndarray
+
+
 def _distinct(name: str, column: Sequence[Any], csv: bool) -> Tuple[np.ndarray, np.ndarray, int]:
-    """(texts, inverse, pad): a column's distinct cells as the rows of a uint8
-    array, each padded with ``pad``, and each cell's row in it. Floats are repr,
-    padded with NUL; other cells are ``_fmt`` text quoted for the format, in
-    UTF-8 and padded with 0xFF, a byte that UTF-8 never holds."""
+    """(texts, inverse, pad): a column's distinct cells (a Coded column's values)
+    as the rows of a uint8 array, each padded with ``pad``, and each cell's row in
+    it. Floats are repr, padded with NUL; other cells are ``_fmt`` text quoted for
+    the format in UTF-8, padded with 0xFF (a byte UTF-8 never holds) if one holds NUL."""
     import numpy as np
 
-    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+    values, inverse = column if isinstance(column, Coded) else (column, None)
+    kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
     if kind == "f":
         from ._floatrepr import repr_rows
 
-        # repr once per distinct value; keyed on the bits, so -0.0 keeps its sign
-        bits, inverse = np.unique(column.astype(np.float64, copy=False).view(np.int64),
-                                  return_inverse=True)
-        bad = ~np.isfinite(bits.view(np.float64))
+        if inverse is None:
+            # repr once per distinct value; keyed on the bits, so -0.0 keeps its sign
+            bits, inverse = np.unique(values.astype(np.float64, copy=False).view(np.int64),
+                                      return_inverse=True)
+            values = bits.view(np.float64)
+        bad = ~np.isfinite(values)
         if bad.any():
-            row = int(np.flatnonzero(bad[inverse])[0])
-            raise _not_finite(name, row, column[row])
-        texts = repr_rows(bits.view(np.float64))
+            rows = np.flatnonzero(bad[inverse])
+            if rows.size:
+                raise _not_finite(name, int(rows[0]), values[inverse[rows[0]]])
+            values = np.where(bad, 0.0, values)  # no row shows them
+        texts = repr_rows(values)
         reach = texts.any(axis=0)  # the bytes some text reaches
         texts = texts[:, reach.argmax():reach.size - reach[::-1].argmax()]
         return np.ascontiguousarray(texts), inverse, 0
     quote = _csv_quote if csv else json.dumps
-    if kind in "bU":  # bools and strings: once per distinct value
-        distinct, inverse = ((np.array([False, True]), column.astype(np.intp)) if kind == "b"
-                             else np.unique(column, return_inverse=True))
+    if inverse is not None:
+        cells = _cells(name, values.tolist(), quote)
+    elif kind in "bU":  # bools and strings: once per distinct value
+        distinct, inverse = ((np.array([False, True]), values.astype(np.intp)) if kind == "b"
+                             else np.unique(values, return_inverse=True))
         cells = _cells(name, distinct.tolist(), quote)
     else:
-        cells, inverse = _cells(name, column, quote), np.arange(len(column))
+        cells, inverse = _cells(name, values, quote), np.arange(len(values))
     data = [c.encode() for c in cells]
     width = max(map(len, data), default=0)
-    padded = b"".join(d.ljust(width, b"\xff") for d in data)
-    return np.frombuffer(padded, np.uint8).reshape(len(data), width), inverse, 0xFF
+    pad = 0xFF if any(b"\0" in d for d in data) else 0
+    padded = b"".join(d.ljust(width, bytes([pad])) for d in data)
+    return np.frombuffer(padded, np.uint8).reshape(len(data), width), inverse, pad
 
 
 _ROWS_PER_BLOCK = 4096  # the block and its mask stay in the cache
@@ -369,11 +388,12 @@ def _table(names: Sequence[str], columns: Sequence[Sequence[Any]],
         layout += sep if slots else b""
         slots.append(slice(len(layout), len(layout) + texts.shape[1]))
         layout += bytes(texts.shape[1])
-    layout = np.frombuffer(layout + tail, np.uint8)
+    # one block buffer: each block overwrites every slot and keeps the fixed bytes
+    buffer = np.tile(np.frombuffer(layout + tail, np.uint8), (min(n, _ROWS_PER_BLOCK), 1))
 
     def rows(start: int, stop: int) -> Iterator[np.ndarray]:
         for a in range(start, stop, _ROWS_PER_BLOCK):
-            block = np.tile(layout, (min(stop - a, _ROWS_PER_BLOCK), 1))
+            block = buffer[:min(stop - a, _ROWS_PER_BLOCK)]
             for (texts, inverse, _), slot in zip(cols, slots):
                 block[:, slot] = texts.take(inverse[a:a + len(block)], axis=0)
             keep = block != 0
@@ -595,29 +615,38 @@ def cmd_sweep(cfg: RunConfig) -> Table:
     delta_p = _grid(cfg.section("grid"), "delta_p_rad_s", "grid")
 
     traces = _sweeps(params, powers, omega_p, dirs, delta_p)
-    n = np.concatenate([t.n for t in traces])
+    # The columns go to the writer coded, so it need not sort them for their
+    # distinct cells: each power's first direction gives every row a cell, and
+    # a later direction only the rows where its n differs (the hysteresis window)
+    size = delta_p.size
+    rows = np.arange(len(traces) * size).reshape(len(powers), len(dirs), size)
+    bits = np.concatenate([t.n for t in traces]).view(np.int64)[rows]
+    new = (rows == rows[:, :1]) | (bits != bits[:, :1])
+    codes = (np.cumsum(new) - 1)[np.where(new, rows, rows[:, :1])].ravel()
+    n, delta_cl, trans = (np.concatenate([getattr(t, key) for t in traces])[new.ravel()]
+                          for key in ("n", "delta_cl", "transmission"))
     # out-of-range resonator keys overflow here; the finite check below reports them
     with np.errstate(over="ignore", invalid="ignore"):
-        table: Dict[str, np.ndarray] = {
-            "delta_p_rad_s": np.concatenate([t.delta_p for t in traces]),
-            "n_photons": n,
-            "energy_j": core.HBAR * omega_p * n,
-            "delta_cl_rad_s": np.concatenate([t.delta_cl for t in traces]),
-            "transmission": np.concatenate([t.transmission for t in traces]),
+        table: Dict[str, Any] = {
+            "delta_p_rad_s": Coded(delta_p, np.tile(np.arange(size), len(traces))),
+            "n_photons": Coded(n, codes),
+            "energy_j": Coded(core.HBAR * omega_p * n, codes),
+            "delta_cl_rad_s": Coded(delta_cl, codes),
+            "transmission": Coded(trans, codes),
             "stable": np.concatenate([t.stable for t in traces]),
-            "direction": np.repeat([t.direction for t in traces], delta_p.size),
+            "direction": Coded(np.array(dirs), np.repeat(np.arange(len(traces)) % len(dirs), size)),
         }
         if params.radius is not None and params.n_eff is not None:
             # free spectral range converts stored energy to circulating power
             fsr = core.C_VACUUM / (params.n_eff * 2.0 * math.pi * params.radius)
-            table["circulating_power_w"] = core.HBAR * omega_p * n * fsr
+            table["circulating_power_w"] = Coded(core.HBAR * omega_p * n * fsr, codes)
     for name, column in table.items():
-        if column.dtype.kind == "f":
-            bad = np.flatnonzero(~np.isfinite(column))
-            if bad.size:
-                at = float(table["delta_p_rad_s"][bad[0]])
+        if isinstance(column, Coded) and column.values.dtype.kind == "f":
+            finite = np.isfinite(column.values)
+            if not finite.all():  # every value is some row's
+                at = float(delta_p[np.flatnonzero(~finite[column.codes])[0] % size])
                 raise ModelError(f"{name} not finite at delta_p = {at!r} rad/s")
-    meta = [(k * delta_p.size, f"p_in_w={_fmt(t.p_in)}")
+    meta = [(k * size, f"p_in_w={_fmt(t.p_in)}")
             for k, t in enumerate(traces) if k % len(dirs) == 0]
     return list(table), list(table.values()), meta
 

@@ -104,7 +104,8 @@ class SweepTrace:
 
     Entry i of every array belongs to grid point ``delta_p[i]``; the columns
     mean what the same-named :class:`SteadyStateBranch` fields mean, plus the
-    power ``transmission`` past the ring.
+    power ``transmission`` past the ring. ``total_loss`` is the resonator's
+    Gamma = kappa + gamma, from which ``alpha_phase`` is computed on first read.
     """
 
     delta_p: np.ndarray
@@ -112,25 +113,28 @@ class SweepTrace:
     delta_cl: np.ndarray
     delta_f: np.ndarray
     stable: np.ndarray
-    alpha_phase: np.ndarray
     transmission: np.ndarray
     direction: str
     p_in: float
     omega_p: float
+    total_loss: float
+
+    @functools.cached_property
+    def alpha_phase(self) -> np.ndarray:
+        # math.atan2, not np.arctan2: the two differ in the last bit on some inputs
+        return np.fromiter(map(math.atan2, self.delta_cl.tolist(), repeat(self.total_loss / 2.0)),
+                           float, count=self.delta_cl.size)
 
 
 def _operating_columns(
     params: ResonatorParams, delta_p: np.ndarray, n: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(delta_cl, delta_f, alpha_phase) at cold detunings ``delta_p`` and photon numbers ``n``."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(delta_cl, delta_f) at cold detunings ``delta_p`` and photon numbers ``n``."""
     # out of the float range these come out inf, as with Python floats
     with np.errstate(over="ignore", invalid="ignore"):
         delta_cl = delta_p + (params.g_opt + params.g_th) * n
         delta_f = delta_cl + params.g_opt * n
-    # math.atan2, not np.arctan2: the two differ in the last bit on some inputs
-    alpha_phase = np.fromiter(map(math.atan2, delta_cl.tolist(), repeat(total_loss(params) / 2.0)),
-                              float, count=delta_cl.size)
-    return delta_cl, delta_f, alpha_phase
+    return delta_cl, delta_f
 
 
 def _solve_scaled(g: float, delta: np.ndarray) -> np.ndarray:
@@ -174,21 +178,22 @@ def _solve_scaled(g: float, delta: np.ndarray) -> np.ndarray:
             roots[one, 0] = t
         cand[cub] = roots - shift[:, None]
 
-    # Newton polish on the well-conditioned original form; NaNs pass through.
-    dd = delta[:, None]
+    # Newton polish on the well-conditioned original form, of the candidates only
+    live = ~np.isnan(cand)
+    c, dd = cand[live], np.broadcast_to(delta[:, None], cand.shape)[live]
     with np.errstate(invalid="ignore", divide="ignore"):
         for _ in range(5):
-            shifted = dd + g * cand
-            f = cand * (0.25 + shifted * shifted) - 0.25
-            fp = 0.25 + shifted * shifted + 2.0 * g * cand * shifted
+            shifted = dd + g * c
+            f = c * (0.25 + shifted * shifted) - 0.25
+            fp = 0.25 + shifted * shifted + 2.0 * g * c * shifted
             step = f / fp
             step = np.clip(step, -0.5, 0.5)
-            cand = cand - step
+            c = c - step
         # reject non-physical or unconverged candidates
-        shifted = dd + g * cand
-        resid = np.abs(cand * (0.25 + shifted * shifted) - 0.25)
-        bad = (cand <= 0.0) | (resid > 1e-9 * 0.25)
-    cand[bad] = np.nan
+        shifted = dd + g * c
+        resid = np.abs(c * (0.25 + shifted * shifted) - 0.25)
+        bad = (c <= 0.0) | (resid > 1e-9 * 0.25)
+    cand[live] = np.where(bad, np.nan, c)
 
     cand = np.sort(cand, axis=1)  # NaNs sort to the end
     # merge numerically identical roots (tangency collapses to a double root)
@@ -259,9 +264,10 @@ def steady_roots(
     u, stable, n_lock = _grid_roots(params, grid, p_in, omega_p)
     live = ~np.isnan(u[0])
     n = u[0, live] * n_lock
-    delta_cl, delta_f, alpha_phase = _operating_columns(params, grid, n)
+    delta_cl, delta_f = _operating_columns(params, grid, n)
+    alpha_phase = map(math.atan2, delta_cl.tolist(), repeat(total_loss(params) / 2.0))
     return list(map(SteadyStateBranch, n.tolist(), delta_cl.tolist(), delta_f.tolist(),
-                    stable[0, live].tolist(), alpha_phase.tolist()))
+                    stable[0, live].tolist(), alpha_phase))
 
 
 def lineshape(delta: float | np.ndarray, kappa: float, gamma: float) -> float | np.ndarray:
@@ -283,23 +289,28 @@ def _pick_roots(u: np.ndarray, stable: np.ndarray) -> np.ndarray:
 
     The rule: the stable root nearest in u to the previous pick (the first
     row measures from 0), else the nearest root; the lowest index wins ties.
-    ``nxt[i - 1, j]`` is the pick at row i after root j at row i - 1, for all
+    ``nxt[j][i - 1]`` is the pick at row i after root j at row i - 1, for all
     rows at once. Where it maps every root that row i - 1 could have picked to
     itself the pick cannot change, so Python walks only the other rows (folds
     and root-count changes) and numpy fills the runs between them.
     """
     live = ~np.isnan(u)
     pool = stable | (live & ~stable.any(axis=1, keepdims=True))
-    dist = np.where(pool[1:, None, :], np.abs(u[1:, None, :] - u[:-1, :, None]), np.inf)
-    nxt = dist.argmin(axis=2)
-    moves = (pool[:-1] & (nxt != np.arange(3))).any(axis=1)
+    ahead = np.where(pool[1:], u[1:], np.inf).T.copy()  # a root outside the pool is never nearest
+    nxt, moves = [], np.zeros(len(u) - 1, dtype=bool)
+    for j, prev in enumerate(u[:-1].T.copy()):
+        d0, d1, d2 = np.abs(ahead - prev)
+        # argmin of (d0, d1, d2) by comparisons, the lowest index winning ties
+        best = np.where(d2 < np.minimum(d0, d1), 2, d1 < d0)
+        nxt.append(best)
+        moves |= pool[:-1, j] & (best != j)
 
     pick = np.empty(len(u), dtype=np.intp)
     j = int(np.where(pool[0], u[0], np.inf).argmin())  # u > 0 is its distance from 0
     start = 0
     for i in (np.flatnonzero(moves) + 1).tolist():
         pick[start:i] = j
-        j = int(nxt[i - 1, j])
+        j = int(nxt[j][i - 1])
         start = i
     pick[start:] = j
     return pick
@@ -326,7 +337,7 @@ def sweep(params: ResonatorParams, pump: PumpConfig) -> SweepTrace:
 
     rows = np.arange(grid.size)
     n = u[rows, pick] * n_lock
-    delta_cl, delta_f, alpha_phase = _operating_columns(params, grid, n)
+    delta_cl, delta_f = _operating_columns(params, grid, n)
     with np.errstate(over="ignore", invalid="ignore"):
         trans = lineshape(delta_cl, params.kappa, params.gamma)
     bad = ~np.isfinite(trans)
@@ -338,11 +349,11 @@ def sweep(params: ResonatorParams, pump: PumpConfig) -> SweepTrace:
         delta_cl=delta_cl,
         delta_f=delta_f,
         stable=stable[rows, pick],
-        alpha_phase=alpha_phase,
         transmission=trans,
         direction=pump.direction,
         p_in=pump.p_in,
         omega_p=omega_p,
+        total_loss=total_loss(params),
     )
 
 

@@ -363,3 +363,88 @@ def csv_table(names, columns, meta=()):
     for idx, line in reversed(sorted(meta, key=lambda m: m[0])):
         lines.insert(idx + 1, f"# {line}")
     return ("\n".join(lines) + "\n").encode()
+
+
+# The branch continuation as it was before its kernels were trimmed: all 3K
+# candidates through Newton, and the next pick by argmin over a (K-1, 3, 3)
+# distance cube. The package's versions must give these bits.
+
+def dense_solve_scaled(g: float, delta: np.ndarray) -> np.ndarray:
+    """All roots u in (0, 1] of the scaled cubic, per detuning grid point,
+    (K, 3) ascending and NaN-padded, with Newton run on every slot."""
+    delta = np.asarray(delta, dtype=float)
+    lin_c = 0.25 + delta * delta
+    cand = np.full((delta.size, 3), np.nan)
+
+    rho = (g * g + 2.0 * g * np.abs(delta)) / lin_c
+    lin_mask = rho < 1e-8
+    cand[lin_mask, 0] = 0.25 / lin_c[lin_mask]
+
+    cub = ~lin_mask
+    if np.any(cub):
+        d = delta[cub]
+        p = (0.25 - d * d / 3.0) / (g * g)
+        q = -((2.0 / 27.0) * d**3 + d / 6.0) / g**3 - 0.25 / (g * g)
+        shift = 2.0 * d / (3.0 * g)
+        disc = -4.0 * p**3 - 27.0 * q * q
+
+        roots = np.full((d.size, 3), np.nan)
+        three = disc > 0.0
+        if np.any(three):
+            pt, qt = p[three], q[three]
+            m = 2.0 * np.sqrt(-pt / 3.0)
+            cosarg = np.clip(3.0 * qt / (2.0 * pt) * np.sqrt(-3.0 / pt), -1.0, 1.0)
+            theta = np.arccos(cosarg)
+            for k in range(3):
+                roots[three, k] = m * np.cos(theta / 3.0 - 2.0 * math.pi * k / 3.0)
+        one = ~three
+        if np.any(one):
+            po, qo = p[one], q[one]
+            s = np.sqrt(np.maximum(qo * qo / 4.0 + po**3 / 27.0, 0.0))
+            w = -qo / 2.0 - np.sign(qo) * s
+            alpha = np.cbrt(w)
+            t = np.where(alpha != 0.0, alpha - po / (3.0 * np.where(alpha != 0.0, alpha, 1.0)), 0.0)
+            roots[one, 0] = t
+        cand[cub] = roots - shift[:, None]
+
+    dd = delta[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for _ in range(5):
+            shifted = dd + g * cand
+            f = cand * (0.25 + shifted * shifted) - 0.25
+            fp = 0.25 + shifted * shifted + 2.0 * g * cand * shifted
+            step = f / fp
+            step = np.clip(step, -0.5, 0.5)
+            cand = cand - step
+        shifted = dd + g * cand
+        resid = np.abs(cand * (0.25 + shifted * shifted) - 0.25)
+        bad = (cand <= 0.0) | (resid > 1e-9 * 0.25)
+    cand[bad] = np.nan
+
+    cand = np.sort(cand, axis=1)
+    for j in (1, 2):
+        with np.errstate(invalid="ignore"):
+            dup = np.abs(cand[:, j] - cand[:, j - 1]) <= 1e-11 * np.abs(cand[:, j])
+        cand[dup, j] = np.nan
+    return np.sort(cand, axis=1)
+
+
+def argmin_pick_roots(u: np.ndarray, stable: np.ndarray) -> np.ndarray:
+    """Root index a sweep keeps at each row of ``u``, rows in sweep order: the
+    stable root nearest the previous pick (the first row measures from 0),
+    else the nearest root, the lowest index winning ties."""
+    live = ~np.isnan(u)
+    pool = stable | (live & ~stable.any(axis=1, keepdims=True))
+    dist = np.where(pool[1:, None, :], np.abs(u[1:, None, :] - u[:-1, :, None]), np.inf)
+    nxt = dist.argmin(axis=2)
+    moves = (pool[:-1] & (nxt != np.arange(3))).any(axis=1)
+
+    pick = np.empty(len(u), dtype=np.intp)
+    j = int(np.where(pool[0], u[0], np.inf).argmin())
+    start = 0
+    for i in (np.flatnonzero(moves) + 1).tolist():
+        pick[start:i] = j
+        j = int(nxt[i - 1, j])
+        start = i
+    pick[start:] = j
+    return pick

@@ -215,6 +215,20 @@ def test_sample_other_format_bytes_match_recorded_digest(cmd, config, sample_dir
 
 
 @pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_sweep_renders_without_a_sort(out_format, sample_dir, tmp_path, monkeypatch):
+    # cmd_sweep hands the writer coded columns, whose distinct cells it knows;
+    # a plain float or string array would send the writer to np.unique, whose
+    # sort is the largest cost a dense sweep's table can spare
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called while writing a sweep")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    _, out = run(sample_dir, "sweep", "config_sweep.json", tmp_path, extra=("--format", out_format))
+    digests = SAMPLE_DIGESTS if out_format == "csv" else OTHER_FORMAT_DIGESTS
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests["config_sweep.json"]
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
 @pytest.mark.parametrize("cmd,config", CONFIGS)
 def test_stdout_holds_the_bytes_of_out(cmd, config, out_format, sample_dir, tmp_path,
                                        capsysbinary):
@@ -813,6 +827,18 @@ def test_overflowing_grid_span_is_one_line_in_a_subprocess(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr == "error: config key 'grid.delta_p_rad_s': grid must be finite\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("cmd,name", [("sweep", "sweep"), ("spectrum", "spectrum_detuning")])
+def test_an_empty_direction_list_is_one_line_error(cmd, name, tmp_path, capsys):
+    # like an empty p_in_w: sweep died in np.concatenate with a traceback, and
+    # a detuning spectrum wrote a table of no rows
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_sample_with(name, "pump", "direction", [])))
+    out = tmp_path / "out.csv"
+    err = _one_line_error([cmd, "--config", str(cfg), "--out", str(out)], capsys)
+    assert err == "error: config key 'pump.direction': must not be empty\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [0, -2.25e-5])

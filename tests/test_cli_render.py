@@ -158,7 +158,8 @@ def test_sweep_table_renders_the_per_cell_bytes(tmp_path):
               "grid": {"delta_p_rad_s": {"start": -30e9, "stop": 5e9, "points": 3000}}}
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(config))
-    names, columns, meta = cli.cmd_sweep(cli.load_config(str(path)))
+    names, coded, meta = cli.cmd_sweep(cli.load_config(str(path)))
+    columns = [c.values[c.codes] if isinstance(c, cli.Coded) else c for c in coded]
     # CSV: repr of every float cell in turn
     lines = [",".join(names)]
     for row in zip(*(repr_cells(c) if c.dtype.kind == "f" else list(map(cli._fmt, c.tolist()))
@@ -166,11 +167,11 @@ def test_sweep_table_renders_the_per_cell_bytes(tmp_path):
         lines.append(",".join(row))
     for idx, line in reversed(sorted(meta, key=lambda m: m[0])):
         lines.insert(idx + 1, f"# {line}")
-    _assert_same_bytes(cli._render((names, columns, meta), None), ("\n".join(lines) + "\n").encode())
+    _assert_same_bytes(cli._render((names, coded, meta), None), ("\n".join(lines) + "\n").encode())
     # JSON: the per-element recursion
     rows = list(zip(*map(py_tree, columns)))
     old = json.dumps(py_tree({"columns": names, "rows": rows}), allow_nan=False, indent=2) + "\n"
-    _assert_same_bytes(cli._render((names, columns, meta), "json"), old.encode())
+    _assert_same_bytes(cli._render((names, coded, meta), "json"), old.encode())
 
 
 def test_json_encodes_numpy_arrays_and_scalars_with_tolist():
@@ -253,3 +254,36 @@ def test_csv_string_cells_keep_every_byte():
         "t", '"é,\x00"', "\x00\x00")
     assert cli._render((["t"], [("\x00",)], ()), "json") == (
         b'{\n  "columns": [\n    "t"\n  ],\n  "rows": [\n    [\n      "\\u0000"\n    ]\n  ]\n}\n')
+
+
+def _outcome(render):
+    """The bytes a render gives, or the message of the ModelError it raises."""
+    try:
+        return render()
+    except ModelError as e:
+        return str(e)
+
+
+# the special bit patterns, NaN and both infinities
+_CODED64 = SPECIAL64 + np.array([math.nan, math.inf, -math.inf]).view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool=st.lists(st.one_of(st.integers(min_value=-2**63, max_value=2**63 - 1),
+                               st.sampled_from(_CODED64)), min_size=1, max_size=12),
+       codes=st.lists(st.integers(min_value=0, max_value=10**6), max_size=40),
+       words=st.lists(_text, min_size=1, max_size=4))
+@example(pool=[np.array(math.nan).view(np.int64).item(), 0], codes=[1, 1], words=["up"])
+def test_coded_columns_render_as_the_arrays_of_their_rows(pool, codes, words):
+    # values may repeat, hold both zeros and subnormals, or go unused, and the
+    # codes come in any order; a NaN or an infinity is an error only where a
+    # row shows it, named by that row
+    values = np.array(pool, dtype=np.int64).view(np.float64)
+    codes = np.array(codes, dtype=np.intp) % values.size
+    texts = np.array(words)
+    word_codes = codes[::-1] % texts.size
+    coded = [cli.Coded(values, codes), cli.Coded(texts, word_codes)]
+    plain = [values[codes], texts[word_codes]]
+    for out_format in ("csv", "json"):
+        assert (_outcome(lambda: cli._render((["x", "w"], coded, ()), out_format))
+                == _outcome(lambda: cli._render((["x", "w"], plain, ()), out_format)))

@@ -19,8 +19,10 @@ from kerrsqueeze import (
     transmission,
 )
 
-from kerrsqueeze.steady_state import _grid_roots, _scaled_roots
+from kerrsqueeze.steady_state import _grid_roots, _pick_roots, _scaled_roots, _solve_scaled
 from oracles import (
+    argmin_pick_roots,
+    dense_solve_scaled,
     loop_sweep,
     pow_lineshape,
     scaled_discriminant,
@@ -385,6 +387,8 @@ def test_sweep_alpha_phase_is_math_atan2(strong_params):
         tr = sweep(strong_params, PumpConfig(p_in=4e-3, delta_p=grid, direction=direction))
         for alpha_phase, delta_cl in zip(tr.alpha_phase.tolist(), tr.delta_cl.tolist()):
             assert alpha_phase == math.atan2(delta_cl, loss / 2.0)
+        # computed on the first read, then kept
+        assert tr.alpha_phase is tr.alpha_phase
 
 
 @settings(max_examples=300, deadline=None)
@@ -446,3 +450,49 @@ def test_scalar_calls_match_the_per_point_rule(kappa, gamma, tenth_g, th_frac, p
     ref_lock = -(params.g_opt + params.g_th) * n_lock
     assert repr(delta_p_lock) == repr(ref_lock)
     assert repr(astuple(branch)) == repr(astuple(scalar_branch(params, ref_lock, n_lock, True)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.one_of(st.floats(min_value=0.0, max_value=400.0), st.sampled_from([0.0, 1e-9, 1.0])),
+       ends=st.tuples(st.floats(min_value=-1.5, max_value=0.5),
+                      st.floats(min_value=-1.5, max_value=0.5)),
+       points=st.integers(min_value=1, max_value=300))
+def test_continuation_kernels_give_the_dense_argmin_bits(g, ends, points):
+    # grids through the fold, ascending and descending: Newton runs on the
+    # candidates only and the pick compares three distances per root, and
+    # both must give what all 3K slots and a (K-1, 3, 3) argmin gave
+    d = np.linspace(ends[0] * (g + 1.0), ends[1] * (g + 1.0), points)
+    u = _solve_scaled(g, d)
+    assert u.tobytes() == dense_solve_scaled(g, d).tobytes()
+    if np.isnan(u[:, 0]).any():
+        return
+    shifted = d[:, None] + g * u
+    with np.errstate(invalid="ignore"):
+        stable = 0.25 + shifted * shifted + 2.0 * g * u * shifted > 0.0
+    for order in (slice(None), slice(None, None, -1)):
+        assert (_pick_roots(u[order], stable[order]).tolist()
+                == argmin_pick_roots(u[order], stable[order]).tolist())
+
+
+@st.composite
+def _root_tables(draw):
+    """(u, stable): rows of 1 to 3 ascending roots, NaN-padded, on a grid of
+    eighths so that a root is often as far from the last pick as another."""
+    rows = draw(st.integers(min_value=1, max_value=40))
+    u, stable = np.full((rows, 3), np.nan), np.zeros((rows, 3), dtype=bool)
+    for i in range(rows):
+        roots = sorted(draw(st.sets(st.integers(min_value=1, max_value=16),
+                                    min_size=1, max_size=3)))
+        u[i, :len(roots)] = np.array(roots) / 8.0
+        stable[i, :len(roots)] = draw(st.lists(st.booleans(), min_size=len(roots),
+                                               max_size=len(roots)))
+    return u, stable
+
+
+@settings(max_examples=500, deadline=None)
+@given(table=_root_tables())
+def test_pick_roots_breaks_ties_as_the_argmin(table):
+    u, stable = table
+    for order in (slice(None), slice(None, None, -1)):
+        assert (_pick_roots(u[order], stable[order]).tolist()
+                == argmin_pick_roots(u[order], stable[order]).tolist())
