@@ -320,54 +320,41 @@ def _csv_quote(v: Any) -> str:
 
 class Coded(NamedTuple):
     """A table column as a float, bool or str array ``values``, which may repeat
-    or hold values no row uses, and the rows ``values[codes]``: it spares the
-    writer the sort that finds a plain column's distinct values."""
+    or hold values no row uses, and the rows ``values[codes]``: the writer
+    renders each value once, where a plain column is rendered one cell per row."""
 
     values: np.ndarray
     codes: np.ndarray
 
 
-def _distinct(name: str, column: Sequence[Any], csv: bool) -> Tuple[np.ndarray, np.ndarray, int]:
-    """(texts, inverse, pad): a column's distinct cells (a Coded column's values)
-    as the rows of a uint8 array, each padded with ``pad``, and each cell's row in
-    it. Floats are repr, padded with NUL; other cells are ``_fmt`` text quoted for
+def _texts(name: str, column: Sequence[Any], csv: bool) -> Tuple[np.ndarray, np.ndarray, int]:
+    """(texts, codes, pad): a column's cells (a Coded column's values) as the
+    rows of a uint8 array, each padded with ``pad``, and each row's index into it.
+    Floats are repr, padded with NUL; other cells are ``_fmt`` text quoted for
     the format in UTF-8, padded with 0xFF (a byte UTF-8 never holds) if one holds NUL."""
     import numpy as np
 
-    values, inverse = column if isinstance(column, Coded) else (column, None)
-    kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
-    if kind == "f":
+    values, codes = column if isinstance(column, Coded) else (column, np.arange(len(column)))
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
         from ._floatrepr import repr_rows
 
-        if inverse is None:
-            # repr once per distinct value; keyed on the bits, so -0.0 keeps its sign
-            bits, inverse = np.unique(values.astype(np.float64, copy=False).view(np.int64),
-                                      return_inverse=True)
-            values = bits.view(np.float64)
         bad = ~np.isfinite(values)
         if bad.any():
-            rows = np.flatnonzero(bad[inverse])
+            rows = np.flatnonzero(bad[codes])
             if rows.size:
-                raise _not_finite(name, int(rows[0]), values[inverse[rows[0]]])
+                raise _not_finite(name, int(rows[0]), values[codes[rows[0]]])
             values = np.where(bad, 0.0, values)  # no row shows them
         texts = repr_rows(values)
         reach = texts.any(axis=0)  # the bytes some text reaches
         texts = texts[:, reach.argmax():reach.size - reach[::-1].argmax()]
-        return np.ascontiguousarray(texts), inverse, 0
+        return np.ascontiguousarray(texts), codes, 0
     quote = _csv_quote if csv else json.dumps
-    if inverse is not None:
-        cells = _cells(name, values.tolist(), quote)
-    elif kind in "bU":  # bools and strings: once per distinct value
-        distinct, inverse = ((np.array([False, True]), values.astype(np.intp)) if kind == "b"
-                             else np.unique(values, return_inverse=True))
-        cells = _cells(name, distinct.tolist(), quote)
-    else:
-        cells, inverse = _cells(name, values, quote), np.arange(len(values))
+    cells = _cells(name, values.tolist() if isinstance(values, np.ndarray) else values, quote)
     data = [c.encode() for c in cells]
     width = max(map(len, data), default=0)
     pad = 0xFF if any(b"\0" in d for d in data) else 0
     padded = b"".join(d.ljust(width, bytes([pad])) for d in data)
-    return np.frombuffer(padded, np.uint8).reshape(len(data), width), inverse, pad
+    return np.frombuffer(padded, np.uint8).reshape(len(data), width), codes, pad
 
 
 _ROWS_PER_BLOCK = 4096  # the block and its mask stay in the cache
@@ -380,8 +367,8 @@ def _table(names: Sequence[str], columns: Sequence[Sequence[Any]],
     text gathered by row; the block is then written without the padding."""
     import numpy as np
 
-    cols = [_distinct(name, column, csv) for name, column in zip(names, columns)]
-    n = min((len(inverse) for _, inverse, _ in cols), default=0)
+    cols = [_texts(name, column, csv) for name, column in zip(names, columns)]
+    n = min((len(codes) for _, codes, _ in cols), default=0)
     lead, sep, tail = (b"", b",", b"\n") if csv else (b"    [\n      ", b",\n      ", b"\n    ],\n")
     layout, slots = bytearray(lead), []
     for texts, _, _ in cols:
@@ -394,8 +381,8 @@ def _table(names: Sequence[str], columns: Sequence[Sequence[Any]],
     def rows(start: int, stop: int) -> Iterator[np.ndarray]:
         for a in range(start, stop, _ROWS_PER_BLOCK):
             block = buffer[:min(stop - a, _ROWS_PER_BLOCK)]
-            for (texts, inverse, _), slot in zip(cols, slots):
-                block[:, slot] = texts.take(inverse[a:a + len(block)], axis=0)
+            for (texts, codes, _), slot in zip(cols, slots):
+                block[:, slot] = texts.take(codes[a:a + len(block)], axis=0)
             keep = block != 0
             for (_, _, pad), slot in zip(cols, slots):
                 if pad:
@@ -615,9 +602,9 @@ def cmd_sweep(cfg: RunConfig) -> Table:
     delta_p = _grid(cfg.section("grid"), "delta_p_rad_s", "grid")
 
     traces = _sweeps(params, powers, omega_p, dirs, delta_p)
-    # The columns go to the writer coded, so it need not sort them for their
-    # distinct cells: each power's first direction gives every row a cell, and
-    # a later direction only the rows where its n differs (the hysteresis window)
+    # The columns go to the writer coded, so it renders each distinct cell once:
+    # each power's first direction gives every row a cell, and a later
+    # direction only the rows where its n differs (the hysteresis window)
     size = delta_p.size
     rows = np.arange(len(traces) * size).reshape(len(powers), len(dirs), size)
     bits = np.concatenate([t.n for t in traces]).view(np.int64)[rows]
@@ -633,7 +620,8 @@ def cmd_sweep(cfg: RunConfig) -> Table:
             "energy_j": Coded(core.HBAR * omega_p * n, codes),
             "delta_cl_rad_s": Coded(delta_cl, codes),
             "transmission": Coded(trans, codes),
-            "stable": np.concatenate([t.stable for t in traces]),
+            "stable": Coded(np.array([False, True]),
+                            np.concatenate([t.stable for t in traces]).astype(np.intp)),
             "direction": Coded(np.array(dirs), np.repeat(np.arange(len(traces)) % len(dirs), size)),
         }
         if params.radius is not None and params.n_eff is not None:
@@ -709,7 +697,11 @@ def cmd_spectrum(cfg: RunConfig) -> Table:
         if locked:
             columns.append("v_locked_ratio")
 
-    blocks = []
+    # the leading cells and grid axes (omega, and phi unless optimized) go to the
+    # writer coded by their place in each point's broadcast, counted on from the
+    # earlier points' values; the kernel's outputs hold one value per row
+    values: List[List[np.ndarray]] = [[] for _ in columns]
+    codes: List[List[np.ndarray]] = [[] for _ in columns[:len(head) + 2 - optimize_phi]]
     for lead, eta, branch, st in points:
         # one kernel call's cells after the leading ones: points, then omega, then phi
         w = omega
@@ -734,8 +726,13 @@ def cmd_spectrum(cfg: RunConfig) -> Table:
         shape = np.shape(cells[2])
         # a leading cell has one entry per point, on the leading axis
         lead = [np.reshape(x, np.shape(x) + (1,) * (len(shape) - np.ndim(x))) for x in lead]
-        blocks.append([np.broadcast_to(x, shape).ravel() for x in lead + cells])
-    return columns, [np.concatenate(column) for column in zip(*blocks)], ()
+        for k, x in enumerate(lead + cells):
+            if k < len(codes):
+                place = np.arange(np.size(x)).reshape(np.shape(x)) + sum(map(len, values[k]))
+                codes[k].append(np.broadcast_to(place, shape).ravel())
+            values[k].append(np.ravel(x))
+    return columns, [Coded(*map(np.concatenate, pair)) for pair in zip(values, codes)] + [
+        np.concatenate(column) for column in values[len(codes):]], ()
 
 
 def cmd_locking(cfg: RunConfig) -> Table:

@@ -302,9 +302,7 @@ class TestHomodyneReduction:
     def make_pair(self, sigma_tilde, c, n=20000, ref_dbm=-60.0, drift=0.0):
         t = np.arange(n) * 5e-5
         phi = 2.0 * math.pi * np.arange(n) / n
-        v = np.array(
-            [locked_raw_variance(sigma_tilde, 1.0, c, p) for p in phi]
-        )
+        v = locked_raw_variance(sigma_tilde, 1.0, c, phi)
         trace = ZeroSpanTrace(
             t=t, power_dbm=ref_dbm + 10.0 * np.log10(v) + drift * t, **self.META
         )

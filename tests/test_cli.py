@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from kerrsqueeze import ModelError, steady_state
-from kerrsqueeze.cli import main, render_json
+from kerrsqueeze.cli import Coded, cmd_spectrum, load_config, main, render_json
 
 CONFIGS = [
     ("sweep", "config_sweep.json"),
@@ -215,17 +215,30 @@ def test_sample_other_format_bytes_match_recorded_digest(cmd, config, sample_dir
 
 
 @pytest.mark.parametrize("out_format", ["csv", "json"])
-def test_sweep_renders_without_a_sort(out_format, sample_dir, tmp_path, monkeypatch):
-    # cmd_sweep hands the writer coded columns, whose distinct cells it knows;
-    # a plain float or string array would send the writer to np.unique, whose
-    # sort is the largest cost a dense sweep's table can spare
+@pytest.mark.parametrize("cmd,config", [c for c in CONFIGS if c[0] in _TABLE_COMMANDS])
+def test_tables_render_without_a_sort(cmd, config, out_format, sample_dir, tmp_path,
+                                      monkeypatch):
+    # a column whose cells repeat reaches the writer coded, and a plain one is
+    # written one cell per row, so no table sorts for its distinct cells
     def refuse(*args, **kwargs):
-        raise AssertionError("np.unique called while writing a sweep")
+        raise AssertionError(f"np.unique called while writing {config}")
 
     monkeypatch.setattr(np, "unique", refuse)
-    _, out = run(sample_dir, "sweep", "config_sweep.json", tmp_path, extra=("--format", out_format))
+    _, out = run(sample_dir, cmd, config, tmp_path, extra=("--format", out_format))
     digests = SAMPLE_DIGESTS if out_format == "csv" else OTHER_FORMAT_DIGESTS
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests["config_sweep.json"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[config]
+
+
+@pytest.mark.parametrize("config", [name for cmd, name in CONFIGS if cmd == "spectrum"])
+def test_spectrum_codes_its_leading_cells_and_grid_axes(config, sample_dir):
+    names, columns, _ = cmd_spectrum(load_config(str(sample_dir / config)))
+    coded = {name for name, column in zip(names, columns) if isinstance(column, Coded)}
+    assert coded == set(names) & {"eta", "p_in_w", "direction", "delta_p_rad_s", "n_photons",
+                                  "omega_rad_s", "phi_lo_rad"}
+    # every column has a row for each row of the table; a kernel output holds its values
+    rows = len(columns[-1])
+    assert all(len(column.codes if name in coded else column) == rows
+               for name, column in zip(names, columns))
 
 
 @pytest.mark.parametrize("out_format", ["csv", "json"])

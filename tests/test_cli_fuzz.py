@@ -96,9 +96,10 @@ def check_outputs_finite(text, out_format):
 
 
 def run_case(cmd, config, workdir):
-    """Run one config in both formats and check the outcome of each."""
+    """Run one config, parsed JSON or a config file's raw bytes, in both
+    formats and check the outcome of each."""
     cfg = Path(workdir) / "c.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
     for out_format in ("csv", "json"):
         out = Path(workdir) / f"out.{out_format}"
         err = io.StringIO()
@@ -271,3 +272,63 @@ def test_input_file_cases_cover_every_sample_input():
     assert files == {"transmission_trace.csv", "resonances.csv", "zero_span_trace.csv",
                      "zero_span_reference.csv", "loss_budget.json"}
     assert len(INPUT_CASES) == 307
+
+
+def _edited(data, kind, at, value):
+    """``data`` with one byte-level edit: truncated at byte ``at``, bit ``value``
+    of byte ``at`` flipped, byte ``value`` inserted before byte ``at``, a UTF-8
+    BOM put before it, CRLF line ends, or a NUL after it."""
+    at %= len(data) + (kind != "flip")
+    if kind == "truncate":
+        return data[:at]
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ 1 << value % 8]) + data[at + 1:]
+    if kind == "insert":
+        return data[:at] + bytes([value]) + data[at:]
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + data
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    return data + b"\0"
+
+
+# each sample config (None) and each input file a sample config names
+BYTE_CASES = [(cmd, name, file) for cmd, name in CONFIGS
+              for file in [None, *_input_files(_SAMPLE_CONFIGS[name])]]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.sampled_from(BYTE_CASES),
+       kind=st.sampled_from(("truncate", "flip", "insert", "bom", "crlf", "nul")),
+       at=st.integers(min_value=0, max_value=2**20), value=st.integers(min_value=0, max_value=255))
+@example(case=("sweep", "config_sweep.json", None), kind="bom", at=0, value=0)
+# a byte that is not UTF-8 in a config and in an input CSV
+@example(case=("spectrum", "config_spectrum_locking.json", None), kind="flip", at=5, value=7)
+@example(case=("fit-dispersion", "config_fit_dispersion.json", str(SAMPLES / "resonances.csv")),
+         kind="insert", at=5, value=0xFF)
+@example(case=("fit-transmission", "config_fit_transmission.json",
+               str(SAMPLES / "transmission_trace.csv")), kind="bom", at=0, value=0)
+@example(case=("reduce-trace", "config_reduce_trace.json",
+               str(SAMPLES / "zero_span_trace.csv")), kind="crlf", at=0, value=0)
+@example(case=("losses", "config_losses.json", str(SAMPLES / "loss_budget.json")),
+         kind="nul", at=0, value=0)
+@pytest.mark.filterwarnings("ignore::kerrsqueeze.LinearizationWarning")
+def test_one_byte_level_edit_of_a_sample_file_gives_finite_output_or_one_error_line(
+        case, kind, at, value):
+    cmd, name, file = case
+    with tempfile.TemporaryDirectory() as workdir:
+        if file is None:  # the edited config reads the sample inputs beside it
+            for named in _input_files(_SAMPLE_CONFIGS[name]):
+                (Path(workdir) / Path(named).name).symlink_to(named)
+            run_case(cmd, _edited((SAMPLES / name).read_bytes(), kind, at, value), workdir)
+        else:
+            edited = Path(workdir) / Path(file).name
+            edited.write_bytes(_edited(Path(file).read_bytes(), kind, at, value))
+            run_case(cmd, _point_at(_SAMPLE_CONFIGS[name], file, str(edited)), workdir)
+
+
+def test_byte_cases_cover_every_sample_config_and_input():
+    assert {name for _, name, _ in BYTE_CASES} == {name for _, name in CONFIGS}
+    assert {Path(file).name for _, _, file in BYTE_CASES if file} == {
+        "transmission_trace.csv", "resonances.csv", "zero_span_trace.csv",
+        "zero_span_reference.csv", "loss_budget.json"}

@@ -1,7 +1,7 @@
 """CLI output rendering. CSV and JSON tables share one assembler, which
-writes each distinct float, bool or string once as bytes, gathers the texts
-by row in numpy and never lets a NaN or an infinity into a cell of either
-format. Reports go through one JSON encoder, whose ``default`` hook converts
+sorts nothing: it writes a plain column's cells one per row and a
+``cli.Coded`` column's values once each, as bytes, gathers the texts by row
+in numpy and never lets a NaN or an infinity into a cell of either format. Reports go through one JSON encoder, whose ``default`` hook converts
 numpy arrays and scalars with ``tolist()``. The old per-cell renderers live
 in ``oracles`` and must give the same bytes."""
 
