@@ -367,8 +367,15 @@ def _table(names: Sequence[str], columns: Sequence[Sequence[Any]],
     text gathered by row; the block is then written without the padding."""
     import numpy as np
 
+    if len(names) != len(columns):
+        raise ModelError(f"table has {len(names)} column names {list(names)!r} "
+                         f"and {len(columns)} columns")
     cols = [_texts(name, column, csv) for name, column in zip(names, columns)]
-    n = min((len(codes) for _, codes, _ in cols), default=0)
+    n = len(cols[0][1]) if cols else 0
+    for name, (_, codes, _) in zip(names, cols):
+        if len(codes) != n:
+            raise ModelError(f"table column {name!r} has {len(codes)} rows, "
+                             f"column {names[0]!r} has {n}")
     lead, sep, tail = (b"", b",", b"\n") if csv else (b"    [\n      ", b",\n      ", b"\n    ],\n")
     layout, slots = bytearray(lead), []
     for texts, _, _ in cols:
@@ -779,15 +786,16 @@ def cmd_report(cfg: RunConfig) -> Dict[str, Any]:
     """end-to-end operating point summary"""
     params = parse_resonator(cfg)
     powers, omega_p, _ = parse_pump(cfg, params)
-    p_in = powers[0]
     etas, budget = parse_detection(cfg)
-    eta = etas[0]
+    for key, what, values in (("pump.p_in_w", "power", powers), ("detection.eta", "eta", etas)):
+        if len(values) > 1:
+            raise SchemaError(f"config key '{key}': report takes one {what}, got {len(values)}")
+    (p_in,), (eta,) = powers, etas
     rep_sec = cfg.section("report", required=False)
     p_th_model = core.threshold_power(params, omega_p)
     p_th_override = _num(rep_sec, "p_th_w", "report", required=False)
     p_th_used = p_th_model if p_th_override is None else p_th_override
 
-    caught: List[str] = []
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
         drv = core.drive_state(params, p_in, omega_p, eta=eta, p_th=p_th_used)
@@ -798,8 +806,7 @@ def cmd_report(cfg: RunConfig) -> Dict[str, Any]:
                                              params.gamma, eta=eta)
         else:
             chip = measured = None
-    for w in wlist:
-        caught.append(str(w.message))
+    caught = list(dict.fromkeys(str(w.message) for w in wlist))  # each once, first seen first
 
     def _block(res: Optional[core.SqueezingResult]) -> Optional[Dict[str, float]]:
         if res is None:

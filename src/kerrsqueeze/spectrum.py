@@ -69,9 +69,6 @@ class _Complex(NamedTuple):
     __rmul__ = __mul__
 
     def __truediv__(a, b: Any) -> _Complex:
-        if isinstance(b, float) and b:  # Smith's first branch, with b.imag = 0.0
-            ratio = 0.0 / b
-            return _Complex((a.re + a.im * ratio) / b, (a.im - a.re * ratio) / b)
         b_re, b_im = (np.asarray(part, dtype=float) for part in _complex(b))
         by_re = np.abs(b_re) >= np.abs(b_im)  # a NaN in b gives NaN either way
         ratio = np.where(by_re, b_im / b_re, b_re / b_im)
@@ -204,17 +201,17 @@ def _output_moments(
     return g11, g12, g21, checks
 
 
-def _raise_first(omega: np.ndarray, checks: List[np.ndarray], ratios: List[np.ndarray]) -> None:
+def _raise_first(omega: Any, checks: List[np.ndarray], ratios: List[np.ndarray]) -> None:
     """Raises for the first element in C order that fails one of _output_moments'
     ``checks`` or whose ratio, in ``ratios`` order, db_from_linear rejects; an
-    element's checks come before its ratios. ``omega`` broadcasts to the ratios."""
+    element's checks come before its ratios. ``omega`` broadcasts to them all."""
     fail = _first_failure([*checks, *(~((v > 0.0) & (v < math.inf)) for v in ratios)])
     if fail is None:
         return
     at, check = fail
     if check >= len(checks):
         db_from_linear(float(np.ravel(ratios[check - len(checks)])[at]))
-    at_omega = float(np.broadcast_to(omega, np.shape(ratios[0])).flat[at])
+    at_omega = float(np.broadcast_to(omega, np.broadcast(*checks, *ratios).shape).flat[at])
     raise [NonPositive(f"fluctuation system matrix out of float range at omega = "
                        f"{at_omega!r} rad/s"),
            SingularMatrix("fluctuation system matrix is ill-conditioned; the operating "
@@ -324,21 +321,14 @@ def locked_extrema(sigma_tilde: Any, y: Any, c: Any) -> Tuple[Any, Any]:
 def fluctuation_flux(
     params: ResonatorParams, branch: SteadyStateBranch, eta: float = 1.0
 ) -> float:
-    """Detected fluctuation photon flux factor (delta-stripped, w = 0).
-
-    General-branch expression 4 eta kappa sigma^2 Gamma / (4 D_f^2 + Gamma^2
-    - sigma^2)^2; at the locked point it reduces to (4 eta kappa / Gamma) *
-    sigma_tilde^2. Note the quadratic drive dependence; the first-power form
-    reported by drive_state is kept separate on purpose.
+    """Detected fluctuation photon flux factor (delta-stripped, w = 0): the
+    moment G21 of _output_moments at w = 0, which equals the general-branch
+    expression 4 eta kappa sigma^2 Gamma / (4 D_f^2 + Gamma^2 - sigma^2)^2; at
+    the locked point it reduces to (4 eta kappa / Gamma) * sigma_tilde^2. Note
+    the quadratic drive dependence; the first-power form reported by
+    drive_state is kept separate on purpose. Raises and warns as the moments'
+    checks at w = 0 do.
     """
-    check_eta(eta)
-    if not branch.stable:
-        raise UnstablePoint(_UNSTABLE)
-    loss = total_loss(params)
-    sigma = 2.0 * params.g_opt * branch.n
-    den = 4.0 * branch.delta_f**2 + loss * loss - sigma * sigma
-    if den <= 0.0:
-        raise UnstablePoint(
-            "operating point at or beyond the parametric instability"
-        )
-    return 4.0 * eta * params.kappa * sigma * sigma * loss / (den * den)
+    _, _, g21, checks = _output_moments(params, branch, 0.0, eta)
+    _raise_first(0.0, checks, [])
+    return float(g21)

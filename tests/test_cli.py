@@ -959,6 +959,35 @@ def test_report_phase_at_a_tiny_drive_ratio_is_minus_pi_over_4(tmp_path):
     assert json.loads(out.read_text())["drive"]["phi_opt_rad"] == -math.pi / 4
 
 
+def test_report_lists_each_warning_once(tmp_path):
+    # the chip and the measured locked variances warn alike near threshold
+    cfg = _sample_with("report", "pump", "p_in_w", 0.1)
+    cfg["detection"] = {"eta": 0.5}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.json"
+    assert main(["report", "--config", str(path), "--out", str(out)]) == 0
+    caught = json.loads(out.read_text())["warnings"]
+    assert len(caught) == 1 and "x = 0.9969" in caught[0]
+
+
+@pytest.mark.parametrize("section,key,values,message", [
+    ("pump", "p_in_w", [0.00759, 0.5], "config key 'pump.p_in_w': report takes one power, got 2"),
+    ("detection", "eta", [0.3, 0.9, 1.0], "config key 'detection.eta': report takes one eta, got 3"),
+])
+def test_report_refuses_more_than_one_operating_point(section, key, values, message,
+                                                      tmp_path, capsys):
+    cfg = _sample_with("report", section, key, values)  # an eta takes the budget's place
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["report", "--config", str(path), "--out", str(tmp_path / "o.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # a list of one entry is the number it holds
+    cfg[section][key] = values[:1]
+    path.write_text(json.dumps(cfg))
+    assert main(["report", "--config", str(path), "--out", str(tmp_path / "o.json")]) == 0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_json_output_never_holds_non_finite_numbers(bad):
     # json.dumps would write the invalid tokens NaN and Infinity

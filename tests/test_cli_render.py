@@ -140,6 +140,23 @@ def test_non_finite_generic_cell_names_column_and_row(bad):
         cli._render({"a": 1.0, "b": {"c": bad}}, "csv")
 
 
+@pytest.mark.parametrize("names,columns,message", [
+    (["a", "b"], [[1.0, 2.0], [1.0]], "table column 'b' has 1 rows, column 'a' has 2"),
+    (["a", "b"], [np.array([1.0]), cli.Coded(np.array([1.0]), np.zeros(3, np.intp))],
+     "table column 'b' has 3 rows, column 'a' has 1"),
+    (["a"], [], "table has 1 column names ['a'] and 0 columns"),
+    ([], [[1.0]], "table has 0 column names [] and 1 columns"),
+])
+def test_ragged_table_is_refused(names, columns, message):
+    # zip and the shortest column would drop rows or columns without a word;
+    # ModelError is a ValueError
+    for render in (lambda: cli.render_csv(names, columns),
+                   lambda: cli.render_json((names, columns, ()))):
+        with pytest.raises(ModelError) as err:
+            render()
+        assert str(err.value) == message
+
+
 def _assert_same_bytes(got: bytes, want: bytes) -> None:
     """got == want, reported as the first line that differs: pytest's diff of
     two strings of megabytes runs for minutes before it reports anything."""

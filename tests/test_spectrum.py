@@ -360,7 +360,7 @@ class TestFluctuationFlux:
         dpl, _ = injection_locking_point(p, p_in, OM)
         roots = steady_roots(p, dpl, p_in)
         assert len(roots) == 3
-        with pytest.raises(UnstablePoint):
+        with pytest.raises(UnstablePoint), pytest.warns(LinearizationWarning):
             fluctuation_flux(p, roots[1])
         # the variance code rejects the middle root too, though its matrix is regular
         assert not roots[1].stable
@@ -368,6 +368,16 @@ class TestFluctuationFlux:
             variance_spectrum(p, roots[1], 0.0, 0.0)
         with pytest.raises(UnstablePoint), pytest.warns(LinearizationWarning):
             variance_extrema(p, roots[1], 0.0)
+
+    def test_strong_drive_raises_as_the_moments_do(self, device_params):
+        # the flux is the moments' G21 at w = 0, so it takes their checks: at
+        # sigma_tilde = 1e6 the condition number of Q(0), about
+        # 2 + 4 sigma_tilde^2, passes their bound of 1e12
+        b = lock(device_params, 1e6 * threshold_power(device_params, OM))
+        for call in (lambda: fluctuation_flux(device_params, b, eta=0.5),
+                     lambda: variance_extrema(device_params, b, 0.0, eta=0.5)):
+            with pytest.raises(SingularMatrix), pytest.warns(LinearizationWarning):
+                call()
 
 
 class TestGuards:

@@ -477,16 +477,18 @@ def test_continuation_kernels_give_the_dense_argmin_bits(g, ends, points):
 @st.composite
 def _root_tables(draw):
     """(u, stable): rows of 1 to 3 ascending roots, NaN-padded, on a grid of
-    eighths so that a root is often as far from the last pick as another."""
+    eighths so that a root is often as far from the last pick as another.
+    Each row is drawn as 7 bytes at once: three roots, how many of them to
+    keep and three stability flags."""
     rows = draw(st.integers(min_value=1, max_value=40))
-    u, stable = np.full((rows, 3), np.nan), np.zeros((rows, 3), dtype=bool)
-    for i in range(rows):
-        roots = sorted(draw(st.sets(st.integers(min_value=1, max_value=16),
-                                    min_size=1, max_size=3)))
-        u[i, :len(roots)] = np.array(roots) / 8.0
-        stable[i, :len(roots)] = draw(st.lists(st.booleans(), min_size=len(roots),
-                                               max_size=len(roots)))
-    return u, stable
+    row = np.frombuffer(draw(st.binary(min_size=7 * rows, max_size=7 * rows)),
+                        np.uint8).reshape(rows, 7)
+    count = row[:, 3:4] % 3 + 1
+    # a row keeps the distinct ones of its first `count` roots, ascending
+    u = np.sort(np.where(np.arange(3) < count, (row[:, :3] % 16 + 1) / 8.0, np.nan), axis=1)
+    u[:, 1:][u[:, 1:] == u[:, :-1]] = np.nan
+    u = np.sort(u, axis=1)
+    return u, (row[:, 4:] % 2 == 1) & ~np.isnan(u)
 
 
 @settings(max_examples=500, deadline=None)
