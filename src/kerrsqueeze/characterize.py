@@ -20,7 +20,8 @@ from typing import NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import HBAR, ResonatorParams, locked_photon_number, omega_from_wavelength
+from .core import (HBAR, ResonatorParams, check_direction, check_power, locked_photon_number,
+                   omega_from_wavelength)
 from .errors import (
     Degenerate,
     MetadataMismatch,
@@ -40,7 +41,8 @@ class TransmissionTrace:
     ``freq`` may be the absolute pump frequency or the detuning from a
     nominal resonance, both in rad/s; fitted centers come back in the same
     coordinates. For shift fitting the axis must be the detuning from the
-    cold resonance found by the linear fit.
+    cold resonance found by the linear fit. ``p_in`` and ``direction`` follow
+    the pump rules (finite and >= 0; 'up' or 'down').
     """
 
     freq: np.ndarray
@@ -55,6 +57,8 @@ class TransmissionTrace:
         object.__setattr__(self, "transmission", trans)
         if trans.shape != freq.shape or not np.isfinite(trans).all():
             raise ModelError("transmission must hold one finite sample per frequency")
+        check_power(self.p_in)
+        check_direction(self.direction)
 
 
 @dataclass(frozen=True)

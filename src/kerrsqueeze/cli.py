@@ -80,19 +80,27 @@ def _read_text(path: Path, where: str) -> str:
 
 
 def _read_json(path: Path, where: str) -> Any:
-    """Parsed JSON file; syntax errors, NaN/Infinity literals, nesting deeper than
-    the interpreter's recursion limit and integers longer than its int-string
-    digit limit are SchemaErrors."""
+    """Parsed JSON file; syntax errors, NaN/Infinity literals, a key repeated in
+    one object, nesting deeper than the interpreter's recursion limit and
+    integers longer than its int-string digit limit are SchemaErrors."""
     def reject(literal: str) -> Any:
         raise SchemaError(f"{where}: {literal} is not a finite number")
 
+    def unique(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
+        obj: Dict[str, Any] = {}
+        for key, value in pairs:
+            if key in obj:
+                raise SchemaError(f"{where}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(_read_text(path, where), parse_constant=reject)
+        return json.loads(_read_text(path, where), parse_constant=reject, object_pairs_hook=unique)
     except json.JSONDecodeError as e:
         raise SchemaError(f"{where}: line {e.lineno}: {e.msg}") from e
     except RecursionError:
         raise SchemaError(f"{where}: nested too deeply") from None
-    except ModelError:  # from _read_text or reject
+    except ModelError:  # from _read_text, reject or unique
         raise
     except ValueError as e:  # an int longer than the int-string conversion limit
         raise SchemaError(f"{where}: {str(e).partition(';')[0]}") from None
@@ -204,8 +212,7 @@ def parse_pump(cfg: RunConfig,
     if not dirs:
         raise SchemaError("config key 'pump.direction': must not be empty")
     for d in dirs:
-        if d not in ("up", "down"):
-            raise SchemaError(f"config key 'pump.direction': expected 'up' or 'down', got {d!r}")
+        _schema("config key 'pump.direction'", core.check_direction, d)
     return powers, _resolve_omega_p(params, omega_p), list(dirs)
 
 
@@ -256,18 +263,8 @@ def _quality_factor(params: core.ResonatorParams) -> Optional[float]:
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
-# The writer tests for numpy types through sys.modules.get("numpy"): no value
-# is a numpy object before numpy loads, so a report never imports it.
-
 def _fmt(v: Any, quote: Callable[[Any], str] = str) -> str:
-    np = None if isinstance(v, (float, int, str)) else sys.modules.get("numpy")
-    if np is not None:  # a numpy scalar is written as its Python value
-        if isinstance(v, np.bool_):
-            v = bool(v)
-        elif isinstance(v, np.floating):
-            v = float(v)
-        elif isinstance(v, np.integer):
-            v = int(v)
+    """A cell's text: a bool, int, float, str or None (the last two ``quote``d)."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -276,21 +273,15 @@ def _fmt(v: Any, quote: Callable[[Any], str] = str) -> str:
         return repr(float(v))
     if isinstance(v, int):
         return str(int(v))
-    return quote(v)
-
-
-def _tolist(obj: Any) -> Any:
-    """json.dumps ``default`` hook: numpy arrays and scalars as Python objects."""
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if isinstance(v, str) or v is None:
+        return quote(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not a table or report cell")
 
 
 def _dumps(obj: Any, **kwargs: Any) -> str:
     """JSON text of ``obj``; a NaN or an infinity in it is a ModelError."""
     try:
-        return json.dumps(obj, allow_nan=False, default=_tolist, **kwargs)
+        return json.dumps(obj, allow_nan=False, **kwargs)
     except ValueError as e:
         raise ModelError(f"output is not valid JSON: {e}") from e
 
@@ -427,10 +418,9 @@ def render_json(obj: Any) -> bytes:
 
 
 def _flatten(obj: Any, prefix: str = "") -> List[Tuple[str, Any]]:
-    np = sys.modules.get("numpy")
     if isinstance(obj, dict):
         return [kv for k, v in obj.items() for kv in _flatten(v, f"{prefix}.{k}" if prefix else k)]
-    if isinstance(obj, (list, tuple)) or np is not None and isinstance(obj, np.ndarray):
+    if isinstance(obj, (list, tuple)):
         return [(prefix, _dumps(obj))]
     return [(prefix, obj)]
 

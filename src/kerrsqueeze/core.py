@@ -147,6 +147,12 @@ def check_power(p_in: float) -> None:
         raise NonPositive(f"p_in must be finite and >= 0, got {p_in}")
 
 
+def check_direction(direction: str) -> None:
+    """Raise ModelError unless the sweep direction is 'up' or 'down'."""
+    if direction not in ("up", "down"):
+        raise ModelError(f"direction must be 'up' or 'down', got {direction!r}")
+
+
 def check_omega_p(omega_p: float) -> None:
     """Raise NonPositive unless the pump frequency omega_p is finite and > 0."""
     if not omega_p > 0:  # NaN fails here too

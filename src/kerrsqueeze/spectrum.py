@@ -168,9 +168,8 @@ def _output_moments(
         det = q11 * q22 - q12 * q21
         absdet = abs(det)
         fro2 = _pow2(abs(q11)) + _pow2(abs(q12)) + _pow2(abs(q21)) + _pow2(abs(q22))
-        # Python's abs also raises where a finite complex has no finite modulus
-        out_of_range = ~(fro2 < math.inf) | (np.isfinite(det.re) & np.isfinite(det.im)
-                                              & ~(absdet < math.inf))
+        # |det Q| <= fro2 / 2, so where fro2 is finite so is the modulus of det
+        out_of_range = ~(fro2 < math.inf)
         # exact 2-norm condition number of a 2x2, s_max^2 / |det|, in its
         # scale-free form (1 + sqrt(1 - 4 r^2)) / (2 r) with r = |det| / fro2,
         # so squaring fro2 cannot overflow for large |Q|

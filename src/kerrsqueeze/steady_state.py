@@ -30,8 +30,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import (ResonatorParams, check_omega_p, check_power, locked_photon_number,
-                   total_loss)
+from .core import (ResonatorParams, check_direction, check_omega_p, check_power,
+                   locked_photon_number, total_loss)
 from .errors import EmptyTrace, ModelError
 
 # Below this nonlinearity ratio the cubic terms are under 1e-8 of the linear
@@ -77,8 +77,7 @@ class PumpConfig:
         object.__setattr__(self, "delta_p", check_axis(np.atleast_1d(self.delta_p), "delta_p"))
         if self.omega_p is not None:
             check_omega_p(self.omega_p)
-        if self.direction not in ("up", "down"):
-            raise ModelError(f"direction must be 'up' or 'down', got {self.direction!r}")
+        check_direction(self.direction)
 
 
 @dataclass(frozen=True)

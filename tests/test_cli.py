@@ -175,19 +175,8 @@ SAMPLE_DIGESTS = {name: entry["sha256"] for name, entry in json.loads(
 # JSON tables were joined from the CSV cells, so the new path must match the old;
 # the reports that hold a list cell were pinned again once their key,value CSV
 # quoted it as RFC 4180 asks
-OTHER_FORMAT_DIGESTS = {
-    "config_sweep.json": "b3c18545ccfaa5ea216ccdb4f74c32c89e246fa9443441b56e27da370ab1154d",
-    "config_spectrum_locking.json": "21148861bc214f4dcbc0e95ae66b03e5228a5fe0d645876f7cb3d3ca9ed7f709",
-    "config_spectrum_optimized.json": "4cd9537c534cfe187ce6a2446806f4b25d884b40bfb20d9505a74e60e128d2a0",
-    "config_spectrum_detuning.json": "d27320888c9aae151be28141a3413ada6ef50b8090c8dc5b5ab38218046d63a4",
-    "config_locking.json": "22ababf76811c21525520707b597bd0a2122023d005ea6cece69d81c84027793",
-    "config_threshold.json": "0b98d23d882126f8f4673b01a5ab0b3fa7cdfb763bcbc8fd424e456f1cc876f9",
-    "config_report.json": "2d9376244a16bb1929104055f2e8ac49b2f468599e96613a8048b039e02ad20f",
-    "config_fit_transmission.json": "f53996550459be46e7943dc46f1ed513525d5391b26154203ee0955568b0b4b9",
-    "config_fit_dispersion.json": "48539e37417a776540640f8846564f480d644af630b7948e4f71015683e6a5b7",
-    "config_reduce_trace.json": "114b6bae7c98e3b167100fe11e20127f30d8363e9dd6d56d92e182592d84bd2e",
-    "config_losses.json": "611709b962089bc031138b167f8bb0b82e7881578fa5934c6bd5bc992498a60c",
-}
+OTHER_FORMAT_DIGESTS = json.loads(
+    (Path(__file__).resolve().parent / "other_format_digests.json").read_text())
 _TABLE_COMMANDS = {"sweep", "spectrum", "locking"}
 
 
@@ -854,6 +843,100 @@ def test_an_empty_direction_list_is_one_line_error(cmd, name, tmp_path, capsys):
     assert not out.exists()
 
 
+_NO_RESONANCE = ("config: pump.omega_p_rad_s missing and resonator has no lambda_m / "
+                 "omega_r_rad_s to fall back on")
+_BUDGET_LIST = "expected a list of {label, loss_db} entries"
+
+
+@pytest.mark.parametrize("cmd,config,files,message", [
+    ("threshold", [_RESONATOR], {}, "config <cfg>: top level must be an object"),
+    ("threshold", {"resonator": [515e6, 192e6]}, {}, "config key 'resonator': expected an object"),
+    ("threshold", {"resonator": {"gamma_rad_s": 192e6}}, {},
+     "config key 'resonator.kappa_rad_s': missing"),
+    ("sweep", {"resonator": _RESONATOR, "pump": {"omega_p_rad_s": 1.2e15},
+               "grid": {"delta_p_rad_s": [0.0]}}, {}, "config key 'pump.p_in_w': missing"),
+    ("sweep", _sample_with("sweep", "pump", "direction", ["down", "sideways"]), {},
+     "config key 'pump.direction': direction must be 'up' or 'down', got 'sideways'"),
+    ("losses", {"losses": {"budget": []}}, {},
+     "config key 'losses': need 'budget_path' or 'entries'"),
+    ("report", {"resonator": _RESONATOR, "pump": {"p_in_w": 1e-3},
+                "detection": {"budget": []}}, {},
+     "config key 'detection': need 'eta', 'budget_path' or 'entries'"),
+    ("threshold", {"resonator": {"kappa_rad_s": 515e6, "gamma_rad_s": 192e6}}, {},
+     _NO_RESONANCE),
+    ("fit-transmission", {"fit": {"input": "t.csv"}},
+     {"t.csv": "# p_in_w=0.0\n\ndelta_p_rad_s,transmission\n\n"}, "t.csv: no data rows"),
+    ("losses", {"losses": {"entries": {"label": "chip", "loss_db": -1.0}}}, {},
+     "losses.entries: " + _BUDGET_LIST),
+    ("losses", {"losses": {"budget_path": "b.json"}}, {"b.json": "{}"}, "b.json: " + _BUDGET_LIST),
+    ("spectrum", _sample_with("spectrum_locking", "spectrum", "mode", "sideband"), {},
+     "config key 'spectrum.mode': expected 'locking' or 'detuning', got 'sideband'"),
+    ("fit-transmission", {"fit": {"input": str(_SAMPLES / "transmission_trace.csv"),
+                                  "coupling_regime": "critical"}}, {},
+     "config key 'fit.coupling_regime': expected 'over' or 'under'"),
+], ids=["top-level-list", "section-list", "missing-number", "missing-number-list",
+        "unknown-direction", "losses-without-budget", "detection-without-source",
+        "no-resonance", "header-without-rows", "entries-not-a-list", "budget-file-not-a-list",
+        "unknown-spectrum-mode", "unknown-coupling-regime"])
+def test_input_rules_are_exact_one_line_errors(cmd, config, files, message, tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    err = _one_line_error([cmd, "--config", str(cfg)], capsys)
+    assert err == f"error: {message.replace('<cfg>', str(cfg))}\n"
+
+
+def test_blank_csv_lines_change_no_output_byte(sample_dir, tmp_path):
+    # empty and whitespace-only lines anywhere in an input CSV are skipped
+    lines = (sample_dir / "transmission_trace.csv").read_text().splitlines()
+    spaced = tmp_path / "transmission_trace.csv"
+    spaced.write_text("\n" + "".join(f"{line}\n \t\n\n" for line in lines))
+    config = tmp_path / "config_fit_transmission.json"
+    config.write_bytes((sample_dir / config.name).read_bytes())
+    _, want = run(sample_dir, "fit-transmission", config.name, tmp_path, name="want.json")
+    _, got = run(tmp_path, "fit-transmission", config.name, tmp_path, name="got.json")
+    sha = [hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in (sample_dir / spaced.name, spaced)]
+    assert sha[0] != sha[1]
+    assert got.read_bytes() == want.read_bytes().replace(sha[0].encode(), sha[1].encode())
+
+
+def test_a_repeated_json_key_is_one_line_error(tmp_path, capsys):
+    # json.loads alone keeps a repeated key's last value, so the first config
+    # would run threshold with g_opt = 0.0 and write p_th_w null
+    cfg = tmp_path / "c.json"
+    (tmp_path / "b.json").write_text('[{"label": "chip", "loss_db": -1.0, "label": "lens"}]')
+    for cmd, text, where, key in [
+        ("threshold", '{"resonator": {"kappa_rad_s": 515e6, "gamma_rad_s": 192e6, '
+         '"g_opt_rad_s": 1.4, "lambda_m": 1.55e-6, "g_opt_rad_s": 0.0}}', f"config {cfg}",
+         "g_opt_rad_s"),
+        ("threshold", '{"resonator": {}, "resonator": {"kappa_rad_s": 515e6, '
+         '"gamma_rad_s": 192e6}}', f"config {cfg}", "resonator"),
+        ("losses", '{"losses": {"entries": [{"label": "chip", "loss_db": -1.0, '
+         '"loss_db": 0.0}]}}', f"config {cfg}", "loss_db"),
+        ("losses", '{"losses": {"budget_path": "b.json"}}', "b.json", "label"),
+    ]:
+        cfg.write_text(text)
+        err = _one_line_error([cmd, "--config", str(cfg)], capsys)
+        assert err == f"error: {where}: duplicate key {key!r}\n"
+
+
+@pytest.mark.parametrize("line,message", [
+    ("# p_in_w=-1.0", "p_in must be finite and >= 0, got -1.0"),
+    ("# direction=sideways", "direction must be 'up' or 'down', got 'sideways'"),
+])
+def test_transmission_pump_metadata_is_checked_on_reading(line, message, sample_dir, tmp_path,
+                                                          capsys):
+    # the linear fit does not use the pump fields, so only the reader rejects them
+    trace = tmp_path / "t.csv"
+    trace.write_text((sample_dir / "transmission_trace.csv").read_text() + line + "\n")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"fit": {"input": "t.csv"}}))
+    err = _one_line_error(["fit-transmission", "--config", str(cfg)], capsys)
+    assert err == f"error: t.csv: {message}\n"
+
+
 @pytest.mark.parametrize("value", [0, -2.25e-5])
 @pytest.mark.parametrize("key,field", [("radius_m", "radius"), ("n_eff", "n_eff")])
 def test_non_positive_ring_size_is_one_line_error(key, field, value, tmp_path, capsys):
@@ -993,7 +1076,5 @@ def test_json_output_never_holds_non_finite_numbers(bad):
     # json.dumps would write the invalid tokens NaN and Infinity
     with pytest.raises(ModelError, match="output is not valid JSON"):
         render_json({"a": [1.0, bad]})
-    with pytest.raises(ModelError, match="output is not valid JSON"):
-        render_json({"a": np.array([bad])})
     with pytest.raises(ModelError, match="output is not valid JSON"):
         render_json({"a": {"b": bad}})

@@ -38,6 +38,7 @@ from kerrsqueeze import (
     variance_spectrum,
 )
 from kerrsqueeze.core import locked_photon_number
+from kerrsqueeze.spectrum import locked_raw_variance
 from kerrsqueeze.steady_state import check_axis
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kerrsqueeze"
@@ -273,6 +274,40 @@ ETA_ENTRY_POINTS = {
 def test_eta_rule_rejects_outside_unit_interval(entry, eta):
     with pytest.raises(InvalidEfficiency):
         ETA_ENTRY_POINTS[entry](eta)
+
+
+@pytest.mark.parametrize("make", [
+    lambda direction: PumpConfig(p_in=1e-3, delta_p=[0.0], direction=direction),
+    lambda direction: TransmissionTrace(freq=np.arange(4.0), transmission=np.ones(4),
+                                        direction=direction),
+], ids=["PumpConfig", "TransmissionTrace"])
+@pytest.mark.parametrize("direction", ["sideways", "", "Up"])
+def test_direction_rule_takes_up_or_down(make, direction):
+    with pytest.raises(ModelError, match=re.escape(f"got {direction!r}")):
+        make(direction)
+
+
+@pytest.mark.parametrize("p_in", [-1.0, math.nan, math.inf])
+def test_transmission_trace_rejects_power_not_finite_and_non_negative(p_in):
+    with pytest.raises(NonPositive):
+        TransmissionTrace(freq=np.arange(4.0), transmission=np.ones(4), p_in=p_in)
+
+
+@pytest.mark.parametrize("p_th", [0.0, -8e-3, math.nan])
+def test_g_opt_from_threshold_rejects_threshold_not_positive(p_th):
+    with pytest.raises(NonPositive, match=re.escape(f"p_th must be > 0, got {p_th}")):
+        g_opt_from_threshold(p_th, 515e6, 192e6, 1550e-9)
+
+
+@pytest.mark.parametrize("phi_lo,bad", [(math.nan, "nan"), ([0.0, math.inf], "inf"),
+                                        ([-math.inf, math.nan], "-inf")])
+def test_lo_phase_must_be_finite(phi_lo, bad):
+    # the first phase that is not finite is named, in C order
+    message = re.escape(f"LO phase must be finite, got {bad} rad")
+    with pytest.raises(ModelError, match=message):
+        variance_spectrum(PARAMS, _locked_branch(), 1e8, phi_lo)
+    with pytest.raises(ModelError, match=message):
+        locked_raw_variance(0.5, 1.2, 2.9, phi_lo)
 
 
 def test_package_raises_no_plain_value_error():
