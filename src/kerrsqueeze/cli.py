@@ -263,19 +263,15 @@ def _quality_factor(params: core.ResonatorParams) -> Optional[float]:
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
-def _fmt(v: Any, quote: Callable[[Any], str] = str) -> str:
-    """A cell's text: a bool, int, float, str or None (the last two ``quote``d)."""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ModelError(f"output value {float(v)!r} is not finite")
-        return repr(float(v))
-    if isinstance(v, int):
-        return str(int(v))
-    if isinstance(v, str) or v is None:
+def _fmt(v: Any, quote: Callable[[str], str] = str) -> str:
+    """A cell's text: a str ``quote``d, a bool, int, float or None as JSON writes it."""
+    if isinstance(v, str):
         return quote(v)
-    raise TypeError(f"Object of type {type(v).__name__} is not a table or report cell")
+    if v is not None and not isinstance(v, (int, float)):  # a bool is an int
+        raise TypeError(f"Object of type {type(v).__name__} is not a table or report cell")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ModelError(f"output value {float(v)!r} is not finite")
+    return json.dumps(v)
 
 
 def _dumps(obj: Any, **kwargs: Any) -> str:
@@ -290,7 +286,7 @@ def _not_finite(name: str, row: int, value: Any) -> ModelError:
     return ModelError(f"output column '{name}' row {row + 1}: {float(value)!r} is not finite")
 
 
-def _cells(name: str, column: Sequence[Any], quote: Callable[[Any], str] = str) -> List[str]:
+def _cells(name: str, column: Sequence[Any], quote: Callable[[str], str] = str) -> List[str]:
     """``_fmt`` of each cell; a NaN or an infinity names the column and row."""
     cells = []
     for row, v in enumerate(column):
@@ -301,9 +297,8 @@ def _cells(name: str, column: Sequence[Any], quote: Callable[[Any], str] = str) 
     return cells
 
 
-def _csv_quote(v: Any) -> str:
+def _csv_quote(text: str) -> str:
     """A CSV string cell, quoted as RFC 4180 asks when it holds ',', '"', CR or LF."""
-    text = str(v)
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
@@ -318,11 +313,11 @@ class Coded(NamedTuple):
     codes: np.ndarray
 
 
-def _texts(name: str, column: Sequence[Any], csv: bool) -> Tuple[np.ndarray, np.ndarray, int]:
-    """(texts, codes, pad): a column's cells (a Coded column's values) as the
-    rows of a uint8 array, each padded with ``pad``, and each row's index into it.
-    Floats are repr, padded with NUL; other cells are ``_fmt`` text quoted for
-    the format in UTF-8, padded with 0xFF (a byte UTF-8 never holds) if one holds NUL."""
+def _texts(name: str, column: Sequence[Any], csv: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """(texts, codes): a column's cells (a Coded column's values) as the rows of
+    a uint8 array, each padded with NUL, and each row's index into it. Floats
+    are repr; other cells are ``_fmt`` text quoted for the format in UTF-8 (of
+    which only a CSV string can hold NUL: JSON writes it as \\u0000)."""
     import numpy as np
 
     values, codes = column if isinstance(column, Coded) else (column, np.arange(len(column)))
@@ -338,14 +333,16 @@ def _texts(name: str, column: Sequence[Any], csv: bool) -> Tuple[np.ndarray, np.
         texts = repr_rows(values)
         reach = texts.any(axis=0)  # the bytes some text reaches
         texts = texts[:, reach.argmax():reach.size - reach[::-1].argmax()]
-        return np.ascontiguousarray(texts), codes, 0
+        return np.ascontiguousarray(texts), codes
     quote = _csv_quote if csv else json.dumps
     cells = _cells(name, values.tolist() if isinstance(values, np.ndarray) else values, quote)
     data = [c.encode() for c in cells]
+    # NUL pads the texts, so no row's may hold one; a value no row shows may
+    if np.array([b"\0" in d for d in data], bool)[codes].any():
+        raise ModelError(f"table column {name!r} holds a NUL character")
     width = max(map(len, data), default=0)
-    pad = 0xFF if any(b"\0" in d for d in data) else 0
-    padded = b"".join(d.ljust(width, bytes([pad])) for d in data)
-    return np.frombuffer(padded, np.uint8).reshape(len(data), width), codes, pad
+    padded = b"".join(d.ljust(width, b"\0") for d in data)
+    return np.frombuffer(padded, np.uint8).reshape(len(data), width), codes
 
 
 _ROWS_PER_BLOCK = 4096  # the block and its mask stay in the cache
@@ -363,13 +360,13 @@ def _table(names: Sequence[str], columns: Sequence[Sequence[Any]],
                          f"and {len(columns)} columns")
     cols = [_texts(name, column, csv) for name, column in zip(names, columns)]
     n = len(cols[0][1]) if cols else 0
-    for name, (_, codes, _) in zip(names, cols):
+    for name, (_, codes) in zip(names, cols):
         if len(codes) != n:
             raise ModelError(f"table column {name!r} has {len(codes)} rows, "
                              f"column {names[0]!r} has {n}")
     lead, sep, tail = (b"", b",", b"\n") if csv else (b"    [\n      ", b",\n      ", b"\n    ],\n")
     layout, slots = bytearray(lead), []
-    for texts, _, _ in cols:
+    for texts, _ in cols:
         layout += sep if slots else b""
         slots.append(slice(len(layout), len(layout) + texts.shape[1]))
         layout += bytes(texts.shape[1])
@@ -379,34 +376,29 @@ def _table(names: Sequence[str], columns: Sequence[Sequence[Any]],
     def rows(start: int, stop: int) -> Iterator[np.ndarray]:
         for a in range(start, stop, _ROWS_PER_BLOCK):
             block = buffer[:min(stop - a, _ROWS_PER_BLOCK)]
-            for (texts, codes, _), slot in zip(cols, slots):
+            for (texts, codes), slot in zip(cols, slots):
                 block[:, slot] = texts.take(codes[a:a + len(block)], axis=0)
-            keep = block != 0
-            for (_, _, pad), slot in zip(cols, slots):
-                if pad:
-                    keep[:, slot] = block[:, slot] != pad
-            yield block[keep]
+            yield block[block != 0]
 
     if not csv:  # no comma after the last row
         body = [*rows(0, n)]
         body = [b"[\n", *body[:-1], body[-1][:-2], b"\n  ]"] if body else [b"[]"]
         head = json.dumps({"columns": list(names)}, indent=2)[:-2].encode()
         return b"".join([head, b',\n  "rows": ', *body, b"\n}\n"])
-    # a '#' line goes before the row of its index (-1: the header); lines that
-    # share an index keep their order
-    lines = sorted(((min(i, n), f"# {line}\n".encode()) for i, line in meta), key=lambda m: m[0])
-    parts, start = [line for i, line in lines if i < 0] + [",".join(names).encode() + b"\n"], 0
-    for i, line in lines:
-        if i >= 0:
-            parts += [*rows(start, i), line]
-            start = i
+    # a '#' line goes before the row of its index, in ascending index order
+    parts, start = [",".join(names).encode() + b"\n"], 0
+    for i, line in meta:
+        if not start <= i <= n:
+            raise ModelError(f"'#' line {line!r} at row {i}: need a row in [{start}, {n}]")
+        parts += [*rows(start, i), f"# {line}\n".encode()]
+        start = i
     return b"".join([*parts, *rows(start, n)])
 
 
 def render_csv(names: Sequence[str], columns: Sequence[Sequence[Any]],
                meta: Sequence[Tuple[int, str]] = ()) -> bytes:
     """CSV bytes from equal-length columns, with '#' metadata lines inserted
-    before the given row indices (-1: before the header)."""
+    before the given row indices, which ascend."""
     return _table(names, columns, meta, csv=True)
 
 
@@ -568,8 +560,10 @@ def _budget_from_obj(obj: Any, where: str) -> detection.LossBudget:
     for i, item in enumerate(obj):
         if not isinstance(item, dict) or "label" not in item or "loss_db" not in item:
             raise SchemaError(f"{where}: entry {i}: need 'label' and 'loss_db'")
-        loss = _number(item["loss_db"], f"{where}: entry {i}: 'loss_db'")
-        entries.append((str(item["label"]), loss))
+        label = item["label"]
+        if not isinstance(label, str):
+            raise SchemaError(f"{where}: entry {i}: 'label' must be a string, got {label!r}")
+        entries.append((label, _number(item["loss_db"], f"{where}: entry {i}: 'loss_db'")))
     return _schema(where, detection.LossBudget, tuple(entries))
 
 

@@ -373,7 +373,6 @@ def injection_locking_point(
     delta_p_lock = -(params.g_opt + params.g_th) * n_lock
     if not math.isfinite(delta_p_lock):
         raise ModelError(f"locking detuning is not finite at p_in = {p_in}")
-    delta_cl = delta_p_lock + (params.g_opt + params.g_th) * n_lock
-    delta_f = delta_cl + params.g_opt * n_lock
-    alpha_phase = math.atan2(delta_cl, total_loss(params) / 2.0)
-    return delta_p_lock, SteadyStateBranch(n_lock, delta_cl, delta_f, True, alpha_phase)
+    # delta_cl = delta_p_lock + (g_opt + g_th) n_lock and alpha_phase are exactly
+    # +0.0; delta_f = delta_cl + g_opt n_lock, so a g_opt of -0.0 gives +0.0 there
+    return delta_p_lock, SteadyStateBranch(n_lock, 0.0, 0.0 + params.g_opt * n_lock, True, 0.0)

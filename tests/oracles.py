@@ -340,8 +340,10 @@ def py_tree(obj):
 
 def csv_cell(value):
     """A CSV cell by the rules the writer states: a float by repr, a bool as
-    true/false, an int in decimal and anything else as its text, quoted as
-    RFC 4180 asks when it holds ',', '"', CR or LF."""
+    true/false, an int in decimal, None as null and anything else as its text,
+    quoted as RFC 4180 asks when it holds ',', '"', CR or LF."""
+    if value is None:
+        return "null"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
@@ -356,8 +358,8 @@ def csv_cell(value):
 
 def csv_table(names, columns, meta=()):
     """CSV bytes of a table, one cell and one line at a time, with each
-    '# line' of ``meta`` inserted before the row of its index (-1: before the
-    header) as the writer did before it assembled tables in numpy."""
+    '# line' of ``meta`` inserted before the row of its index as the writer did
+    before it assembled tables in numpy."""
     cells = [column.tolist() if isinstance(column, np.ndarray) else column for column in columns]
     lines = [",".join(names), *(",".join(map(csv_cell, row)) for row in zip(*cells))]
     for idx, line in reversed(sorted(meta, key=lambda m: m[0])):

@@ -118,6 +118,15 @@ class TestLinearResonanceFit:
             fit_linear_resonance(make_trace(noise=0.02, seed=1), "over",
                                  max_residual=1e-4)
 
+    def test_a_peak_fits_to_negative_rates_and_is_poor_fit(self):
+        # a Lorentzian peak over a baseline below 1: only rates of opposite
+        # sign give a lineshape above 1
+        freq = np.linspace(-5e9, 5e9, 201)
+        peak = 0.9 + 2.0 / (1.0 + (freq / 3e8) ** 2)
+        with pytest.raises(PoorFit, match="unphysical"):
+            fit_linear_resonance(TransmissionTrace(freq=freq, transmission=peak), "over",
+                                 max_residual=10.0)
+
     @pytest.mark.parametrize("column,value", [
         ("freq", -1e300),  # the residual at the starting point is NaN
         ("transmission", -1e300),  # the residual norms overflow
@@ -178,6 +187,16 @@ class TestShiftCoefficientFit:
         traces = self.make_set(1.6, (1e-15, 2e-15))
         with pytest.raises(Degenerate):
             fit_shift_coefficient(traces, 500e6, 50e6, OM)
+
+    def test_dip_at_a_non_negative_detuning_starts_from_a_small_shift(self):
+        # on a grid through 0 the weak shift leaves the strongest dip at 0, so
+        # the dip offset gives no starting shift and a small one stands in
+        freq = np.linspace(-4e9, 4e9, 121)
+        traces = [TransmissionTrace(freq=freq, transmission=shifted_trace(1.6, 500e6, 50e6, p,
+                                                                          OM, freq),
+                                    p_in=p, direction="down") for p in (2e-5, 1.2e-4)]
+        assert freq[np.argmin(traces[1].transmission)] >= 0.0
+        assert fit_shift_coefficient(traces, 500e6, 50e6, OM) == pytest.approx(1.6, rel=1e-6)
 
     def test_needs_two_traces(self):
         traces = self.make_set(1.6, (1e-4,))
@@ -247,6 +266,15 @@ class TestDispersionFit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # and no numpy warning on the way
             with pytest.raises(PoorFit):
+                fit_dispersion(entries)
+
+    def test_error_bars_out_of_float_range_are_poor_fit(self):
+        # finite coefficients, but mode numbers far from 0 and a huge scatter
+        # overflow the covariance of omega_0
+        entries = [(10**15 + i, 1e120 * w) for i, w in enumerate((1.0, 3.0, 1.0, 3.0, 1.0))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PoorFit, match="error bars out of float range"):
                 fit_dispersion(entries)
 
     def test_singular_normal_matrix_is_rank_deficient(self):

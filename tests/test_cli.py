@@ -431,6 +431,9 @@ _BLOCKED_MAIN = ("import sys; sys.modules[%r] = None; from kerrsqueeze.cli impor
      None, None, False),
     # the package namespace is lazy, so the CLI can set BLAS threading first
     ("import sys, kerrsqueeze; assert 'numpy' not in sys.modules", None, None, False),
+    # a submodule is an attribute of the package before anything imports it
+    ("import sys, kerrsqueeze; assert 'kerrsqueeze.spectrum' not in sys.modules; "
+     "assert kerrsqueeze.spectrum is sys.modules['kerrsqueeze.spectrum']", None, None, False),
     # the CLI imports numpy only where it builds arrays, the closed-form modules
     # never, and the float-array cell writer only where it writes a float array
     ("import sys, kerrsqueeze.cli, kerrsqueeze.core, "
@@ -445,8 +448,8 @@ _BLOCKED_MAIN = ("import sys; sys.modules[%r] = None; from kerrsqueeze.cli impor
     (_BLOCKED_MAIN % "numpy", "threshold", "config_threshold.json", True),
     (_BLOCKED_MAIN % "numpy", "report", "config_report.json", True),
     (_BLOCKED_MAIN % "numpy", "losses", "config_losses.json", True),
-], ids=["cli-without-scipy", "package-without-numpy", "cli-without-numpy",
-        "fit-transmission-with-scipy-blocked", "threshold-with-numpy-blocked",
+], ids=["cli-without-scipy", "package-without-numpy", "submodule-as-attribute",
+        "cli-without-numpy", "fit-transmission-with-scipy-blocked", "threshold-with-numpy-blocked",
         "report-with-numpy-blocked", "losses-with-numpy-blocked",
         "threshold-csv-with-numpy-blocked", "report-csv-with-numpy-blocked",
         "losses-csv-with-numpy-blocked"])
@@ -874,10 +877,19 @@ _BUDGET_LIST = "expected a list of {label, loss_db} entries"
     ("fit-transmission", {"fit": {"input": str(_SAMPLES / "transmission_trace.csv"),
                                   "coupling_regime": "critical"}}, {},
      "config key 'fit.coupling_regime': expected 'over' or 'under'"),
+    ("losses", {"losses": {"entries": [{"label": None, "loss_db": -1.0}]}}, {},
+     "losses.entries: entry 0: 'label' must be a string, got None"),
+    ("losses", {"losses": {"budget_path": "b.json"}},
+     {"b.json": '[{"label": "chip", "loss_db": -1.0}, {"label": [1, 2], "loss_db": -0.5}]'},
+     "b.json: entry 1: 'label' must be a string, got [1, 2]"),
+    ("fit-dispersion", {"dispersion": {"input": "r.csv"}},
+     {"r.csv": "mu,omega_rad_s\n0,1.0e15\n1.5,1.1e15\n2,1.2e15\n"},
+     "r.csv: column 'mu': mode numbers must be integers"),
 ], ids=["top-level-list", "section-list", "missing-number", "missing-number-list",
         "unknown-direction", "losses-without-budget", "detection-without-source",
         "no-resonance", "header-without-rows", "entries-not-a-list", "budget-file-not-a-list",
-        "unknown-spectrum-mode", "unknown-coupling-regime"])
+        "unknown-spectrum-mode", "unknown-coupling-regime", "null-label", "list-label-in-file",
+        "fractional-mode-number"])
 def test_input_rules_are_exact_one_line_errors(cmd, config, files, message, tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(config))
@@ -1019,7 +1031,7 @@ def test_locking_spectrum_locks_each_power_once(tmp_path, monkeypatch):
                                       ("report", ["p_th_model_w", "p_th_w"])])
 def test_absent_threshold_is_null(cmd, keys, tmp_path):
     # without Kerr gain there is no threshold; JSON has no Infinity, so the
-    # report writes null there, and the key,value CSV writes None
+    # report writes null there, and the key,value CSV writes null as well
     cfg = _sample_with(cmd, "resonator", "g_opt_rad_s", 0.0)
     cfg.get("report", {}).pop("p_th_w", None)
     path = tmp_path / "c.json"
@@ -1029,8 +1041,23 @@ def test_absent_threshold_is_null(cmd, keys, tmp_path):
     body = json.loads(out.read_text())
     assert [body[k] for k in keys] == [None] * len(keys)
     assert main([cmd, "--config", str(path), "--out", str(out), "--format", "csv"]) == 0
-    assert [f"{k},None" for k in keys] == [line for line in out.read_text().splitlines()
+    assert [f"{k},null" for k in keys] == [line for line in out.read_text().splitlines()
                                            if line.split(",")[0] in keys]
+
+
+def test_threshold_without_a_resonance_has_a_null_quality_factor(tmp_path):
+    # the pump frequency is given, so the threshold needs no resonance, but
+    # the loaded Q does
+    cfg = {"resonator": {"kappa_rad_s": 515e6, "gamma_rad_s": 192e6, "g_opt_rad_s": 1.4},
+           "pump": {"omega_p_rad_s": 1.2e15}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.json"
+    assert main(["threshold", "--config", str(path), "--out", str(out)]) == 0
+    body = json.loads(out.read_text())
+    assert body["quality_factor"] is None and body["omega_p_rad_s"] == 1.2e15
+    assert main(["threshold", "--config", str(path), "--out", str(out), "--format", "csv"]) == 0
+    assert "quality_factor,null" in out.read_text().splitlines()
 
 
 def test_report_phase_at_a_tiny_drive_ratio_is_minus_pi_over_4(tmp_path):

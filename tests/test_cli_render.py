@@ -225,21 +225,23 @@ _array_elements = {"f8": st.one_of(_finite, st.sampled_from([0.0, -0.0])), "f4":
 
 
 @st.composite
-def _tables(draw):
+def _tables(draw, nul=True):
     """(names, columns, meta): up to 4 columns of one kind each, 0 to 5 rows,
-    and '#' lines at indices from -1 (before the header) to the row count, in
-    any order and with repeats."""
+    and '#' lines at ascending indices from 0 to the row count, with repeats;
+    ``nul=False`` draws no NUL into a string cell, which a CSV cell cannot hold."""
     rows = draw(st.integers(min_value=0, max_value=5))
     names, columns = [], []
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         names.append(draw(_text))
         kind = draw(st.sampled_from(["tuple", *_array_elements]))
         element = _scalar if kind == "tuple" else _array_elements[kind]
+        if not nul:
+            element = element.filter(lambda v: not (isinstance(v, str) and "\0" in v))
         cells = draw(st.lists(element, min_size=rows, max_size=rows))
         columns.append(tuple(cells) if kind == "tuple" else np.array(cells, dtype=kind))
     end = rows if columns else 0  # a table without columns has no rows
-    meta = draw(st.lists(st.tuples(st.integers(min_value=-1, max_value=end), _text), max_size=4))
-    return names, columns, meta
+    at = sorted(draw(st.lists(st.integers(min_value=0, max_value=end), max_size=4)))
+    return names, columns, [(i, draw(_text)) for i in at]
 
 
 @settings(max_examples=300, deadline=None)
@@ -253,24 +255,48 @@ def test_json_table_matches_json_dumps_of_the_old_tree(table):
 
 
 @settings(max_examples=300, deadline=None)
-@given(table=_tables())
-# a NUL inside a string cell, which st.text seldom draws
-@example(table=(["u", "t"], [np.array(["a\x00b"]), ("\x00",)], [(1, "\x00")]))
+@given(table=_tables(nul=False))
 def test_csv_table_matches_the_per_cell_writer(table):
     assert cli._render(table, "csv") == cli._render(table, None) == csv_table(*table)
 
 
 def test_csv_string_cells_keep_every_byte():
-    # NUL pads the float texts, but a NUL inside a string cell is written
-    texts = ["\x00", "a\x00b", "\x00,", "é", "日本", ",", '"', 'x,"y"', "", "\r\n"]
+    texts = ["é", "日本", ",", '"', 'x,"y"', "", "\r\n"]
     columns = [np.array(texts), tuple(texts), np.array([0.5] * len(texts))]
     assert cli.render_csv(["u", "t", "f"], columns) == csv_table(["u", "t", "f"], columns)
-    # numpy drops a string's trailing NULs; a tuple keeps them
-    assert cli.render_csv(["u", "t"], [np.array(["\x00"]), ("\x00",)]) == b"u,t\n,\x00\n"
-    assert cli.render_csv(["t"], [("é,\x00", "\x00\x00")]) == _csv_lines(
-        "t", '"é,\x00"', "\x00\x00")
+    # numpy drops a string's trailing NULs, so this cell is empty
+    assert cli.render_csv(["u"], [np.array(["\x00"])]) == b"u\n\n"
+    # NUL pads the texts, so a CSV string cell that holds one is an error; JSON
+    # writes it as \u0000
+    for column in [("\x00",), ("a\x00b",), ("\x00,",), ("é,\x00",), ("\x00\x00",),
+                   np.array(["a\x00b"]), np.array(["\x00,"])]:
+        with pytest.raises(ModelError, match="table column 't' holds a NUL character"):
+            cli.render_csv(["t"], [column])
     assert cli._render((["t"], [("\x00",)], ()), "json") == (
         b'{\n  "columns": [\n    "t"\n  ],\n  "rows": [\n    [\n      "\\u0000"\n    ]\n  ]\n}\n')
+
+
+def test_nul_cells_and_unordered_comment_lines_are_refused():
+    # NUL is the only pad byte, so a CSV string cell that holds one raises in
+    # an array column and in a tuple column alike; JSON escapes it and renders
+    names = ["f", "t"]
+    for column in (np.array(["a", "b\x00c"]), ("a", "b\x00c")):
+        columns = [np.array([0.5, 1.5]), column]
+        with pytest.raises(ModelError) as err:
+            cli.render_csv(names, columns)
+        assert str(err.value) == "table column 't' holds a NUL character"
+        assert json.loads(cli._render((names, columns, ()), "json"))["rows"] == [
+            [0.5, "a"], [1.5, "b\x00c"]]
+    # '#' lines go before rows 0 .. n in ascending order, and nowhere else
+    columns = [np.array([0.5, 1.5]), ("a", "b")]
+    assert cli.render_csv(names, columns, [(0, "x"), (2, "y"), (2, "z")]) == _csv_lines(
+        "f,t", "# x", "0.5,a", "1.5,b", "# y", "# z")
+    for meta, message in [([(-1, "x")], "'#' line 'x' at row -1: need a row in [0, 2]"),
+                          ([(3, "x")], "'#' line 'x' at row 3: need a row in [0, 2]"),
+                          ([(1, "x"), (0, "y")], "'#' line 'y' at row 0: need a row in [1, 2]")]:
+        with pytest.raises(ModelError) as err:
+            cli.render_csv(names, columns, meta)
+        assert str(err.value) == message
 
 
 def _outcome(render):
@@ -291,10 +317,13 @@ _CODED64 = SPECIAL64 + np.array([math.nan, math.inf, -math.inf]).view(np.int64).
        codes=st.lists(st.integers(min_value=0, max_value=10**6), max_size=40),
        words=st.lists(_text, min_size=1, max_size=4))
 @example(pool=[np.array(math.nan).view(np.int64).item(), 0], codes=[1, 1], words=["up"])
+# a CSV string value that holds NUL, which no row shows or which a row shows
+@example(pool=[0], codes=[0], words=["up", "\x00a"])
+@example(pool=[0], codes=[0], words=["\x00a"])
 def test_coded_columns_render_as_the_arrays_of_their_rows(pool, codes, words):
     # values may repeat, hold both zeros and subnormals, or go unused, and the
-    # codes come in any order; a NaN or an infinity is an error only where a
-    # row shows it, named by that row
+    # codes come in any order; a NaN or an infinity, or a NUL in a CSV string,
+    # is an error only where a row shows it
     values = np.array(pool, dtype=np.int64).view(np.float64)
     codes = np.array(codes, dtype=np.intp) % values.size
     texts = np.array(words)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kerrsqueeze import PoorFit, TransmissionTrace, characterize
-from kerrsqueeze._lm import enorm, least_squares_lm
+from kerrsqueeze._lm import DWARF, _lmpar, enorm, least_squares_lm
 
 SAMPLE_TRACE = Path(__file__).resolve().parent.parent / "sample_data" / "transmission_trace.csv"
 
@@ -95,6 +95,14 @@ def _wall(fill):
 def test_infinite_residual_mid_run_is_a_rejected_step():
     x = least_squares_lm(_wall(math.inf), [0.0], [1.0])
     assert 1.9 < x[0] <= 2.0
+
+
+def test_an_underflowing_gradient_gives_the_smallest_positive_parameter():
+    # R^T Q^T f = 1e-200 * 1e-200 underflows to 0 while the Gauss-Newton step
+    # (1.0) leaves the trust radius 0.1: the bound on the parameter takes its
+    # safety value, and the search starts from DWARF, not from 0
+    par, x = _lmpar([[1e-200]], [0], [1.0], [1e-200], 0.1, 0.0)
+    assert par == DWARF and 0.0 < x[0] <= 0.1
 
 
 @pytest.mark.parametrize("fun,x0", [

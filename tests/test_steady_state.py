@@ -3,7 +3,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kerrsqueeze import (
     HBAR,
@@ -240,11 +240,36 @@ class TestInjectionLocking:
         assert dpl == 0.0
         assert b.n == 0.0
 
+    def test_pump_defaults_to_the_cold_resonance(self, strong_params):
+        assert (injection_locking_point(strong_params, 4e-3)
+                == injection_locking_point(strong_params, 4e-3, strong_params.resonance_omega))
+
     def test_transmission_at_lock_is_dip_minimum(self, strong_params):
         _, b = injection_locking_point(strong_params, 4e-3, OM)
         t = transmission(strong_params, b)
         k, g = strong_params.kappa, strong_params.gamma
         assert t == pytest.approx((k - g) ** 2 / (k + g) ** 2, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kappa=st.floats(min_value=1e3, max_value=1e12),
+    gamma=st.floats(min_value=0.0, max_value=1e12),
+    g_opt=st.one_of(st.floats(min_value=0.0, max_value=1e3), st.sampled_from([0.0, -0.0])),
+    g_th=st.one_of(st.floats(min_value=0.0, max_value=1e3), st.just(0.0)),
+    p_in=st.one_of(st.floats(min_value=0.0, max_value=10.0), st.just(0.0)),
+)
+@example(kappa=5e8, gamma=5e7, g_opt=-0.0, g_th=0.0, p_in=1e-3)
+def test_locked_branch_is_in_closed_form(kappa, gamma, g_opt, g_th, p_in):
+    # delta_cl = delta_p_lock + (g_opt + g_th) n is (-x) + x, which is +0.0 for
+    # every finite x, so the field is in phase with the input; a g_opt of
+    # -0.0 leaves delta_f = delta_cl + g_opt n at +0.0
+    params = ResonatorParams(kappa=kappa, gamma=gamma, g_opt=g_opt, g_th=g_th)
+    _, branch = injection_locking_point(params, p_in, OM)
+    for value in (branch.delta_cl, branch.alpha_phase, branch.delta_f):
+        assert math.copysign(1.0, value) == 1.0
+    assert branch.delta_cl == branch.alpha_phase == 0.0
+    assert branch.delta_f == g_opt * branch.n
 
 
 @settings(max_examples=60, deadline=None)
