@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple, Union)
 
 from . import core
 from .errors import ModelError, SchemaError
@@ -313,11 +314,31 @@ class Coded(NamedTuple):
     codes: np.ndarray
 
 
+def _encoded(name: str, values: Sequence[Any], csv: bool) -> List[bytes]:
+    """The ``_fmt`` text of each cell, quoted for the format, in UTF-8. Of these
+    only a CSV string can hold NUL (JSON writes it as \\u0000), and NUL pads the
+    writer's texts, so no cell that a row shows may hold one."""
+    return [c.encode() for c in _cells(name, values, _csv_quote if csv else json.dumps)]
+
+
+def _nul_cell(name: str) -> ModelError:
+    return ModelError(f"table column {name!r} holds a NUL character")
+
+
+def _row_count(names: Sequence[str], lengths: Sequence[int]) -> int:
+    """The rows of columns with these lengths, which must all be the same."""
+    n = lengths[0] if lengths else 0
+    for name, length in zip(names, lengths):
+        if length != n:
+            raise ModelError(f"table column {name!r} has {length} rows, "
+                             f"column {names[0]!r} has {n}")
+    return n
+
+
 def _texts(name: str, column: Sequence[Any], csv: bool) -> Tuple[np.ndarray, np.ndarray]:
     """(texts, codes): a column's cells (a Coded column's values) as the rows of
     a uint8 array, each padded with NUL, and each row's index into it. Floats
-    are repr; other cells are ``_fmt`` text quoted for the format in UTF-8 (of
-    which only a CSV string can hold NUL: JSON writes it as \\u0000)."""
+    are repr; other cells are ``_encoded``."""
     import numpy as np
 
     values, codes = column if isinstance(column, Coded) else (column, np.arange(len(column)))
@@ -331,40 +352,41 @@ def _texts(name: str, column: Sequence[Any], csv: bool) -> Tuple[np.ndarray, np.
                 raise _not_finite(name, int(rows[0]), values[codes[rows[0]]])
             values = np.where(bad, 0.0, values)  # no row shows them
         texts = repr_rows(values)
-        reach = texts.any(axis=0)  # the bytes some text reaches
+        # the bytes some text reaches, from an OR of the rows' 8-byte words:
+        # over a (-1, 4096) view first, whose rows reduce at full vector width
+        words = texts.view(np.uint64).ravel()
+        cut = words.size - words.size % 4096
+        acc = np.bitwise_or.reduce(words[:cut].reshape(-1, 4096), axis=0)
+        acc = np.bitwise_or.reduce(np.concatenate([acc, words[cut:]]).reshape(-1, 4), axis=0)
+        reach = acc.view(np.uint8) != 0
         texts = texts[:, reach.argmax():reach.size - reach[::-1].argmax()]
         return np.ascontiguousarray(texts), codes
-    quote = _csv_quote if csv else json.dumps
-    cells = _cells(name, values.tolist() if isinstance(values, np.ndarray) else values, quote)
-    data = [c.encode() for c in cells]
-    # NUL pads the texts, so no row's may hold one; a value no row shows may
+    data = _encoded(name, values.tolist() if isinstance(values, np.ndarray) else values, csv)
+    # a value no row shows may hold NUL
     if np.array([b"\0" in d for d in data], bool)[codes].any():
-        raise ModelError(f"table column {name!r} holds a NUL character")
+        raise _nul_cell(name)
     width = max(map(len, data), default=0)
     padded = b"".join(d.ljust(width, b"\0") for d in data)
     return np.frombuffer(padded, np.uint8).reshape(len(data), width), codes
 
 
+# the bytes of rows start to stop, as one or more bytes-like parts
+Rows = Callable[[int, int], Iterable[Any]]
+Frame = Tuple[bytes, bytes, bytes]  # the bytes before, between and after a row's cells
+
 _ROWS_PER_BLOCK = 4096  # the block and its mask stay in the cache
 
 
-def _table(names: Sequence[str], columns: Sequence[Sequence[Any]],
-           meta: Sequence[Tuple[int, str]], csv: bool) -> bytes:
-    """A table's CSV or JSON bytes, assembled in blocks of rows: a uint8 block
-    holds each row's fixed bytes and, in each cell's slot, its column's padded
-    text gathered by row; the block is then written without the padding."""
+def _blocks(names: Sequence[str], columns: Sequence[Sequence[Any]], csv: bool,
+            frame: Frame) -> Tuple[int, Rows]:
+    """(n, rows) of a table, assembled in blocks of rows: a uint8 block holds
+    each row's fixed bytes and, in each cell's slot, its column's padded text
+    gathered by row; the block is then written without the padding."""
     import numpy as np
 
-    if len(names) != len(columns):
-        raise ModelError(f"table has {len(names)} column names {list(names)!r} "
-                         f"and {len(columns)} columns")
     cols = [_texts(name, column, csv) for name, column in zip(names, columns)]
-    n = len(cols[0][1]) if cols else 0
-    for name, (_, codes) in zip(names, cols):
-        if len(codes) != n:
-            raise ModelError(f"table column {name!r} has {len(codes)} rows, "
-                             f"column {names[0]!r} has {n}")
-    lead, sep, tail = (b"", b",", b"\n") if csv else (b"    [\n      ", b",\n      ", b"\n    ],\n")
+    n = _row_count(names, [len(codes) for _, codes in cols])
+    lead, sep, tail = frame
     layout, slots = bytearray(lead), []
     for texts, _ in cols:
         layout += sep if slots else b""
@@ -380,6 +402,36 @@ def _table(names: Sequence[str], columns: Sequence[Sequence[Any]],
                 block[:, slot] = texts.take(codes[a:a + len(block)], axis=0)
             yield block[block != 0]
 
+    return n, rows
+
+
+def _joined(names: Sequence[str], columns: Sequence[Sequence[Any]], csv: bool,
+            frame: Frame) -> Tuple[int, Rows]:
+    """(n, rows) of a table of lists and tuples, without numpy: each row is its
+    ``_encoded`` cells joined in the frame."""
+    cols = []
+    for name, column in zip(names, columns):
+        data = _encoded(name, column, csv)
+        if any(b"\0" in d for d in data):
+            raise _nul_cell(name)
+        cols.append(data)
+    n = _row_count(names, [len(data) for data in cols])
+    lead, sep, tail = frame
+    table = [lead + sep.join(cells) + tail for cells in zip(*cols)]
+    return n, lambda start, stop: table[start:stop]
+
+
+def _table(names: Sequence[str], columns: Sequence[Sequence[Any]],
+           meta: Sequence[Tuple[int, str]], csv: bool) -> bytes:
+    """A table's CSV or JSON bytes. A table whose columns are all lists or
+    tuples (the locking table) is ``_joined`` a row at a time without numpy;
+    any other is assembled in ``_blocks``."""
+    if len(names) != len(columns):
+        raise ModelError(f"table has {len(names)} column names {list(names)!r} "
+                         f"and {len(columns)} columns")
+    frame = (b"", b",", b"\n") if csv else (b"    [\n      ", b",\n      ", b"\n    ],\n")
+    plain = all(type(column) in (list, tuple) for column in columns)
+    n, rows = (_joined if plain else _blocks)(names, columns, csv, frame)
     if not csv:  # no comma after the last row
         body = [*rows(0, n)]
         body = [b"[\n", *body[:-1], body[-1][:-2], b"\n  ]"] if body else [b"[]"]
@@ -969,13 +1021,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         result = _DISPATCH[args.command](load_config(args.config))
         data = _render(result, args.out_format)
         if args.out is None:
-            sys.stdout.buffer.write(data)
+            _write_stdout(data)
         else:
             Path(args.out).write_bytes(data)
     except (ModelError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0
+
+
+def _write_stdout(data: bytes) -> None:
+    """Writes ``data`` to stdout and flushes it, so a reader that has gone is
+    an OSError here rather than at interpreter exit. The bytes it leaves
+    buffered then go to the null device, where the exit's flush cannot fail."""
+    try:
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise
 
 
 if __name__ == "__main__":

@@ -26,13 +26,17 @@ import math
 import struct
 from dataclasses import dataclass
 from itertools import repeat
-from typing import List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from .core import (ResonatorParams, check_direction, check_omega_p, check_power,
                    locked_photon_number, total_loss)
 from .errors import EmptyTrace, ModelError
+
+# numpy is imported inside the functions that build arrays, so the closed forms
+# (injection_locking_point, transmission, lineshape on floats) and the CLI's
+# locking command run without it
+if TYPE_CHECKING:
+    import numpy as np
 
 # Below this nonlinearity ratio the cubic terms are under 1e-8 of the linear
 # ones for every u in (0, 1]; the closed form would lose the root to
@@ -44,6 +48,8 @@ def check_axis(values: Union[Sequence[float], np.ndarray], name: str) -> np.ndar
     """``values`` as a float64 sample axis: 1-d, non-empty (else EmptyTrace), finite
     and strictly monotone (else ModelError). Finiteness is tested before the
     steps are taken; a step beyond the float range is an infinity of its sign."""
+    import numpy as np
+
     axis = np.asarray(values, dtype=float)
     if axis.ndim != 1:
         raise ModelError(f"{name} must be 1-d")
@@ -73,6 +79,8 @@ class PumpConfig:
     direction: str = "down"
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         check_power(self.p_in)
         object.__setattr__(self, "delta_p", check_axis(np.atleast_1d(self.delta_p), "delta_p"))
         if self.omega_p is not None:
@@ -120,6 +128,8 @@ class SweepTrace:
 
     @functools.cached_property
     def alpha_phase(self) -> np.ndarray:
+        import numpy as np
+
         # math.atan2, not np.arctan2: the two differ in the last bit on some inputs
         return np.fromiter(map(math.atan2, self.delta_cl.tolist(), repeat(self.total_loss / 2.0)),
                            float, count=self.delta_cl.size)
@@ -129,6 +139,8 @@ def _operating_columns(
     params: ResonatorParams, delta_p: np.ndarray, n: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(delta_cl, delta_f) at cold detunings ``delta_p`` and photon numbers ``n``."""
+    import numpy as np
+
     # out of the float range these come out inf, as with Python floats
     with np.errstate(over="ignore", invalid="ignore"):
         delta_cl = delta_p + (params.g_opt + params.g_th) * n
@@ -141,6 +153,8 @@ def _solve_scaled(g: float, delta: np.ndarray) -> np.ndarray:
 
     Returns an (K, 3) array, ascending per row, NaN-padded; ``g`` >= 0.
     """
+    import numpy as np
+
     delta = np.asarray(delta, dtype=float)
     lin_c = 0.25 + delta * delta
     cand = np.full((delta.size, 3), np.nan)
@@ -156,7 +170,8 @@ def _solve_scaled(g: float, delta: np.ndarray) -> np.ndarray:
         p = (0.25 - d * d / 3.0) / (g * g)
         q = -((2.0 / 27.0) * d**3 + d / 6.0) / g**3 - 0.25 / (g * g)
         shift = 2.0 * d / (3.0 * g)
-        disc = -4.0 * p**3 - 27.0 * q * q
+        p3 = p**3
+        disc = -4.0 * p3 - 27.0 * q * q
 
         roots = np.full((d.size, 3), np.nan)
         three = disc > 0.0  # implies p < 0
@@ -170,7 +185,7 @@ def _solve_scaled(g: float, delta: np.ndarray) -> np.ndarray:
         one = ~three
         if np.any(one):
             po, qo = p[one], q[one]
-            s = np.sqrt(np.maximum(qo * qo / 4.0 + po**3 / 27.0, 0.0))
+            s = np.sqrt(np.maximum(qo * qo / 4.0 + p3[one] / 27.0, 0.0))
             w = -qo / 2.0 - np.sign(qo) * s
             alpha = np.cbrt(w)
             t = np.where(alpha != 0.0, alpha - po / (3.0 * np.where(alpha != 0.0, alpha, 1.0)), 0.0)
@@ -211,6 +226,8 @@ def _scaled_roots(g_bits: bytes, d_bits: bytes) -> Tuple[np.ndarray, np.ndarray]
     One entry is kept: a hysteresis sweep solves each power's grid once for
     both directions. Keying on bytes keeps -0.0 and 0.0 apart.
     """
+    import numpy as np
+
     (g,) = struct.unpack("d", g_bits)
     d = np.frombuffer(d_bits)
     # out of the float range the roots come out NaN and are reported by the caller
@@ -235,6 +252,8 @@ def _grid_roots(
     both arrays are read-only. Raises ModelError when some grid point has no
     finite root.
     """
+    import numpy as np
+
     n_lock = locked_photon_number(params, p_in, omega_p)
     loss = total_loss(params)
     g = (params.g_opt + params.g_th) * n_lock / loss
@@ -257,6 +276,8 @@ def steady_roots(
     Root count is 1, 2 (at a tangency) or 3. Zero pump power returns the
     single vacuum root n = 0.
     """
+    import numpy as np
+
     if omega_p is None:
         omega_p = params.resonance_omega
     grid = np.array([delta_p], dtype=float)
@@ -293,6 +314,8 @@ def _pick_roots(u: np.ndarray, stable: np.ndarray) -> np.ndarray:
     itself the pick cannot change, so Python walks only the other rows (folds
     and root-count changes) and numpy fills the runs between them.
     """
+    import numpy as np
+
     live = ~np.isnan(u)
     pool = stable | (live & ~stable.any(axis=1, keepdims=True))
     ahead = np.where(pool[1:], u[1:], np.inf).T.copy()  # a root outside the pool is never nearest
@@ -325,6 +348,8 @@ def sweep(params: ResonatorParams, pump: PumpConfig) -> SweepTrace:
     therefore followed until it folds away, which is what produces hysteresis
     between directions.
     """
+    import numpy as np
+
     grid = pump.delta_p
     omega_p = pump.omega_p if pump.omega_p is not None else params.resonance_omega
     u, stable, n_lock = _grid_roots(params, grid, pump.p_in, omega_p)

@@ -425,42 +425,48 @@ _BLOCKED_MAIN = ("import sys; sys.modules[%r] = None; from kerrsqueeze.cli impor
                  "sys.exit(main(sys.argv[1:]))")
 
 
-@pytest.mark.parametrize("code,cmd,config,csv", [
+@pytest.mark.parametrize("code,cmd,config,out_format", [
     # no subcommand needs scipy: the fits run on the package's own LM solver
     ("import sys, kerrsqueeze, kerrsqueeze.cli; assert 'scipy' not in sys.modules",
-     None, None, False),
+     None, None, None),
     # the package namespace is lazy, so the CLI can set BLAS threading first
-    ("import sys, kerrsqueeze; assert 'numpy' not in sys.modules", None, None, False),
+    ("import sys, kerrsqueeze; assert 'numpy' not in sys.modules", None, None, None),
     # a submodule is an attribute of the package before anything imports it
     ("import sys, kerrsqueeze; assert 'kerrsqueeze.spectrum' not in sys.modules; "
-     "assert kerrsqueeze.spectrum is sys.modules['kerrsqueeze.spectrum']", None, None, False),
-    # the CLI imports numpy only where it builds arrays, the closed-form modules
-    # never, and the float-array cell writer only where it writes a float array
-    ("import sys, kerrsqueeze.cli, kerrsqueeze.core, "
-     "kerrsqueeze.detection; assert 'numpy' not in sys.modules; "
-     "assert 'kerrsqueeze._floatrepr' not in sys.modules", None, None, False),
+     "assert kerrsqueeze.spectrum is sys.modules['kerrsqueeze.spectrum']", None, None, None),
+    # the CLI and steady_state import numpy only where they build arrays, the
+    # closed-form modules never, and the float-array cell writer only where it
+    # writes a float array
+    ("import sys, kerrsqueeze.cli, kerrsqueeze.core, kerrsqueeze.detection, "
+     "kerrsqueeze.steady_state; assert 'numpy' not in sys.modules; "
+     "assert 'kerrsqueeze._floatrepr' not in sys.modules", None, None, None),
     # with scipy unimportable, fit-transmission still writes the pinned bytes
-    (_BLOCKED_MAIN % "scipy", "fit-transmission", "config_fit_transmission.json", False),
-    # and with numpy unimportable, so do the closed-form reports, in both formats
-    (_BLOCKED_MAIN % "numpy", "threshold", "config_threshold.json", False),
-    (_BLOCKED_MAIN % "numpy", "report", "config_report.json", False),
-    (_BLOCKED_MAIN % "numpy", "losses", "config_losses.json", False),
-    (_BLOCKED_MAIN % "numpy", "threshold", "config_threshold.json", True),
-    (_BLOCKED_MAIN % "numpy", "report", "config_report.json", True),
-    (_BLOCKED_MAIN % "numpy", "losses", "config_losses.json", True),
+    (_BLOCKED_MAIN % "scipy", "fit-transmission", "config_fit_transmission.json", None),
+    # and with numpy unimportable, so do the closed-form reports and the locking
+    # table, in both formats
+    (_BLOCKED_MAIN % "numpy", "threshold", "config_threshold.json", None),
+    (_BLOCKED_MAIN % "numpy", "report", "config_report.json", None),
+    (_BLOCKED_MAIN % "numpy", "losses", "config_losses.json", None),
+    (_BLOCKED_MAIN % "numpy", "locking", "config_locking.json", None),
+    (_BLOCKED_MAIN % "numpy", "threshold", "config_threshold.json", "csv"),
+    (_BLOCKED_MAIN % "numpy", "report", "config_report.json", "csv"),
+    (_BLOCKED_MAIN % "numpy", "losses", "config_losses.json", "csv"),
+    (_BLOCKED_MAIN % "numpy", "locking", "config_locking.json", "json"),
 ], ids=["cli-without-scipy", "package-without-numpy", "submodule-as-attribute",
         "cli-without-numpy", "fit-transmission-with-scipy-blocked", "threshold-with-numpy-blocked",
-        "report-with-numpy-blocked", "losses-with-numpy-blocked",
+        "report-with-numpy-blocked", "losses-with-numpy-blocked", "locking-with-numpy-blocked",
         "threshold-csv-with-numpy-blocked", "report-csv-with-numpy-blocked",
-        "losses-csv-with-numpy-blocked"])
-def test_start_up_does_not_import_scipy(code, cmd, config, csv, sample_dir, tmp_path):
+        "losses-csv-with-numpy-blocked", "locking-json-with-numpy-blocked"])
+def test_start_up_does_not_import_scipy(code, cmd, config, out_format, sample_dir, tmp_path):
+    # out_format is the other format (--format json for a table, csv for a
+    # report), or None for the default
     out = tmp_path / "out.json"
     args = [] if config is None else [cmd, "--config", str(sample_dir / config), "--out", str(out)]
-    args += ["--format", "csv"] if csv else []
+    args += ["--format", out_format] if out_format else []
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     if config is not None:
-        digests = OTHER_FORMAT_DIGESTS if csv else SAMPLE_DIGESTS
+        digests = OTHER_FORMAT_DIGESTS if out_format else SAMPLE_DIGESTS
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[config]
 
 
@@ -475,9 +481,10 @@ def _numpy_imports(tree):
             or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"]
 
 
-def test_only_the_cli_imports_numpy_inside_functions():
+def test_only_the_cli_and_steady_state_import_numpy_inside_functions():
     # an array module imports numpy once at its top; only the CLI, which must
-    # start without it, imports it inside functions
+    # start without it, and steady_state, whose closed forms the locking
+    # command runs without it, import it inside functions
     in_functions = {}
     for path in sorted(_SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -486,7 +493,7 @@ def test_only_the_cli_imports_numpy_inside_functions():
                 in_functions.setdefault(path.name, []).append(fn.name)
         if path.name in ("core.py", "errors.py", "detection.py"):
             assert not _numpy_imports(tree), path.name
-    assert set(in_functions) == {"cli.py"}, in_functions
+    assert set(in_functions) == {"cli.py", "steady_state.py"}, in_functions
 
 
 def test_report_loads_no_array_module(sample_dir, tmp_path):
@@ -513,8 +520,8 @@ def test_package_namespace_exports_submodule_objects():
         kerrsqueeze.no_such_name
 
 
-def _env_without_blas_threads(**extra):
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+def _env_without(name, **extra):
+    env = {k: v for k, v in os.environ.items() if k != name}
     env.update(extra)
     return env
 
@@ -526,11 +533,70 @@ def test_console_entry_module_sets_blas_default_without_running(extra, expected)
     proc = subprocess.run(
         [sys.executable, "-c",
          "import os, kerrsqueeze.__main__; print(os.environ['OPENBLAS_NUM_THREADS'])"],
-        capture_output=True, text=True, env=_env_without_blas_threads(**extra),
+        capture_output=True, text=True, env=_env_without("OPENBLAS_NUM_THREADS", **extra),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected + "\n"
     assert proc.stderr == ""
+
+
+# a fresh interpreter running the console entry, with an atexit hook registered first
+_ENTRY_MAIN = ("import atexit, sys; atexit.register(print, 'atexit ran'); "
+               "from kerrsqueeze.__main__ import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("dev", [False, True], ids=["fast-exit", "dev-mode-finalizes"])
+def test_console_entry_exits_without_teardown_outside_dev_mode(dev, sample_dir, tmp_path):
+    # main ends the process with os._exit and the CLI's code, so the hook runs
+    # only under -X dev, where main returns the code; argparse's SystemExit for
+    # a usage error or --help leaves as it always did, through the hook
+    config = str(sample_dir / "config_threshold.json")
+    out = tmp_path / "out.json"
+    for argv, code, through_argparse in [
+        (["threshold", "--config", config, "--out", str(out)], 0, False),
+        (["threshold", "--config", str(tmp_path / "ghost.json")], 1, False),
+        (["threshold"], 2, True),
+        (["--help"], 0, True),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, *(["-X", "dev"] if dev else []), "-c", _ENTRY_MAIN, *argv],
+            capture_output=True, text=True, env=_env_without("PYTHONUNBUFFERED"))
+        assert proc.returncode == code, (argv, proc.stderr)
+        ran = proc.stdout.endswith("atexit ran\n")
+        assert ran == (dev or through_argparse), (argv, proc.stdout)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLE_DIGESTS["config_threshold.json"]
+
+
+@pytest.mark.parametrize("cmd,config", [("sweep", "config_sweep.json"),
+                                        ("report", "config_report.json")])
+def test_buffered_stdout_through_a_pipe_holds_the_pinned_bytes(cmd, config, sample_dir):
+    # on a pipe, without PYTHONUNBUFFERED, stdout is block-buffered: the bytes
+    # must be flushed before os._exit ends the process
+    proc = subprocess.run([sys.executable, "-m", "kerrsqueeze", cmd, "--config",
+                           str(sample_dir / config)],
+                          capture_output=True, env=_env_without("PYTHONUNBUFFERED"))
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == SAMPLE_DIGESTS[config]
+
+
+@pytest.mark.parametrize("dev", [False, True], ids=["fast-exit", "dev-mode-finalizes"])
+@pytest.mark.parametrize("cmd,config", [("locking", "config_locking.json"),
+                                        ("sweep", "config_sweep.json")])
+def test_a_stdout_reader_that_has_gone_is_one_error_line(cmd, config, dev, sample_dir):
+    # the pipe's read end is closed before the CLI starts; the locking table
+    # fits stdout's buffer, so the pipe fails only on the flush, and the sweep
+    # is larger than the buffer, so it fails on the write
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *(["-X", "dev"] if dev else []), "-m", "kerrsqueeze", cmd,
+             "--config", str(sample_dir / config)],
+            stdout=write, stderr=subprocess.PIPE, env=_env_without("PYTHONUNBUFFERED"))
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
 
 
 def test_cli_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -547,7 +613,7 @@ def test_cli_bytes_do_not_depend_on_blas_threads(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "kerrsqueeze", "fit-transmission",
              "--config", str(tmp_path / "c.json")],
-            capture_output=True, text=True, env=_env_without_blas_threads(**extra),
+            capture_output=True, text=True, env=_env_without("OPENBLAS_NUM_THREADS", **extra),
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)

@@ -228,17 +228,21 @@ _array_elements = {"f8": st.one_of(_finite, st.sampled_from([0.0, -0.0])), "f4":
 def _tables(draw, nul=True):
     """(names, columns, meta): up to 4 columns of one kind each, 0 to 5 rows,
     and '#' lines at ascending indices from 0 to the row count, with repeats;
-    ``nul=False`` draws no NUL into a string cell, which a CSV cell cannot hold."""
+    ``nul=False`` draws no NUL into a string cell, which a CSV cell cannot hold.
+    Half the tables hold only tuples and lists, which the writer joins without
+    numpy; the others may hold arrays too, which it assembles in blocks."""
     rows = draw(st.integers(min_value=0, max_value=5))
+    plain = draw(st.booleans())
     names, columns = [], []
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         names.append(draw(_text))
-        kind = draw(st.sampled_from(["tuple", *_array_elements]))
-        element = _scalar if kind == "tuple" else _array_elements[kind]
+        kind = draw(st.sampled_from(["tuple", "list", *([] if plain else _array_elements)]))
+        element = _array_elements.get(kind, _scalar)
         if not nul:
             element = element.filter(lambda v: not (isinstance(v, str) and "\0" in v))
         cells = draw(st.lists(element, min_size=rows, max_size=rows))
-        columns.append(tuple(cells) if kind == "tuple" else np.array(cells, dtype=kind))
+        columns.append(tuple(cells) if kind == "tuple" else cells if kind == "list"
+                       else np.array(cells, dtype=kind))
     end = rows if columns else 0  # a table without columns has no rows
     at = sorted(draw(st.lists(st.integers(min_value=0, max_value=end), max_size=4)))
     return names, columns, [(i, draw(_text)) for i in at]
@@ -287,16 +291,18 @@ def test_nul_cells_and_unordered_comment_lines_are_refused():
         assert str(err.value) == "table column 't' holds a NUL character"
         assert json.loads(cli._render((names, columns, ()), "json"))["rows"] == [
             [0.5, "a"], [1.5, "b\x00c"]]
-    # '#' lines go before rows 0 .. n in ascending order, and nowhere else
-    columns = [np.array([0.5, 1.5]), ("a", "b")]
-    assert cli.render_csv(names, columns, [(0, "x"), (2, "y"), (2, "z")]) == _csv_lines(
-        "f,t", "# x", "0.5,a", "1.5,b", "# y", "# z")
-    for meta, message in [([(-1, "x")], "'#' line 'x' at row -1: need a row in [0, 2]"),
-                          ([(3, "x")], "'#' line 'x' at row 3: need a row in [0, 2]"),
-                          ([(1, "x"), (0, "y")], "'#' line 'y' at row 0: need a row in [1, 2]")]:
-        with pytest.raises(ModelError) as err:
-            cli.render_csv(names, columns, meta)
-        assert str(err.value) == message
+    # '#' lines go before rows 0 .. n in ascending order, and nowhere else, in
+    # a table with an array column and in one of tuples alike
+    for columns in ([np.array([0.5, 1.5]), ("a", "b")], [(0.5, 1.5), ("a", "b")]):
+        assert cli.render_csv(names, columns, [(0, "x"), (2, "y"), (2, "z")]) == _csv_lines(
+            "f,t", "# x", "0.5,a", "1.5,b", "# y", "# z")
+        for meta, message in [
+                ([(-1, "x")], "'#' line 'x' at row -1: need a row in [0, 2]"),
+                ([(3, "x")], "'#' line 'x' at row 3: need a row in [0, 2]"),
+                ([(1, "x"), (0, "y")], "'#' line 'y' at row 0: need a row in [1, 2]")]:
+            with pytest.raises(ModelError) as err:
+                cli.render_csv(names, columns, meta)
+            assert str(err.value) == message
 
 
 def _outcome(render):
