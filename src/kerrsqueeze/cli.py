@@ -43,10 +43,6 @@ class RunConfig:
     path: Path
     raw: Dict[str, Any]
 
-    @property
-    def base_dir(self) -> Path:
-        return self.path.parent
-
     def section(self, name: str, required: bool = True) -> Dict[str, Any]:
         sec = self.raw.get(name)
         if sec is None:
@@ -60,8 +56,8 @@ class RunConfig:
     def resolve(self, name: str, rel: Any) -> Path:
         if not isinstance(rel, str):
             raise SchemaError(f"config key '{name}': expected a file path string, got {rel!r}")
-        p = (self.base_dir / rel).resolve() if not Path(rel).is_absolute() else Path(rel)
-        return _regular_file(p, f"config key '{name}': file", rel)
+        # joined as written: an absolute rel replaces the config's directory
+        return _regular_file(self.path.parent / rel, f"config key '{name}': file", rel)
 
 
 def _regular_file(path: Path, what: str, shown: str) -> Path:
@@ -287,17 +283,6 @@ def _not_finite(name: str, row: int, value: Any) -> ModelError:
     return ModelError(f"output column '{name}' row {row + 1}: {float(value)!r} is not finite")
 
 
-def _cells(name: str, column: Sequence[Any], quote: Callable[[str], str] = str) -> List[str]:
-    """``_fmt`` of each cell; a NaN or an infinity names the column and row."""
-    cells = []
-    for row, v in enumerate(column):
-        try:
-            cells.append(_fmt(v, quote))
-        except ModelError:
-            raise _not_finite(name, row, v) from None
-    return cells
-
-
 def _csv_quote(text: str) -> str:
     """A CSV string cell, quoted as RFC 4180 asks when it holds ',', '"', CR or LF."""
     if any(c in text for c in ',"\r\n'):
@@ -317,8 +302,16 @@ class Coded(NamedTuple):
 def _encoded(name: str, values: Sequence[Any], csv: bool) -> List[bytes]:
     """The ``_fmt`` text of each cell, quoted for the format, in UTF-8. Of these
     only a CSV string can hold NUL (JSON writes it as \\u0000), and NUL pads the
-    writer's texts, so no cell that a row shows may hold one."""
-    return [c.encode() for c in _cells(name, values, _csv_quote if csv else json.dumps)]
+    writer's texts, so no cell that a row shows may hold one. A NaN or an
+    infinity names the column and row."""
+    quote = _csv_quote if csv else json.dumps
+    cells = []
+    for row, v in enumerate(values):
+        try:
+            cells.append(_fmt(v, quote).encode())
+        except ModelError:
+            raise _not_finite(name, row, v) from None
+    return cells
 
 
 def _nul_cell(name: str) -> ModelError:
@@ -424,8 +417,8 @@ def _joined(names: Sequence[str], columns: Sequence[Sequence[Any]], csv: bool,
 def _table(names: Sequence[str], columns: Sequence[Sequence[Any]],
            meta: Sequence[Tuple[int, str]], csv: bool) -> bytes:
     """A table's CSV or JSON bytes. A table whose columns are all lists or
-    tuples (the locking table) is ``_joined`` a row at a time without numpy;
-    any other is assembled in ``_blocks``."""
+    tuples (the locking table, a report's key,value CSV) is ``_joined`` a row
+    at a time without numpy; any other is assembled in ``_blocks``."""
     if len(names) != len(columns):
         raise ModelError(f"table has {len(names)} column names {list(names)!r} "
                          f"and {len(columns)} columns")
@@ -476,11 +469,9 @@ Result = Union[Dict[str, Any], Table]
 
 def _render(result: Result, out_format: Optional[str]) -> bytes:
     """Reports default to JSON (flattened key,value CSV on request), tables to CSV."""
-    if isinstance(result, dict) and out_format == "csv":  # no numpy: a cell at a time
+    if isinstance(result, dict) and out_format == "csv":  # a table of two list columns
         pairs = _flatten(result)
-        keys = _cells("key", [k for k, _ in pairs], _csv_quote)
-        values = _cells("value", [v for _, v in pairs], _csv_quote)
-        return "".join(f"{k},{v}\n" for k, v in [("key", "value"), *zip(keys, values)]).encode()
+        return render_csv(["key", "value"], [[k for k, _ in pairs], [v for _, v in pairs]])
     if isinstance(result, dict) or out_format == "json":
         return render_json(result)
     return render_csv(*result)
@@ -803,7 +794,7 @@ def cmd_threshold(cfg: RunConfig) -> Dict[str, Any]:
     """parametric threshold power report"""
     params = parse_resonator(cfg)
     sec = cfg.section("pump", required=False)
-    omega_p_cfg = _num(sec, "omega_p_rad_s", "pump", required=False) if sec else None
+    omega_p_cfg = _num(sec, "omega_p_rad_s", "pump", required=False)
     omega_p = _resolve_omega_p(params, omega_p_cfg)
     p_th = core.threshold_power(params, omega_p)
     return {
@@ -1015,6 +1006,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# C0 control characters and DEL as \xNN, so an error is one line of plain text
+_CONTROL = {c: f"\\x{c:02x}" for c in (*range(32), 127)}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -1025,7 +1020,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             Path(args.out).write_bytes(data)
     except (ModelError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {str(e).translate(_CONTROL)}", file=sys.stderr)
         return 1
     return 0
 
@@ -1044,5 +1039,6 @@ def _write_stdout(data: bytes) -> None:
         raise
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+if __name__ == "__main__":  # kerrsqueeze.__main__ is the one entry: it sets the BLAS default
+    print("error: run the CLI as python -m kerrsqueeze", file=sys.stderr)
+    sys.exit(2)

@@ -65,9 +65,11 @@ def _one_line_error(argv, capsys):
 
 
 def test_a_path_that_is_not_a_regular_file_is_named_so(tmp_path, capsys):
-    # a directory or a device exists, so it is not reported as missing
-    cfg = tmp_path / "c.json"
-    for path in (str(tmp_path), os.devnull):
+    # a directory, a device or a FIFO exists, so it is not reported as missing;
+    # the FIFO is never opened, so nothing waits for a writer
+    cfg, fifo = tmp_path / "c.json", tmp_path / "fifo"
+    os.mkfifo(fifo)
+    for path in (str(tmp_path), os.devnull, str(fifo)):
         err = _one_line_error(["threshold", "--config", path], capsys)
         assert err == f"error: config file is not a regular file: {path}\n"
         cfg.write_text(json.dumps({"losses": {"budget_path": path}}))
@@ -407,6 +409,16 @@ def test_locked_spectrum_takes_any_finite_lo_phase(sample_dir, tmp_path):
         far, near = by_phase[p_in, 1e300], by_phase[p_in, reduced]
         assert {k: v for k, v in far.items() if k != "phi_lo_rad"} == {
             k: v for k, v in near.items() if k != "phi_lo_rad"}
+
+
+def test_cli_module_is_not_an_entry(sample_dir):
+    # kerrsqueeze.__main__ is the one entry: run as a script, cli.py runs no
+    # command and names it, as a usage error
+    proc = subprocess.run([sys.executable, "-m", "kerrsqueeze.cli", "losses",
+                           "--config", str(sample_dir / "config_losses.json")],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: run the CLI as python -m kerrsqueeze\n"
 
 
 def test_module_invocation_smoke(sample_dir, tmp_path):
@@ -951,18 +963,31 @@ _BUDGET_LIST = "expected a list of {label, loss_db} entries"
     ("fit-dispersion", {"dispersion": {"input": "r.csv"}},
      {"r.csv": "mu,omega_rad_s\n0,1.0e15\n1.5,1.1e15\n2,1.2e15\n"},
      "r.csv: column 'mu': mode numbers must be integers"),
+    # a control character in a message is shown as \xNN, so the error stays one line
+    ("fit-dispersion", {"dispersion": {"input": "a\nb.csv"}}, {},
+     "config key 'dispersion.input': file not found: a\\x0ab.csv"),
+    ("fit-dispersion", {"dispersion": {"input": "a\rb.csv"}}, {},
+     "config key 'dispersion.input': file not found: a\\x0db.csv"),
+    ("reduce-trace", {"trace": {"input": _ZERO_SPAN, "reference": "r\0.csv"}}, {},
+     "config key 'trace.reference': file not found: r\\x00.csv"),
+    ("losses", {"losses": {"budget_path": "b\0.json"}}, {},
+     "config key 'losses.budget_path': file not found: b\\x00.json"),
+    ("threshold", None, {}, "config file not found: <tmp>/c\\x0a.json"),
 ], ids=["top-level-list", "section-list", "missing-number", "missing-number-list",
         "unknown-direction", "losses-without-budget", "detection-without-source",
         "no-resonance", "header-without-rows", "entries-not-a-list", "budget-file-not-a-list",
         "unknown-spectrum-mode", "unknown-coupling-regime", "null-label", "list-label-in-file",
-        "fractional-mode-number"])
+        "fractional-mode-number", "newline-in-input", "cr-in-input", "nul-in-reference",
+        "nul-in-budget-path", "newline-in-config-argument"])
 def test_input_rules_are_exact_one_line_errors(cmd, config, files, message, tmp_path, capsys):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(config))
+    # a config of None is not written, and --config names it with a newline
+    cfg = tmp_path / ("c.json" if config is not None else "c\n.json")
+    if config is not None:
+        cfg.write_text(json.dumps(config))
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     err = _one_line_error([cmd, "--config", str(cfg)], capsys)
-    assert err == f"error: {message.replace('<cfg>', str(cfg))}\n"
+    assert err == f"error: {message.replace('<cfg>', str(cfg)).replace('<tmp>', str(tmp_path))}\n"
 
 
 def test_blank_csv_lines_change_no_output_byte(sample_dir, tmp_path):

@@ -291,6 +291,10 @@ def test_nul_cells_and_unordered_comment_lines_are_refused():
         assert str(err.value) == "table column 't' holds a NUL character"
         assert json.loads(cli._render((names, columns, ()), "json"))["rows"] == [
             [0.5, "a"], [1.5, "b\x00c"]]
+    # a report's key,value CSV is such a table too; its JSON escapes the NUL
+    with pytest.raises(ModelError, match="table column 'value' holds a NUL character"):
+        cli._render({"a": {"b": "x\x00y"}}, "csv")
+    assert json.loads(cli._render({"a": {"b": "x\x00y"}}, None)) == {"a": {"b": "x\x00y"}}
     # '#' lines go before rows 0 .. n in ascending order, and nowhere else, in
     # a table with an array column and in one of tuples alike
     for columns in ([np.array([0.5, 1.5]), ("a", "b")], [(0.5, 1.5), ("a", "b")]):
